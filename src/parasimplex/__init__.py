@@ -48,7 +48,7 @@ from .errors import (
     UnboundedDirection,
     UpdateDegenerate,
 )
-from .linalg import BasisFactorization, factorize
+from .linalg import BasisFactorization
 from .reductions import (
     DantzigInstance,
     DiffNetInstance,
@@ -101,7 +101,6 @@ __all__ = [
     "dual_pivot",
     "evaluate_dual",
     "evaluate_primal",
-    "factorize",
     "initialize",
     "primal_pivot",
     "recover_dantzig",

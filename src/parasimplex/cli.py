@@ -17,12 +17,12 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import io as pio
-from .core import SolutionPath, Termination
+from .core import SolutionPath, Termination, segment_breakpoint
 from .engine import SolveOptions, solve_path
 from .errors import (
     InfeasibleAtLargeLambda,
@@ -53,6 +53,7 @@ from .reductions import (
     build_dantzig,
     build_diffnet,
     build_svm,
+    diffnet_sparsity_stop,
     recover_dantzig,
     recover_diffnet,
     recover_svm,
@@ -117,14 +118,6 @@ def _report(path: SolutionPath) -> int:
     return _TERMINATION_EXIT[path.termination]
 
 
-def _breakpoint_lambdas(path: SolutionPath) -> List[float]:
-    out = []
-    for seg in path.segments:
-        bp = seg.lambda_lo if np.isfinite(seg.lambda_lo) else seg.lambda_hi
-        out.append(float(bp) if np.isfinite(bp) else 0.0)
-    return out
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     src = Path(args.program)
     program = (
@@ -160,10 +153,10 @@ def cmd_dantzig(args: argparse.Namespace) -> int:
     path = solve_path(program, SolveOptions(lambda_target=target, trace=args.trace))
     orig = recover_dantzig(path)
     if args.out:
-        violations = [
-            feasibility_violation(X, y, seg.value(bp), bp)
-            for seg, bp in zip(orig.segments, _breakpoint_lambdas(path))
-        ]
+        violations = []
+        for seg in orig.segments:
+            bp = segment_breakpoint(seg)
+            violations.append(feasibility_violation(X, y, seg.value(bp), bp))
         pio.save_original_path_csv(args.out, orig, violations)
     if orig.supports:
         print(f"terminal_support_size={len(orig.supports[-1])}")
@@ -209,20 +202,7 @@ def cmd_diffnet(args: argparse.Namespace) -> int:
     if rule == "value":
         opts.lambda_target = value
     elif rule == "sparsity":
-        nD = S_X.shape[0] * S_X.shape[1]
-        want = int(value)
-
-        def enough(segment) -> bool:
-            lam = segment.lambda_lo
-            if not np.isfinite(lam):
-                return False
-            keep = segment.primal_indices < 2 * nD
-            vals = segment.primal_base[keep] + lam * segment.primal_slope[keep]
-            idx = segment.primal_indices[keep] % nD
-            nnz = len({int(i) for i, v in zip(idx, vals) if abs(v) > 1e-9})
-            return nnz >= want
-
-        opts.stop_callback = enough
+        opts.stop_callback = diffnet_sparsity_stop(inst, int(value))
     else:
         raise ValueError("diffnet stop rule must be value:<lambda> or sparsity:<k>")
     path = solve_path(program, opts)

@@ -20,8 +20,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-# Feasibility tolerance for sign checks on primal/dual values.
-FEAS_TOL = 1e-9
 # Slack allowed when testing whether a lambda lies inside a segment.
 INTERVAL_TOL = 1e-9
 
@@ -228,6 +226,18 @@ class PathSegment:
             int(j): (float(b), float(s))
             for j, b, s in zip(self.dual_indices, self.dual_base, self.dual_slope)
         }
+
+
+def segment_breakpoint(segment) -> float:
+    """A segment's breakpoint: its lower end, else its upper end, else 0.
+
+    Works for any segment with ``lambda_lo``/``lambda_hi`` (standard-form or
+    original coordinates).
+    """
+    for lam in (segment.lambda_lo, segment.lambda_hi):
+        if np.isfinite(lam):
+            return float(lam)
+    return 0.0
 
 
 def evaluate_primal(segment: PathSegment, lam: float) -> np.ndarray:

@@ -20,9 +20,10 @@ basis visited.
 
 from __future__ import annotations
 
+import ctypes
 import logging
+import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -49,20 +50,38 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-# Sign tolerance for feasibility of base/perturbation entries.
+
+def _keep_freed_heap() -> None:
+    """Fix glibc's heap thresholds at the ceiling its own adaptation reaches.
+
+    A solve allocates and frees arrays of a few MB (the standard form, the
+    basis LU). glibc serves those from the heap only once it has freed an
+    mmap block as large, and returns the heap top to the system whenever
+    twice that is free, so back-to-back solves of mid-sized programs
+    page-fault all of their arrays back in, a large and erratic share of a
+    short solve. Process-wide; no effect off glibc.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's dynamic maximum
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as glibc sets it
+
+
+_keep_freed_heap()
+
+# Sign tolerance for feasibility of base/perturbation entries; a breakpoint
+# within FEAS_TOL * (1 + first breakpoint) of zero counts as lambda = 0.
 FEAS_TOL = 1e-9
 # Smallest denominator admitted to a ratio test.
 RATIO_TOL = 1e-9
 # Certificate residuals must stay below CERT_TOL * (1 + scale).
 CERT_TOL = 1e-7
-# Relative slack when comparing candidate breakpoints across families.
+# Relative slack when comparing candidate breakpoints and ratio-test ties.
 BREAKPOINT_RTOL = 1e-12
-
-
-class TieBreak(Enum):
-    """Tie-breaking policy for ratio tests (Bland-style; the only one)."""
-
-    SMALLEST_INDEX = "smallest_index"
 
 
 @dataclass
@@ -73,11 +92,6 @@ class SolveOptions:
         lambda_target: stop once lambda_star falls to or below this value.
         max_pivots: hard cap on basis exchanges (IterationCap termination);
             None means 10x the column count of the standard-form program.
-        feas_tol / ratio_tol / cert_tol: numerical tolerances (see module
-            constants for defaults).
-        tie_break: ratio-test tie policy; smallest column index is the only
-            implemented rule.
-        refresh_limit: pivots between from-scratch dictionary rebuilds.
         check_certificates: verify an optimality certificate after every
             pivot (with one refactorize-and-retry on failure).
         stop_callback: called with each newly emitted segment; returning
@@ -88,11 +102,6 @@ class SolveOptions:
 
     lambda_target: float = 0.0
     max_pivots: Optional[int] = None
-    feas_tol: float = FEAS_TOL
-    ratio_tol: float = RATIO_TOL
-    cert_tol: float = CERT_TOL
-    tie_break: TieBreak = TieBreak.SMALLEST_INDEX
-    refresh_limit: int = linalg.REFRESH_LIMIT
     check_certificates: bool = True
     stop_callback: Optional[Callable[[PathSegment], bool]] = None
     trace: Optional[TextIO] = None
@@ -151,12 +160,10 @@ class DictionaryState:
         self.xB_base = self.fact.solve(p.b)
         self.xB_pert = self.fact.solve(p.b_bar)
         y = self.fact.solve_transpose(p.c[B])
-        # (A' y)[N] instead of A[:, N]' y: the latter materializes a copy of
-        # the nonbasic block, which dominates memory on wide problems.
-        self.zN_base = (p.A.T @ y)[N] - p.c[N]
+        self.zN_base = _reduced_costs(p.A, y, p.c, N)
         if np.any(p.c_bar):
             y_bar = self.fact.solve_transpose(p.c_bar[B])
-            self.zN_pert = (p.A.T @ y_bar)[N] - p.c_bar[N]
+            self.zN_pert = _reduced_costs(p.A, y_bar, p.c_bar, N)
         else:
             self.zN_pert = np.zeros(len(N))
         self.objective_base = float(p.c[B] @ self.xB_base)
@@ -193,12 +200,15 @@ class DictionaryState:
         )
 
 
-def initialize(
-    p: ParametricProgram,
-    basic: Sequence[int],
-    feas_tol: float = FEAS_TOL,
-    ratio_tol: float = RATIO_TOL,
-) -> DictionaryState:
+def _reduced_costs(A: np.ndarray, y: np.ndarray, cost: np.ndarray,
+                   cols=slice(None)) -> np.ndarray:
+    """``(A' y - cost)[cols]``. Forms A' y in full: gathering ``A[:, cols]``
+    first would copy the nonbasic block, which dominates memory on wide
+    problems."""
+    return (A.T @ y)[cols] - cost[cols]
+
+
+def initialize(p: ParametricProgram, basic: Sequence[int]) -> DictionaryState:
     """Build a DictionaryState and verify it is optimal for large lambda.
 
     Raises:
@@ -214,7 +224,7 @@ def initialize(
         (state.xB_base, state.xB_pert, "basic value"),
         (state.zN_base, state.zN_pert, "reduced cost"),
     ):
-        dead = (np.abs(pert) <= ratio_tol) & (base < -feas_tol)
+        dead = (np.abs(pert) <= RATIO_TOL) & (base < -FEAS_TOL)
         if np.any(dead):
             k = int(np.flatnonzero(dead)[0])
             raise InfeasibleAtLargeLambda(
@@ -222,9 +232,9 @@ def initialize(
                 "perturbation to repair it"
             )
 
-    lam_star, _ = compute_lambda_star(state, ratio_tol)
-    lam_max = compute_lambda_max(state, ratio_tol)
-    if lam_star > lam_max + feas_tol * (1.0 + abs(lam_max)):
+    lam_star, _ = compute_lambda_star(state)
+    lam_max = compute_lambda_max(state)
+    if lam_star > lam_max + FEAS_TOL * (1.0 + abs(lam_max)):
         raise InfeasibleAtLargeLambda(
             f"empty optimality window: lambda_star={lam_star:.6g} exceeds "
             f"lambda_max={lam_max:.6g}"
@@ -235,7 +245,7 @@ def initialize(
 
 
 def compute_lambda_star(
-    state: DictionaryState, ratio_tol: float = RATIO_TOL
+    state: DictionaryState,
 ) -> Tuple[float, Optional[TightConstraint]]:
     """Smallest lambda for which the current dictionary stays optimal.
 
@@ -252,7 +262,7 @@ def compute_lambda_star(
         (state.zN_base, state.zN_pert, state.partition.nonbasic, False),
         (state.xB_base, state.xB_pert, state.partition.basic, True),
     ):
-        mask = pert > ratio_tol
+        mask = pert > RATIO_TOL
         if not np.any(mask):
             continue
         idx = np.flatnonzero(mask)
@@ -269,7 +279,7 @@ def compute_lambda_star(
     return best_lam, best
 
 
-def compute_lambda_max(state: DictionaryState, ratio_tol: float = RATIO_TOL) -> float:
+def compute_lambda_max(state: DictionaryState) -> float:
     """Largest lambda for which the current dictionary stays optimal (+inf
     when nothing constrains it from above)."""
     best = float("inf")
@@ -277,35 +287,31 @@ def compute_lambda_max(state: DictionaryState, ratio_tol: float = RATIO_TOL) -> 
         (state.zN_base, state.zN_pert),
         (state.xB_base, state.xB_pert),
     ):
-        mask = pert < -ratio_tol
+        mask = pert < -RATIO_TOL
         if np.any(mask):
             best = min(best, float((-base[mask] / pert[mask]).min()))
     return best
 
 
 def _ratio_pick(
-    deltas: np.ndarray,
-    values_at_lam: np.ndarray,
-    cols: np.ndarray,
-    feas_tol: float,
-    ratio_tol: float,
+    deltas: np.ndarray, values_at_lam: np.ndarray, cols: np.ndarray
 ) -> Optional[int]:
     """Position maximizing delta / value among positive deltas.
 
-    Values below feas_tol (degenerate, possibly tiny-negative from roundoff)
+    Values below FEAS_TOL (degenerate, possibly tiny-negative from roundoff)
     count as an infinite ratio and win outright. Ties break toward the
-    smallest column index. Returns None when no delta exceeds ratio_tol.
+    smallest column index. Returns None when no delta exceeds RATIO_TOL.
     """
-    cand = np.flatnonzero(deltas > ratio_tol)
+    cand = np.flatnonzero(deltas > RATIO_TOL)
     if cand.size == 0:
         return None
     vals = values_at_lam[cand]
-    degenerate = cand[vals < feas_tol]
+    degenerate = cand[vals < FEAS_TOL]
     if degenerate.size:
         return int(degenerate[np.argmin(cols[degenerate])])
     ratios = deltas[cand] / vals
     top = ratios.max()
-    tie = cand[ratios >= top - 1e-12 * (1.0 + abs(top))]
+    tie = cand[ratios >= top - BREAKPOINT_RTOL * (1.0 + abs(top))]
     return int(tie[np.argmin(cols[tie])])
 
 
@@ -370,23 +376,17 @@ def _exchange(
     )
 
 
-def primal_pivot(
-    state: DictionaryState,
-    entering: int,
-    lam_star: float,
-    feas_tol: float = FEAS_TOL,
-    ratio_tol: float = RATIO_TOL,
-) -> PivotEvent:
+def primal_pivot(state: DictionaryState, entering: int, lam_star: float) -> PivotEvent:
     """Bring nonbasic column ``entering`` into the basis (its reduced cost
     hit zero at lam_star).
 
     The leaving variable maximizes Delta x_i / x_i(lam_star) over rows with
-    Delta x_i > ratio_tol. Raises UnboundedDirection when no row blocks.
+    Delta x_i > RATIO_TOL. Raises UnboundedDirection when no row blocks.
     """
     kN = state.partition.position(entering)
     dxB = state.fact.solve(state.program.A[:, entering])
     xvals = state.xB_base + lam_star * state.xB_pert
-    kB = _ratio_pick(dxB, xvals, state.partition.basic, feas_tol, ratio_tol)
+    kB = _ratio_pick(dxB, xvals, state.partition.basic)
     if kB is None:
         raise UnboundedDirection(
             f"no blocking basic variable for entering column {entering}: "
@@ -396,23 +396,17 @@ def primal_pivot(
     return _exchange(state, kB, kN, dxB, dzN, PivotKind.PRIMAL, lam_star)
 
 
-def dual_pivot(
-    state: DictionaryState,
-    leaving: int,
-    lam_star: float,
-    feas_tol: float = FEAS_TOL,
-    ratio_tol: float = RATIO_TOL,
-) -> PivotEvent:
+def dual_pivot(state: DictionaryState, leaving: int, lam_star: float) -> PivotEvent:
     """Drop basic column ``leaving`` from the basis (its value hit zero at
     lam_star).
 
     The entering variable maximizes Delta z_j / z_j(lam_star) over columns
-    with Delta z_j > ratio_tol. Raises InfeasibleProblem when none exists.
+    with Delta z_j > RATIO_TOL. Raises InfeasibleProblem when none exists.
     """
     kB = state.partition.position(leaving)
     dzN = _delta_z(state, kB)
     zvals = state.zN_base + lam_star * state.zN_pert
-    kN = _ratio_pick(dzN, zvals, state.partition.nonbasic, feas_tol, ratio_tol)
+    kN = _ratio_pick(dzN, zvals, state.partition.nonbasic)
     if kN is None:
         raise InfeasibleProblem(
             f"no entering column for leaving basic variable {leaving}: "
@@ -449,14 +443,27 @@ def verify_certificate(
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     cost = p.cost(lam)
-    rhs = p.rhs(lam)
-
     if basic is not None:
         B = np.asarray(basic, dtype=np.intp)
         y = np.linalg.solve(p.A[:, B].T, cost[B])
     else:
         y, *_ = np.linalg.lstsq(p.A.T, z + cost, rcond=None)
-    zhat = p.A.T @ y - cost
+    return _certificate_residuals(p, x, z, y, lam, tol)[0]
+
+
+def _certificate_residuals(
+    p: ParametricProgram,
+    x: np.ndarray,
+    z: np.ndarray,
+    y: np.ndarray,
+    lam: float,
+    tol: float,
+) -> Tuple[CertificateReport, np.ndarray]:
+    """The residuals of ``verify_certificate`` for given multipliers y,
+    plus the recomputed reduced costs ``zhat = A' y - c(lam)``."""
+    cost = p.cost(lam)
+    rhs = p.rhs(lam)
+    zhat = _reduced_costs(p.A, y, cost)
 
     rp = max(
         float(np.abs(p.A @ x - rhs).max()),
@@ -474,7 +481,7 @@ def verify_certificate(
         and rc <= tol * (1.0 + float(np.abs(x).max(initial=0.0)) * float(np.abs(z).max(initial=0.0)))
         and gap <= tol * (1.0 + abs(primal_obj) + abs(dual_obj))
     )
-    return CertificateReport(
+    report = CertificateReport(
         lambda_value=lam,
         primal_residual=rp,
         dual_residual=rd,
@@ -483,38 +490,47 @@ def verify_certificate(
         tolerance=tol,
         passed=ok,
     )
+    return report, zhat
 
 
-def _post_pivot_ok(state: DictionaryState, lam: float, opts: SolveOptions) -> bool:
-    """Certificate plus drift check for the dictionary at ``lam``."""
+def _post_pivot_ok(state: DictionaryState, lam: float) -> bool:
+    """A posteriori optimality check of the dictionary at ``lam``.
+
+    y comes from the maintained factorization, so nothing here trusts it:
+    ``A_B' y = c_B(lam)`` must hold to CERT_TOL, (x, z, y) must pass the
+    residuals of ``verify_certificate``, and the maintained reduced costs
+    must agree with ``A_N' y - c_N(lam)`` (complementarity is structural for
+    dictionary solutions, so this is the check that catches accumulated
+    update error in z).
+    """
     p = state.program
     B = state.partition.basic
     N = state.partition.nonbasic
-    x = state.primal_at(lam)
-    z = state.dual_at(lam)
-    report = verify_certificate(p, x, z, lam, basic=B, tol=opts.cert_tol)
+    cost = p.cost(lam)
+    y = state.fact.solve_transpose(cost[B])
+    report, zhat = _certificate_residuals(
+        p, state.primal_at(lam), state.dual_at(lam), y, lam, CERT_TOL
+    )
+    basis_residual = float(np.abs(zhat[B]).max(initial=0.0))
+    if basis_residual > CERT_TOL * (1.0 + float(np.abs(cost).max(initial=0.0))):
+        logger.debug("A_B' y - c_B residual %.3e at lambda=%g", basis_residual, lam)
+        return False
     if not report.passed:
         logger.debug("certificate failed at lambda=%g: %s", lam, report)
         return False
-    # Maintained reduced costs must agree with from-scratch recomputation;
-    # complementarity is structural for dictionary solutions, so this is the
-    # check that actually catches accumulated update error in z.
-    cost = p.cost(lam)
-    y = state.fact.solve_transpose(cost[B])
-    zhat_n = (p.A.T @ y)[N] - cost[N]
+    zhat_n = zhat[N]
     scale = 1.0 + float(np.abs(zhat_n).max(initial=0.0))
     drift = float(np.abs(zhat_n - (state.zN_base + lam * state.zN_pert)).max(initial=0.0))
-    if drift > opts.cert_tol * scale:
+    if drift > CERT_TOL * scale:
         logger.debug("dictionary drift %.3e at lambda=%g", drift, lam)
         return False
     return True
 
 
-def _pivot_at(state: DictionaryState, tight: TightConstraint, lam_star: float,
-              opts: SolveOptions) -> PivotEvent:
+def _pivot_at(state: DictionaryState, tight: TightConstraint, lam_star: float) -> PivotEvent:
     if tight.in_basis:
-        return dual_pivot(state, tight.column, lam_star, opts.feas_tol, opts.ratio_tol)
-    return primal_pivot(state, tight.column, lam_star, opts.feas_tol, opts.ratio_tol)
+        return dual_pivot(state, tight.column, lam_star)
+    return primal_pivot(state, tight.column, lam_star)
 
 
 def solve_path(
@@ -524,6 +540,9 @@ def solve_path(
     **kwargs,
 ) -> SolutionPath:
     """Follow the optimal-basis path of ``p`` from large lambda downward.
+
+    The factorization is rebuilt from the basis columns every
+    ``linalg.REFRESH_LIMIT`` updates, and whenever a post-pivot check fails.
 
     Args:
         p: the parametric program. <= programs are converted to equality
@@ -538,7 +557,9 @@ def solve_path(
 
     Returns:
         SolutionPath with one segment per dictionary visited (highest lambda
-        first) and one PivotEvent per basis exchange.
+        first) and one PivotEvent per basis exchange. A breakpoint within
+        FEAS_TOL * (1 + first breakpoint) of zero ends the path with
+        LAMBDA_NONPOSITIVE.
 
     Raises:
         InfeasibleAtLargeLambda: the starting basis is never optimal.
@@ -559,31 +580,34 @@ def solve_path(
         raise ValueError("equality programs need an initial_basis")
     max_pivots = opts.max_pivots if opts.max_pivots is not None else 10 * p_std.n
 
-    state = initialize(p_std, basic, opts.feas_tol, opts.ratio_tol)
+    state = initialize(p_std, basic)
     path = SolutionPath(num_cols=p_std.n, slack_info=slack)
     lam_hi = state.lambda_hi
+    # For Dantzig the first breakpoint is ||X'y||_inf, the scale of lambda.
+    first = state.lambda_lo
+    zero_tol = FEAS_TOL * (1.0 + (abs(first) if np.isfinite(first) else 0.0))
     entering: Optional[int] = None
     leaving: Optional[int] = None
     pivots = 0
-    pivots_since_refresh = 0
 
     while True:
-        lam_star, tight = compute_lambda_star(state, opts.ratio_tol)
+        lam_star, tight = compute_lambda_star(state)
         state.lambda_lo, state.lambda_hi = lam_star, lam_hi
         seg = state.segment(lam_star, lam_hi, entering, leaving)
         path.segments.append(seg)
+        nonpositive = lam_star <= zero_tol
 
         if tight is None:  # optimal all the way down
             path.termination = Termination.REACHED_TARGET
             path.terminal_lambda = opts.lambda_target
             break
         if lam_star <= opts.lambda_target and (
-            opts.lambda_target > 0.0 or lam_star > 0.0
+            opts.lambda_target > 0.0 or not nonpositive
         ):
             path.termination = Termination.REACHED_TARGET
             path.terminal_lambda = opts.lambda_target
             break
-        if lam_star <= 0.0:
+        if nonpositive:
             path.termination = Termination.LAMBDA_NONPOSITIVE
             path.terminal_lambda = max(lam_star, 0.0) + 0.0  # drop -0.0
             break
@@ -624,10 +648,8 @@ def solve_path(
             "pivot %d (%s): entering=%d leaving=%d lambda*=%.9g",
             pivots, event.kind.value, event.entering, event.leaving, lam_star,
         )
-        pivots_since_refresh += 1
-        if pivots_since_refresh >= opts.refresh_limit:
+        if state.fact.updates_since_refactor >= linalg.REFRESH_LIMIT:
             state.refresh()
-            pivots_since_refresh = 0
         lam_hi = lam_star
 
     return path
@@ -657,7 +679,7 @@ def _try_pivot(
     # Roll back and retry on fresh numbers.
     state.partition = snapshot
     state.refresh()
-    lam2, tight2 = compute_lambda_star(state, opts.ratio_tol)
+    lam2, tight2 = compute_lambda_star(state)
     if tight2 is None:
         raise NumericalFailure(
             "breakpoint vanished after refactorization (was "
@@ -686,7 +708,7 @@ def _exchange_checked(
     opts: SolveOptions,
 ) -> Optional[PivotEvent]:
     """Pivot and validate; None signals a failed check (caller retries)."""
-    event = _pivot_at(state, tight, lam_star, opts)
-    if opts.check_certificates and not _post_pivot_ok(state, lam_star, opts):
+    event = _pivot_at(state, tight, lam_star)
+    if opts.check_certificates and not _post_pivot_ok(state, lam_star):
         return None
     return event

@@ -16,19 +16,19 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import SolutionPath
+from .core import segment_breakpoint
 from .engine import SolveOptions, solve_path
 from .errors import ParasimplexError
 from .reductions import (
+    SUPPORT_TOL,
     DantzigInstance,
     DiffNetInstance,
     build_dantzig,
     build_diffnet,
+    diffnet_sparsity_stop,
     recover_dantzig,
     recover_diffnet,
 )
-
-SUPPORT_TOL = 1e-9
 
 
 @dataclass
@@ -171,15 +171,6 @@ def _failure_record(
     )
 
 
-def _finite_breakpoints(path: SolutionPath) -> List[float]:
-    pts = []
-    for seg in path.segments:
-        bp = seg.lambda_lo if np.isfinite(seg.lambda_lo) else seg.lambda_hi
-        if np.isfinite(bp):
-            pts.append(float(bp))
-    return pts
-
-
 def run_dantzig_bench(
     cfg: DantzigGenConfig,
     stop_rule: str = "benchmark",
@@ -203,8 +194,8 @@ def run_dantzig_bench(
         elapsed = time.perf_counter() - t0
         orig = recover_dantzig(path)
         worst = -np.inf
-        for bp in _finite_breakpoints(path):
-            lam = max(bp, path.terminal_lambda)
+        for seg in path.segments:
+            lam = max(segment_breakpoint(seg), path.terminal_lambda)
             theta = orig.value_at(lam)
             worst = max(worst, feasibility_violation(X, y, theta, lam))
         theta_end = orig.value_at(path.terminal_lambda)
@@ -237,38 +228,14 @@ def run_diffnet_bench(
         S_X, S_Y, Delta0 = gen_diffnet(cfg, rng=np.random.default_rng(child))
         inst = DiffNetInstance.from_covariances(S_X, S_Y)
         program = build_diffnet(inst)
-        nD = cfg.d * cfg.d
         want = target_nnz if target_nnz is not None else int(
             np.count_nonzero(np.abs(Delta0) > SUPPORT_TOL)
         )
-
-        def enough_support(segment) -> bool:
-            lam = segment.lambda_lo
-            if not np.isfinite(lam):
-                return False
-            keep = segment.primal_indices < 2 * nD
-            vals = (
-                segment.primal_base[keep] + lam * segment.primal_slope[keep]
-            )
-            idx = segment.primal_indices[keep] % nD
-            nnz = len(
-                {int(i) for i, v in zip(idx, vals) if abs(v) > SUPPORT_TOL}
-            )
-            return nnz >= want
-
         t0 = time.perf_counter()
         try:
-            # Per-pivot certificates cost a dense m^3 solve each; on these
-            # instances (m in the thousands) that would dwarf the pivoting
-            # being measured. The record's max_feas_violation field plays the
-            # end-to-end correctness role instead.
             path = solve_path(
                 program,
-                SolveOptions(
-                    lambda_target=0.0,
-                    stop_callback=enough_support,
-                    check_certificates=False,
-                ),
+                SolveOptions(stop_callback=diffnet_sparsity_stop(inst, want)),
             )
         except ParasimplexError as exc:
             records.append(_failure_record(rep, cfg.d, cfg.n, t0, exc))

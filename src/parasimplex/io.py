@@ -42,12 +42,6 @@ def _enc_float(x: float) -> Union[float, str]:
     return float(x)
 
 
-def _dec_float(v: Union[float, str, int]) -> float:
-    if isinstance(v, str):
-        return float(v)
-    return float(v)
-
-
 def load_matrix_csv(path: PathLike) -> np.ndarray:
     """Comma-separated numeric matrix; one optional header line tolerated."""
     try:
@@ -207,8 +201,8 @@ def load_path_json(path: PathLike) -> SolutionPath:
     for s in doc["segments"]:
         segments.append(
             PathSegment(
-                lambda_lo=_dec_float(s["lambda_lo"]),
-                lambda_hi=_dec_float(s["lambda_hi"]),
+                lambda_lo=float(s["lambda_lo"]),
+                lambda_hi=float(s["lambda_hi"]),
                 n_cols=n_cols,
                 primal_indices=np.asarray(s["primal"]["indices"], dtype=np.intp),
                 primal_base=np.asarray(s["primal"]["base"], dtype=float),
@@ -225,11 +219,11 @@ def load_path_json(path: PathLike) -> SolutionPath:
             kind=PivotKind(e["kind"]),
             entering=int(e["entering"]),
             leaving=int(e["leaving"]),
-            lambda_star=_dec_float(e["lambda_star"]),
-            t=_dec_float(e["t"]),
-            t_bar=_dec_float(e["t_bar"]),
-            s=_dec_float(e["s"]),
-            s_bar=_dec_float(e["s_bar"]),
+            lambda_star=float(e["lambda_star"]),
+            t=float(e["t"]),
+            t_bar=float(e["t_bar"]),
+            s=float(e["s"]),
+            s_bar=float(e["s_bar"]),
         )
         for e in doc.get("events", [])
     ]
@@ -238,7 +232,7 @@ def load_path_json(path: PathLike) -> SolutionPath:
         segments=segments,
         events=events,
         termination=Termination(doc["termination"]),
-        terminal_lambda=_dec_float(doc["terminal_lambda"]),
+        terminal_lambda=float(doc["terminal_lambda"]),
         num_cols=n_cols,
         slack_info=None if si is None else SlackInfo(
             original_n=int(si["original_n"]), num_rows=int(si["num_rows"])

@@ -7,9 +7,8 @@ short chain of Sherman-Morrison updates on top of it:
     B_new = B + (a - B e_k) e_k'  =  B (I + p e_k'),   p = B^{-1} a - e_k
 
 so ``B_new^{-1} v = (I - theta p e_k') B^{-1} v`` with ``theta = 1/(1+p_k)``.
-Once the chain reaches ``REFRESH_LIMIT`` entries, the next replacement
-triggers a full refactorization of the accumulated basis instead of growing
-the chain further.
+The chain only grows; the engine rebuilds the factorization from the basis
+columns once it holds ``REFRESH_LIMIT`` entries.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .errors import SingularBasis, UpdateDegenerate
 
-# Rank-one updates tolerated before a rebuild happens.
+# Rank-one updates the engine tolerates before it rebuilds the factorization.
 REFRESH_LIMIT = 50
 # Pivot admissibility: LU diagonal entries (and |1 + p_k| in updates) below
 # PIVOT_RTOL * ||B||_inf mean the basis is numerically rank deficient.
@@ -35,33 +34,27 @@ class BasisFactorization:
     """LU factorization of a square basis matrix plus an update chain.
 
     Solves ``B x = v`` and ``B' x = v`` against the *current* basis, i.e.
-    with all recorded column replacements applied. Keeps its own copy of the
-    current basis matrix so it can refactorize itself when the update chain
-    gets long (or degenerates).
+    with all recorded column replacements applied.
     """
 
     def __init__(self, B: np.ndarray):
-        B = np.array(B, dtype=float, copy=True)
+        # Fortran order lets lu_factor overwrite the copy in place.
+        B = np.array(B, dtype=float, order="F")
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError("basis matrix must be square")
         self.m = B.shape[0]
-        self.B = B
-        # update chain entries: (position k, vector p, theta = 1/(1+p_k))
-        self._updates: List[Tuple[int, np.ndarray, float]] = []
-        self._refactorize()
-
-    def _refactorize(self) -> None:
-        self.norm_inf = float(np.abs(self.B).sum(axis=1).max()) if self.m else 0.0
+        self.norm_inf = float(np.abs(B).sum(axis=1).max()) if self.m else 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
-            self._lu, self._piv = lu_factor(self.B, overwrite_a=False)
+            self._lu, self._piv = lu_factor(B, overwrite_a=True)
         diag = np.abs(np.diag(self._lu))
         if self.m and (diag.min() < PIVOT_RTOL * self.norm_inf or diag.min() == 0.0):
             raise SingularBasis(
                 f"basis matrix has LU pivot {diag.min():.3e} below "
                 f"{PIVOT_RTOL:.0e} * ||B||_inf = {PIVOT_RTOL * self.norm_inf:.3e}"
             )
-        self._updates.clear()
+        # update chain entries: (position k, vector p, theta = 1/(1+p_k))
+        self._updates: List[Tuple[int, np.ndarray, float]] = []
 
     @property
     def updates_since_refactor(self) -> int:
@@ -87,8 +80,7 @@ class BasisFactorization:
         Returns the determinant ratio ``det(B_new)/det(B)``. Raises
         UpdateDegenerate when that ratio is numerically zero (the new column
         lies in the span of the others); the caller should refactorize with
-        a different pivot. Past REFRESH_LIMIT chained updates the replacement
-        is absorbed by a full refactorization instead.
+        a different pivot.
         """
         if not 0 <= k < self.m:
             raise IndexError(f"column position {k} out of range")
@@ -100,11 +92,7 @@ class BasisFactorization:
                 f"replacement at position {k} makes the basis singular "
                 f"(det ratio {det_ratio:.3e})"
             )
-        self.B[:, k] = a_new
-        if len(self._updates) >= REFRESH_LIMIT:
-            self._refactorize()  # may raise SingularBasis if truly degenerate
-        else:
-            self._updates.append((k, p, 1.0 / det_ratio))
+        self._updates.append((k, p, 1.0 / det_ratio))
         return float(det_ratio)
 
     def condition_estimate(self) -> float:
@@ -114,8 +102,3 @@ class BasisFactorization:
         inv_norm = float(np.abs(self.solve(np.ones(self.m))).max())
         return self.norm_inf * inv_norm
 
-
-def factorize(A: np.ndarray, basic) -> BasisFactorization:
-    """Factorize the basis submatrix ``A[:, basic]``."""
-    basic = np.asarray(basic, dtype=np.intp)
-    return BasisFactorization(A[:, basic])

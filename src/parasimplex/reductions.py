@@ -16,16 +16,18 @@ Builders:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Callable, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from .core import (
+    INTERVAL_TOL,
     ParametricProgram,
     PathSegment,
     ProgramKind,
     SolutionPath,
     Termination,
+    segment_breakpoint,
 )
 from .errors import ComplementarityViolation
 
@@ -141,7 +143,7 @@ class PathInOriginalCoords:
 
     def segment_at(self, lam: float) -> OriginalSegment:
         for seg in self.segments:
-            tol = 1e-9 * (1.0 + abs(lam))
+            tol = INTERVAL_TOL * (1.0 + abs(lam))
             if seg.lambda_lo - tol <= lam <= seg.lambda_hi + tol:
                 return seg
         raise ValueError(f"lambda={lam} not covered by any segment")
@@ -267,14 +269,6 @@ def _dense_affine(seg: PathSegment, limit: int) -> Tuple[np.ndarray, np.ndarray]
     return base, slope
 
 
-def _breakpoint_of(seg: PathSegment) -> float:
-    if np.isfinite(seg.lambda_lo):
-        return seg.lambda_lo
-    if np.isfinite(seg.lambda_hi):
-        return seg.lambda_hi
-    return 0.0
-
-
 def _check_split_complement(
     plus: np.ndarray, minus: np.ndarray, lam: float, what: str
 ) -> None:
@@ -288,6 +282,26 @@ def _check_split_complement(
 
 def _support_of(values: np.ndarray) -> FrozenSet[int]:
     return frozenset(int(i) for i in np.flatnonzero(np.abs(values) > SUPPORT_TOL))
+
+
+def diffnet_sparsity_stop(
+    inst: DiffNetInstance, want: int
+) -> Callable[[PathSegment], bool]:
+    """A ``stop_callback`` for build_diffnet paths: true once the estimate
+    at a segment's breakpoint has at least ``want`` nonzero entries of D."""
+    m1, d1, d2, m2 = inst.dims
+    nD = d1 * d2
+
+    def enough(segment: PathSegment) -> bool:
+        lam = segment.lambda_lo
+        if not np.isfinite(lam):
+            return False
+        keep = segment.primal_indices < 2 * nD
+        vals = segment.primal_base[keep] + lam * segment.primal_slope[keep]
+        idx = segment.primal_indices[keep] % nD
+        return np.unique(idx[np.abs(vals) > SUPPORT_TOL]).size >= want
+
+    return enough
 
 
 def recover_dantzig(path: SolutionPath, d: Optional[int] = None) -> PathInOriginalCoords:
@@ -306,7 +320,7 @@ def recover_dantzig(path: SolutionPath, d: Optional[int] = None) -> PathInOrigin
     )
     for seg in path.segments:
         base, slope = _dense_affine(seg, 2 * d)
-        lam = _breakpoint_of(seg)
+        lam = segment_breakpoint(seg)
         x = base + lam * slope
         _check_split_complement(x[:d], x[d:], lam, "theta")
         theta_base = base[:d] - base[d:]
@@ -327,7 +341,7 @@ def recover_svm(path: SolutionPath, inst: SvmInstance) -> PathInOriginalCoords:
     )
     for seg in path.segments:
         base, slope = _dense_affine(seg, 2 * n + 2 * d + 3)
-        lam = _breakpoint_of(seg)
+        lam = segment_breakpoint(seg)
         x = base + lam * slope
         _check_split_complement(x[:n], x[n:2 * n], lam, "hinge")
         tp = slice(2 * n, 2 * n + d)
@@ -363,7 +377,7 @@ def recover_diffnet(path: SolutionPath, inst: DiffNetInstance) -> PathInOriginal
     )
     for seg in path.segments:
         base, slope = _dense_affine(seg, 2 * nD)
-        lam = _breakpoint_of(seg)
+        lam = segment_breakpoint(seg)
         x = base + lam * slope
         _check_split_complement(x[:nD], x[nD:], lam, "D")
         flat_base = base[:nD] - base[nD:]

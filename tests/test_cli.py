@@ -171,6 +171,21 @@ def test_dantzig_full_path_with_violation_column(tmp_path, capsys):
         assert float(row["violation_at_lo"]) <= VIOLATION_TOL
 
 
+def test_dantzig_full_path_to_zero_exits_0(tmp_path, capsys):
+    # the last breakpoint of a generic full path is lambda* ~ 1e-14
+    rc = cli.main([
+        "gen", "dantzig", "--n", "60", "--d", "30", "--seed", "1",
+        "--out-dir", str(tmp_path),
+    ])
+    assert rc == cli.EXIT_OK
+    rc = cli.main([
+        "dantzig", "--x", str(tmp_path / "X.csv"),
+        "--y", str(tmp_path / "y.csv"), "--stop-rule", "value:0",
+    ])
+    assert rc == cli.EXIT_OK
+    assert "termination=lambda_nonpositive" in capsys.readouterr().out
+
+
 def test_dantzig_named_stop_rule_runs(tmp_path, capsys):
     rng = np.random.default_rng(11)
     X = rng.normal(size=(20, 6))

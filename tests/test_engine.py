@@ -1,10 +1,13 @@
 """Path engine: breakpoint selection, pivoting, terminations, certificates."""
 
 import io
+import logging
+import platform
 
 import numpy as np
 import pytest
 
+from parasimplex import engine, linalg
 from parasimplex.core import (
     BasisPartition,
     ParametricProgram,
@@ -22,6 +25,7 @@ from parasimplex.engine import (
     verify_certificate,
 )
 from parasimplex.errors import InfeasibleAtLargeLambda
+from parasimplex.experiments import DantzigGenConfig, gen_dantzig
 from parasimplex.oracle import random_less_equal
 from parasimplex.reductions import DantzigInstance, build_dantzig, recover_dantzig
 
@@ -197,10 +201,11 @@ def test_trace_stream():
     assert all(len(ln.split("\t")) == 7 for ln in lines)
 
 
-def test_refresh_limit_one_gives_same_path():
+def test_refresh_limit_one_gives_same_path(monkeypatch):
     p = _identity_dantzig((5.0, -2.0))
     a = solve_path(p)
-    b = solve_path(p, refresh_limit=1)
+    monkeypatch.setattr(linalg, "REFRESH_LIMIT", 1)
+    b = solve_path(p)
     assert a.num_pivots == b.num_pivots
     for sa, sb in zip(a.segments, b.segments):
         assert sa.lambda_lo == pytest.approx(sb.lambda_lo, abs=1e-9)
@@ -293,3 +298,134 @@ def test_options_kwargs_override():
     assert path.terminal_lambda == 2.0
     # the original options object is untouched
     assert opts.lambda_target == 5.0
+
+
+# ------------------------------------------------- verification and refresh
+
+
+def _regression_program(n=60, d=30, seed=1):
+    X, y, _ = gen_dantzig(DantzigGenConfig(n=n, d=d, rng_seed=seed))
+    return X, y, build_dantzig(DantzigInstance(X, y))
+
+
+def _pivoted_state(pivots=3):
+    """A Dantzig dictionary a few pivots down its path, and the lambda of
+    its last breakpoint."""
+    _, _, p = _regression_program(n=20, d=8, seed=4)
+    std, info = to_standard_form(p)
+    state = initialize(std, list(range(info.original_n, std.n)))
+    for _ in range(pivots):
+        lam, tight = compute_lambda_star(state)
+        engine._pivot_at(state, tight, lam)
+    return std, info, state, lam
+
+
+def _pivot_sequence(path):
+    return [(ev.entering, ev.leaving) for ev in path.events]
+
+
+def test_full_regression_path_ends_lambda_nonpositive():
+    # the last breakpoint is lambda* ~ 1e-14, not exactly zero
+    X, y, p = _regression_program()
+    path = solve_path(p)
+    assert path.termination is Termination.LAMBDA_NONPOSITIVE
+    assert path.terminal_lambda >= 0.0
+    theta = recover_dantzig(path).value_at(0.0)
+    ols, *_ = np.linalg.lstsq(X, y, rcond=None)
+    np.testing.assert_allclose(theta, ols, atol=1e-9)
+
+
+def test_post_pivot_check_passes_on_clean_dictionary():
+    _, _, state, lam = _pivoted_state()
+    assert engine._post_pivot_ok(state, lam)
+
+
+def test_post_pivot_check_catches_reduced_cost_drift(caplog):
+    _, _, state, lam = _pivoted_state()
+    state.zN_base = state.zN_base + 1e-3
+    with caplog.at_level(logging.DEBUG, logger="parasimplex.engine"):
+        assert not engine._post_pivot_ok(state, lam)
+    assert "drift" in caplog.text
+
+
+def test_post_pivot_check_catches_wrong_factorization(caplog):
+    std, info, state, lam = _pivoted_state()
+    slack = list(range(info.original_n, std.n))
+    state.fact = linalg.BasisFactorization(std.A[:, slack])
+    with caplog.at_level(logging.DEBUG, logger="parasimplex.engine"):
+        assert not engine._post_pivot_ok(state, lam)
+    assert "A_B' y - c_B residual" in caplog.text
+
+
+def test_failed_check_is_retried_on_a_fresh_factorization(monkeypatch):
+    _, _, p = _regression_program(n=20, d=8, seed=4)
+    clean = solve_path(p)
+    real = engine._post_pivot_ok
+    calls = []
+
+    def fail_once(state, lam):
+        calls.append(lam)
+        return len(calls) > 1 and real(state, lam)
+
+    monkeypatch.setattr(engine, "_post_pivot_ok", fail_once)
+    retried = solve_path(p)
+    assert _pivot_sequence(retried) == _pivot_sequence(clean)
+    assert retried.termination is clean.termination
+    assert [s.lambda_lo for s in retried.segments] == pytest.approx(
+        [s.lambda_lo for s in clean.segments], abs=BP_TOL)
+
+
+def test_check_failing_twice_is_numerical_failure(monkeypatch):
+    _, _, p = _regression_program(n=20, d=8, seed=4)
+    first_breakpoint = solve_path(p).events[0].lambda_star
+    monkeypatch.setattr(engine, "_post_pivot_ok", lambda state, lam: False)
+    path = solve_path(p)
+    assert path.termination is Termination.NUMERICAL_FAILURE
+    assert path.num_pivots == 0
+    assert path.terminal_lambda == pytest.approx(first_breakpoint, abs=BP_TOL)
+
+
+def test_certificates_do_not_change_the_pivots():
+    _, _, p = _regression_program(n=20, d=8, seed=4)
+    on = solve_path(p, check_certificates=True)
+    off = solve_path(p, check_certificates=False)
+    assert on.num_pivots > 0
+    assert _pivot_sequence(on) == _pivot_sequence(off)
+
+
+def test_refresh_bounds_the_update_chain(monkeypatch):
+    _, _, p = _regression_program()
+    chain = []
+    refreshes = []
+    real_replace = linalg.BasisFactorization.replace_column
+    real_refresh = engine.DictionaryState.refresh
+
+    def replace(self, k, a_new):
+        out = real_replace(self, k, a_new)
+        chain.append(self.updates_since_refactor)
+        return out
+
+    def refresh(self):
+        refreshes.append(len(chain))
+        real_refresh(self)
+
+    monkeypatch.setattr(linalg.BasisFactorization, "replace_column", replace)
+    monkeypatch.setattr(engine.DictionaryState, "refresh", refresh)
+    path = solve_path(p)
+    assert path.num_pivots > linalg.REFRESH_LIMIT
+    assert max(chain) == linalg.REFRESH_LIMIT
+    # one refresh builds the start state, then one per REFRESH_LIMIT updates
+    assert refreshes == [0] + list(range(
+        linalg.REFRESH_LIMIT, path.num_pivots + 1, linalg.REFRESH_LIMIT))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_freed_arrays_are_reused_without_page_faults():
+    # Back-to-back solves free and reallocate arrays of a few MB; the heap
+    # must keep them rather than fault fresh pages in for every solve.
+    import resource
+
+    np.ones(1 << 20)  # 8 MB, freed at once
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(1 << 20)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
