@@ -115,7 +115,10 @@ def _report(path: SolutionPath) -> int:
         f"termination={path.termination.value} pivots={path.num_pivots} "
         f"segments={len(path.segments)} terminal_lambda={path.terminal_lambda:.10g}"
     )
-    return _TERMINATION_EXIT[path.termination]
+    code = _TERMINATION_EXIT[path.termination]
+    if code in (EXIT_NO_SOLUTION, EXIT_NUMERICAL) and path.termination_detail:
+        print(path.termination_detail, file=sys.stderr)
+    return code
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -298,6 +298,8 @@ class SolutionPath:
     terminal_lambda: float = float("nan")
     num_cols: int = 0
     slack_info: Optional[SlackInfo] = None
+    # Why a pivot failed, when one ended the path; "" otherwise.
+    termination_detail: str = ""
 
     @property
     def num_pivots(self) -> int:

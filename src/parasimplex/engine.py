@@ -36,6 +36,7 @@ from .core import (
     PivotEvent,
     PivotKind,
     ProgramKind,
+    SlackInfo,
     SolutionPath,
     Termination,
     to_standard_form,
@@ -82,6 +83,9 @@ RATIO_TOL = 1e-9
 CERT_TOL = 1e-7
 # Relative slack when comparing candidate breakpoints and ratio-test ties.
 BREAKPOINT_RTOL = 1e-12
+# A' y reads only the rows of A where y is nonzero when they are at most this
+# share of all rows; gathering rows costs 3-5x a plain A' y per row read.
+SPARSE_ROWS_FRAC = 0.2
 
 
 @dataclass
@@ -130,9 +134,15 @@ class CertificateReport:
 
 
 class DictionaryState:
-    """Mutable solver state: partition, factorization, dictionary vectors."""
+    """Mutable solver state: partition, factorization, dictionary vectors.
 
-    def __init__(self, program: ParametricProgram, partition: BasisPartition):
+    ``slack`` names the unit slack columns of a standard-form <= program;
+    the factorization keeps them out of its LU. Without it every basic
+    column counts as structural.
+    """
+
+    def __init__(self, program: ParametricProgram, partition: BasisPartition,
+                 slack: Optional[SlackInfo] = None):
         if program.kind is not ProgramKind.EQUALITY:
             raise ValueError("engine state requires an equality-kind program")
         if len(partition.basic) != program.m:
@@ -141,6 +151,7 @@ class DictionaryState:
             )
         self.program = program
         self.partition = partition
+        self.slack = slack
         self.fact: linalg.BasisFactorization = None  # set by refresh()
         self.xB_base = np.zeros(program.m)
         self.xB_pert = np.zeros(program.m)
@@ -156,7 +167,11 @@ class DictionaryState:
         p = self.program
         B = self.partition.basic
         N = self.partition.nonbasic
-        self.fact = linalg.BasisFactorization(p.A[:, B])
+        slack_rows = np.full(len(B), -1, dtype=np.intp)
+        if self.slack is not None:
+            is_slack = B >= self.slack.original_n
+            slack_rows[is_slack] = B[is_slack] - self.slack.original_n
+        self.fact = linalg.BasisFactorization(p.A[:, B[slack_rows < 0]], slack_rows)
         self.xB_base = self.fact.solve(p.b)
         self.xB_pert = self.fact.solve(p.b_bar)
         y = self.fact.solve_transpose(p.c[B])
@@ -200,15 +215,26 @@ class DictionaryState:
         )
 
 
+def _transpose_times(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``A' y``, reading only the rows of A in the support of y when that
+    support is small. Basis solves leave y zero on every slack row the
+    update chain has not touched."""
+    rows = np.flatnonzero(y)
+    if rows.size > SPARSE_ROWS_FRAC * len(y):
+        return A.T @ y
+    return y[rows] @ A[rows]
+
+
 def _reduced_costs(A: np.ndarray, y: np.ndarray, cost: np.ndarray,
                    cols=slice(None)) -> np.ndarray:
     """``(A' y - cost)[cols]``. Forms A' y in full: gathering ``A[:, cols]``
     first would copy the nonbasic block, which dominates memory on wide
     problems."""
-    return (A.T @ y)[cols] - cost[cols]
+    return _transpose_times(A, y)[cols] - cost[cols]
 
 
-def initialize(p: ParametricProgram, basic: Sequence[int]) -> DictionaryState:
+def initialize(p: ParametricProgram, basic: Sequence[int],
+               slack: Optional[SlackInfo] = None) -> DictionaryState:
     """Build a DictionaryState and verify it is optimal for large lambda.
 
     Raises:
@@ -218,7 +244,7 @@ def initialize(p: ParametricProgram, basic: Sequence[int]) -> DictionaryState:
             or the window [lambda_star, lambda_max] is empty.
     """
     partition = BasisPartition.from_basic(p.n, basic)
-    state = DictionaryState(p, partition)
+    state = DictionaryState(p, partition, slack)
 
     for base, pert, what in (
         (state.xB_base, state.xB_pert, "basic value"),
@@ -320,7 +346,7 @@ def _delta_z(state: DictionaryState, basic_pos: int) -> np.ndarray:
     e = np.zeros(state.program.m)
     e[basic_pos] = 1.0
     v = state.fact.solve_transpose(e)
-    return -(state.program.A.T @ v)[state.partition.nonbasic]
+    return -_transpose_times(state.program.A, v)[state.partition.nonbasic]
 
 
 def _exchange(
@@ -533,6 +559,14 @@ def _pivot_at(state: DictionaryState, tight: TightConstraint, lam_star: float) -
     return primal_pivot(state, tight.column, lam_star)
 
 
+# Pivot failures that end a path, and the status each one reports.
+_FAILURE_STATUS = {
+    UnboundedDirection: Termination.UNBOUNDED,
+    InfeasibleProblem: Termination.INFEASIBLE,
+    NumericalFailure: Termination.NUMERICAL_FAILURE,
+}
+
+
 def solve_path(
     p: ParametricProgram,
     options: Optional[SolveOptions] = None,
@@ -559,7 +593,9 @@ def solve_path(
         SolutionPath with one segment per dictionary visited (highest lambda
         first) and one PivotEvent per basis exchange. A breakpoint within
         FEAS_TOL * (1 + first breakpoint) of zero ends the path with
-        LAMBDA_NONPOSITIVE.
+        LAMBDA_NONPOSITIVE. A path ended by an unbounded, infeasible or
+        numerically failed pivot keeps that error's message in
+        ``termination_detail``.
 
     Raises:
         InfeasibleAtLargeLambda: the starting basis is never optimal.
@@ -580,7 +616,7 @@ def solve_path(
         raise ValueError("equality programs need an initial_basis")
     max_pivots = opts.max_pivots if opts.max_pivots is not None else 10 * p_std.n
 
-    state = initialize(p_std, basic)
+    state = initialize(p_std, basic, slack)
     path = SolutionPath(num_cols=p_std.n, slack_info=slack)
     lam_hi = state.lambda_hi
     # For Dantzig the first breakpoint is ||X'y||_inf, the scale of lambda.
@@ -623,16 +659,9 @@ def solve_path(
         snapshot = state.partition.copy()
         try:
             event = _try_pivot(state, snapshot, tight, lam_star, opts)
-        except UnboundedDirection:
-            path.termination = Termination.UNBOUNDED
-            path.terminal_lambda = lam_star
-            break
-        except InfeasibleProblem:
-            path.termination = Termination.INFEASIBLE
-            path.terminal_lambda = lam_star
-            break
-        except NumericalFailure:
-            path.termination = Termination.NUMERICAL_FAILURE
+        except tuple(_FAILURE_STATUS) as exc:
+            path.termination = _FAILURE_STATUS[type(exc)]
+            path.termination_detail = str(exc)
             path.terminal_lambda = lam_star
             break
 

@@ -273,13 +273,14 @@ def save_original_path_csv(
             base = np.asarray(seg.base).flatten(order="F")
             slope = np.asarray(seg.slope).flatten(order="F")
             nz = np.flatnonzero((base != 0.0) | (slope != 0.0))
-            for j in nz:
-                row = [sid, repr(float(seg.lambda_lo)),
-                       repr(float(seg.lambda_hi)),
-                       int(j), repr(float(base[j])), repr(float(slope[j]))]
-                if violations is not None:
-                    row.append(repr(float(violations[sid])))
-                w.writerow(row)
+            lo, hi = repr(float(seg.lambda_lo)), repr(float(seg.lambda_hi))
+            # csv writes a Python float as its repr, like the strings above
+            rows = zip(nz.tolist(), base[nz].tolist(), slope[nz].tolist())
+            if violations is None:
+                w.writerows([sid, lo, hi, j, b, s] for j, b, s in rows)
+            else:
+                viol = repr(float(violations[sid]))
+                w.writerows([sid, lo, hi, j, b, s, viol] for j, b, s in rows)
 
 
 def save_bench_csv(path: PathLike, records: Sequence) -> None:

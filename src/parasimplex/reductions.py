@@ -168,7 +168,12 @@ def build_dantzig(inst: DantzigInstance) -> ParametricProgram:
     G = X.T @ X
     g = X.T @ y
     d = G.shape[0]
-    A = np.block([[G, -G], [-G, G]])
+    # Filled in place: np.block's temporaries took half of the build.
+    A = np.empty((2 * d, 2 * d))
+    A[:d, :d] = G
+    np.negative(G, out=A[:d, d:])
+    A[d:, :d] = A[:d, d:]
+    A[d:, d:] = G
     b = np.concatenate([g, -g])
     return ParametricProgram(
         A=A,

@@ -135,6 +135,18 @@ def test_solve_unbounded_exits_2(tmp_path, capsys):
     assert "termination=unbounded" in capsys.readouterr().out
 
 
+def test_solve_no_path_prints_the_reason_to_stderr(tmp_path, capsys):
+    p = ParametricProgram(A=[[-1.0]], b=[1.0], b_bar=[0.0], c=[1.0],
+                          c_bar=[-1.0], kind=ProgramKind.LESS_EQUAL)
+    src = _write_program(tmp_path, p)
+    rc = cli.main(["solve", str(src)])
+    assert rc == cli.EXIT_NO_SOLUTION
+    captured = capsys.readouterr()
+    assert captured.out.startswith("termination=unbounded")
+    assert len(captured.out.splitlines()) == 1
+    assert "entering column 0" in captured.err
+
+
 def test_solve_equality_needs_basis(tmp_path, capsys):
     p = ParametricProgram(A=[[1.0, 1.0]], b=[1.0], b_bar=[1.0],
                           c=[-1.0, -2.0], c_bar=[0.0, 0.0],

@@ -25,9 +25,20 @@ from parasimplex.engine import (
     verify_certificate,
 )
 from parasimplex.errors import InfeasibleAtLargeLambda
-from parasimplex.experiments import DantzigGenConfig, gen_dantzig
+from parasimplex.experiments import (
+    DantzigGenConfig,
+    DiffNetGenConfig,
+    gen_dantzig,
+    gen_diffnet,
+)
 from parasimplex.oracle import random_less_equal
-from parasimplex.reductions import DantzigInstance, build_dantzig, recover_dantzig
+from parasimplex.reductions import (
+    DantzigInstance,
+    DiffNetInstance,
+    build_dantzig,
+    build_diffnet,
+    recover_dantzig,
+)
 
 BP_TOL = 1e-9
 CONT_TOL = 1e-8
@@ -137,6 +148,16 @@ def test_unbounded_direction_detected():
     path = solve_path(p)
     assert path.termination is Termination.UNBOUNDED
     assert path.terminal_lambda == pytest.approx(1.0, abs=BP_TOL)
+
+
+def test_failed_pivot_reports_its_reason():
+    # the unbounded program above: column 0 enters and nothing blocks it
+    p = ParametricProgram(A=[[-1.0]], b=[1.0], b_bar=[0.0], c=[1.0],
+                          c_bar=[-1.0], kind=ProgramKind.LESS_EQUAL)
+    path = solve_path(p)
+    assert path.termination is Termination.UNBOUNDED
+    assert "entering column 0" in path.termination_detail
+    assert solve_path(_identity_dantzig()).termination_detail == ""
 
 
 def test_infeasible_below_breakpoint():
@@ -429,3 +450,77 @@ def test_freed_arrays_are_reused_without_page_faults():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     np.ones(1 << 20)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+# ------------------------------------------- split factorization in the engine
+
+
+def _diffnet_program(d=10, seed=3):
+    S_X, S_Y, _ = gen_diffnet(DiffNetGenConfig(d=d, n=100, sparsity=4, rng_seed=seed))
+    return build_diffnet(DiffNetInstance.from_covariances(S_X, S_Y))
+
+
+def _factor_dense_basis(monkeypatch):
+    """Make the engine LU-factor the whole m x m basis A[:, basic]; returns
+    the list of bases factored.
+
+    The unit columns assembled here equal the slack columns of A exactly,
+    so the factored matrix is A[:, basic] bit for bit.
+    """
+    split = linalg.BasisFactorization
+    factored = []
+
+    def dense(cols, slack_rows=None):
+        if slack_rows is None:
+            return split(cols)
+        m = len(slack_rows)
+        B = np.zeros((m, m))
+        B[:, np.asarray(slack_rows) < 0] = cols
+        for pos, row in enumerate(slack_rows):
+            if row >= 0:
+                B[row, pos] = 1.0
+        factored.append(B)
+        return split(B)
+
+    monkeypatch.setattr(linalg, "BasisFactorization", dense)
+    return factored
+
+
+@pytest.mark.parametrize("program", [
+    lambda: _regression_program()[2],
+    _diffnet_program,
+], ids=["dantzig-n60-d30", "diffnet-d10"])
+def test_split_factorization_follows_the_dense_path(monkeypatch, program):
+    p = program()
+    split = solve_path(p)
+    with monkeypatch.context() as mp:
+        factored = _factor_dense_basis(mp)
+        dense = solve_path(p)
+    assert len(factored) > 1  # the start and at least one refresh
+    assert split.num_pivots > linalg.REFRESH_LIMIT
+    assert _pivot_sequence(split) == _pivot_sequence(dense)
+    assert split.termination is dense.termination
+    assert [s.lambda_lo for s in split.segments] == pytest.approx(
+        [s.lambda_lo for s in dense.segments], abs=BP_TOL)
+
+
+def test_lu_factor_sees_only_the_structural_core(monkeypatch):
+    _, _, p = _regression_program()
+    dims, structural = [], []
+    real_lu = linalg.lu_factor
+    real_refresh = engine.DictionaryState.refresh
+
+    def lu_factor(a, *args, **kwargs):
+        dims.append(np.shape(a)[0])
+        return real_lu(a, *args, **kwargs)
+
+    def refresh(self):
+        structural.append(int(np.sum(self.partition.basic < self.slack.original_n)))
+        real_refresh(self)
+
+    monkeypatch.setattr(linalg, "lu_factor", lu_factor)
+    monkeypatch.setattr(engine.DictionaryState, "refresh", refresh)
+    path = solve_path(p)
+    assert path.num_pivots > linalg.REFRESH_LIMIT
+    assert structural[0] == 0  # the all-slack start factors nothing
+    assert dims == [k for k in structural if k > 0]

@@ -1,0 +1,123 @@
+"""Differential oracle: path objectives against scipy's HiGHS.
+
+At one lambda inside every segment, ``c(lambda)' x(lambda)`` of the traced
+path must match an independent ``scipy.optimize.linprog(method="highs")``
+solve of the same <= program to relative ``OBJ_RTOL``, and x(lambda) must
+be feasible. This reaches programs far beyond the 24 columns the
+basis-enumeration oracle can handle.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+from parasimplex.core import (
+    ParametricProgram,
+    ProgramKind,
+    Termination,
+    evaluate_primal,
+)
+from parasimplex.engine import solve_path
+from parasimplex.experiments import (
+    DantzigGenConfig,
+    DiffNetGenConfig,
+    gen_dantzig,
+    gen_diffnet,
+    stop_lambda,
+)
+from parasimplex.reductions import (
+    DantzigInstance,
+    DiffNetInstance,
+    build_dantzig,
+    build_diffnet,
+)
+
+OBJ_RTOL = 1e-7
+FEAS_RTOL = 1e-9
+
+
+def _sample(seg, floor):
+    """A lambda inside the part of ``seg`` at or above ``floor``."""
+    lo = max(seg.lambda_lo, floor)
+    hi = seg.lambda_hi
+    if math.isinf(hi):
+        return lo + 1.0 + abs(lo)
+    return 0.5 * (lo + hi)
+
+
+def _check_against_highs(p, path, floor):
+    assert p.kind is ProgramKind.LESS_EQUAL
+    n = p.n
+    checked = 0
+    for k, seg in enumerate(path.segments):
+        lam = _sample(seg, floor)
+        cost, rhs = p.c + lam * p.c_bar, p.b + lam * p.b_bar
+        x = evaluate_primal(seg, lam)[:n]
+        tol = FEAS_RTOL * (1.0 + float(np.abs(rhs).max()))
+        assert x.min() >= -tol, f"segment {k}: negative x at lambda={lam:.6g}"
+        assert float((p.A @ x - rhs).max()) <= tol, (
+            f"segment {k}: A x > b(lambda) at lambda={lam:.6g}")
+        res = linprog(-cost, A_ub=p.A, b_ub=rhs, bounds=(0, None), method="highs")
+        assert res.status == 0, f"segment {k}: HiGHS says {res.message}"
+        want, got = -res.fun, float(cost @ x)
+        assert abs(got - want) <= OBJ_RTOL * (1.0 + abs(want)), (
+            f"segment {k}: objective {got:.12g}, HiGHS {want:.12g} "
+            f"at lambda={lam:.6g}")
+        checked += 1
+    return checked
+
+
+def test_dantzig_target_path_matches_highs():
+    cfg = DantzigGenConfig(n=100, d=250, s=5, sigma=1.0, rng_seed=7)
+    X, y, _ = gen_dantzig(cfg)
+    p = build_dantzig(DantzigInstance(X, y))
+    target = stop_lambda("benchmark", cfg.n, cfg.d, cfg.sigma)
+    path = solve_path(p, lambda_target=target)
+    assert path.num_pivots > 0
+    assert _check_against_highs(p, path, target) == len(path.segments)
+
+
+def test_diffnet_path_matches_highs():
+    S_X, S_Y, _ = gen_diffnet(DiffNetGenConfig(d=10, n=100, sparsity=4, rng_seed=3))
+    p = build_diffnet(DiffNetInstance.from_covariances(S_X, S_Y))
+    # Down to 2% of the first breakpoint: ~65 segments, one refresh. The
+    # full path has ~385 and a HiGHS solve takes ~30 ms here.
+    target = 0.02 * solve_path(p, max_pivots=0).segments[0].lambda_lo
+    path = solve_path(p, lambda_target=target)
+    assert path.num_pivots > 50
+    assert _check_against_highs(p, path, target) == len(path.segments)
+
+
+def _random_program(rng):
+    """A <= program whose slack basis is optimal for large lambda: the rhs
+    b + lambda grows and the cost c - lambda c_bar falls, so both primal and
+    dual pivots occur on the way down."""
+    m = int(rng.integers(20, 120))
+    n = int(rng.integers(50, 301))
+    return ParametricProgram(
+        A=rng.uniform(-1.0, 2.0, size=(m, n)),
+        b=rng.uniform(-1.0, 2.0, size=m),
+        b_bar=np.ones(m),
+        c=rng.uniform(-1.0, 1.0, size=n),
+        c_bar=-rng.uniform(0.5, 1.5, size=n),
+        kind=ProgramKind.LESS_EQUAL,
+    )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_programs_match_highs(seed):
+    rng = np.random.default_rng([20261018, seed])
+    p = _random_program(rng)
+    path = solve_path(p)
+    assert path.num_pivots > 0
+    lam = path.terminal_lambda
+    assert _check_against_highs(p, path, lam) == len(path.segments)
+    if path.termination is Termination.INFEASIBLE:
+        # The lambdas with a feasible point form an interval, so a status of
+        # infeasible at lambda* must hold at any lambda below it.
+        below = lam - 1e-3 * (1.0 + abs(lam))
+        res = linprog(-(p.c + below * p.c_bar), A_ub=p.A, b_ub=p.b + below * p.b_bar,
+                      bounds=(0, None), method="highs")
+        assert res.status == 2, f"HiGHS finds lambda={below:.6g} {res.message}"

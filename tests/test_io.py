@@ -9,8 +9,21 @@ import pytest
 from parasimplex import io as pio
 from parasimplex.core import ProgramKind, Termination
 from parasimplex.engine import solve_path
-from parasimplex.experiments import BenchRecord
-from parasimplex.reductions import DantzigInstance, build_dantzig, recover_dantzig
+from parasimplex.experiments import (
+    BenchRecord,
+    DantzigGenConfig,
+    DiffNetGenConfig,
+    gen_dantzig,
+    gen_diffnet,
+)
+from parasimplex.reductions import (
+    DantzigInstance,
+    DiffNetInstance,
+    build_dantzig,
+    build_diffnet,
+    recover_dantzig,
+    recover_diffnet,
+)
 
 
 def _program():
@@ -129,6 +142,47 @@ def test_original_path_csv_with_violations(tmp_path):
     assert "violation_at_lo" in rows[0]
     # only segments with active variables produce rows
     assert {r["segment_id"] for r in rows} <= {"0", "1", "2"}
+
+
+def _original_path_csv_row_by_row(path, orig, violations=None):
+    """One csv.writerow per entry: the reference for the batched writer."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        header = ["segment_id", "lambda_lo", "lambda_hi",
+                  "var_index", "base", "slope"]
+        if violations is not None:
+            header.append("violation_at_lo")
+        w.writerow(header)
+        for sid, seg in enumerate(orig.segments):
+            base = np.asarray(seg.base).flatten(order="F")
+            slope = np.asarray(seg.slope).flatten(order="F")
+            for j in np.flatnonzero((base != 0.0) | (slope != 0.0)):
+                row = [sid, repr(float(seg.lambda_lo)),
+                       repr(float(seg.lambda_hi)),
+                       int(j), repr(float(base[j])), repr(float(slope[j]))]
+                if violations is not None:
+                    row.append(repr(float(violations[sid])))
+                w.writerow(row)
+
+
+def test_original_path_csv_is_byte_identical_to_row_by_row(tmp_path):
+    X, y, _ = gen_dantzig(DantzigGenConfig(n=20, d=8, rng_seed=4))
+    orig = recover_dantzig(solve_path(build_dantzig(DantzigInstance(X, y))))
+    S_X, S_Y, _ = gen_diffnet(DiffNetGenConfig(d=4, n=50, sparsity=2, rng_seed=2))
+    inst = DiffNetInstance.from_covariances(S_X, S_Y)
+    matrix = recover_diffnet(solve_path(build_diffnet(inst)), inst)
+    rng = np.random.default_rng(0)
+    cases = [
+        (orig, rng.standard_normal(len(orig.segments)) * 1e-11),
+        (orig, None),
+        (matrix, None),  # matrix segments are written column-major
+    ]
+    for k, (o, violations) in enumerate(cases):
+        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+        pio.save_original_path_csv(got, o, violations)
+        _original_path_csv_row_by_row(want, o, violations)
+        assert len(want.read_bytes().splitlines()) > len(o.segments)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_bench_csv(tmp_path):
