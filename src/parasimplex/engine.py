@@ -15,7 +15,8 @@ where both x_B(lam) = x*_B + lam x~_B and z_N(lam) = z*_N + lam z~_N are
 nonnegative. ``solve_path`` starts from a basis that is optimal for all large
 lam, repeatedly computes the next breakpoint lambda_star, performs the pivot
 that restores optimality just below it, and emits one affine path segment per
-basis visited.
+basis visited. A <= program is solved as its standard form ``[A | I]`` with
+the unit slack columns left implicit (see ``DictionaryState``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .core import (
     SlackInfo,
     SolutionPath,
     Termination,
-    to_standard_form,
 )
 from .errors import (
     InfeasibleAtLargeLambda,
@@ -55,8 +55,9 @@ logger = logging.getLogger(__name__)
 def _keep_freed_heap() -> None:
     """Fix glibc's heap thresholds at the ceiling its own adaptation reaches.
 
-    A solve allocates and frees arrays of a few MB (the standard form, the
-    basis LU). glibc serves those from the heap only once it has freed an
+    A build and solve allocate and free arrays of a few MB (the program's
+    constraint matrix, the basis gather and LU; the solve forms no standard
+    form). glibc serves those from the heap only once it has freed an
     mmap block as large, and returns the heap top to the system whenever
     twice that is free, so back-to-back solves of mid-sized programs
     page-fault all of their arrays back in, a large and erratic share of a
@@ -136,60 +137,90 @@ class CertificateReport:
 class DictionaryState:
     """Mutable solver state: partition, factorization, dictionary vectors.
 
-    ``slack`` names the unit slack columns of a standard-form <= program;
-    the factorization keeps them out of its LU. Without it every basic
-    column counts as structural.
+    The state works in standard-form numbering. A <= program's slack column
+    ``n + i`` is the unit vector e_i; it is never stored, and ``slack``
+    records the layout (None for an equality program). Apart from the
+    structural basic columns that ``refresh`` hands to the factorization,
+    the engine reads the constraint matrix only through ``column``,
+    ``rmatvec`` and ``basic_times``, so slack columns are handled there
+    alone.
     """
 
-    def __init__(self, program: ParametricProgram, partition: BasisPartition,
-                 slack: Optional[SlackInfo] = None):
-        if program.kind is not ProgramKind.EQUALITY:
-            raise ValueError("engine state requires an equality-kind program")
+    def __init__(self, program: ParametricProgram, partition: BasisPartition):
+        self.program = program
+        self.num_cols = _num_cols(program)
+        self.slack: Optional[SlackInfo] = (
+            SlackInfo(original_n=program.n, num_rows=program.m)
+            if self.num_cols > program.n else None
+        )
+        pad = np.zeros(self.num_cols - program.n)
+        self.c = np.concatenate([program.c, pad])
+        self.c_bar = np.concatenate([program.c_bar, pad])
         if len(partition.basic) != program.m:
             raise ValueError(
                 f"basis size {len(partition.basic)} != row count {program.m}"
             )
-        self.program = program
         self.partition = partition
-        self.slack = slack
         self.fact: linalg.BasisFactorization = None  # set by refresh()
         self.xB_base = np.zeros(program.m)
         self.xB_pert = np.zeros(program.m)
-        self.zN_base = np.zeros(program.n - program.m)
-        self.zN_pert = np.zeros(program.n - program.m)
+        self.zN_base = np.zeros(self.num_cols - program.m)
+        self.zN_pert = np.zeros(self.num_cols - program.m)
         self.objective_base = 0.0
         self.lambda_lo = float("-inf")
         self.lambda_hi = float("inf")
         self.refresh()
+
+    def column(self, j: int) -> np.ndarray:
+        """Standard-form column j: ``A[:, j]``, or e_i for slack ``n + i``."""
+        n = self.program.n
+        if j < n:
+            return self.program.A[:, j]
+        e = np.zeros(self.program.m)
+        e[j - n] = 1.0
+        return e
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """Standard-form ``[A | I]' y = [A' y ; y]`` (just ``A' y`` without
+        slacks)."""
+        aty = _transpose_times(self.program.A, y)
+        return aty if self.slack is None else np.concatenate([aty, y])
+
+    def basic_times(self, xB: np.ndarray) -> np.ndarray:
+        """``[A | I] x`` for x zero off the basis, with basic values ``xB``:
+        ``A[:, S] x_S`` plus each basic slack value on its own row, O(mk)."""
+        B = self.partition.basic
+        n = self.program.n
+        structural = B < n
+        ax = self.program.A[:, B[structural]] @ xB[structural]
+        ax[B[~structural] - n] += xB[~structural]
+        return ax
 
     def refresh(self) -> None:
         """Rebuild the factorization and all dictionary vectors from scratch."""
         p = self.program
         B = self.partition.basic
         N = self.partition.nonbasic
-        slack_rows = np.full(len(B), -1, dtype=np.intp)
-        if self.slack is not None:
-            is_slack = B >= self.slack.original_n
-            slack_rows[is_slack] = B[is_slack] - self.slack.original_n
+        slack_rows = np.where(B >= p.n, B - p.n, -1)
         self.fact = linalg.BasisFactorization(p.A[:, B[slack_rows < 0]], slack_rows)
         self.xB_base = self.fact.solve(p.b)
         self.xB_pert = self.fact.solve(p.b_bar)
-        y = self.fact.solve_transpose(p.c[B])
-        self.zN_base = _reduced_costs(p.A, y, p.c, N)
-        if np.any(p.c_bar):
-            y_bar = self.fact.solve_transpose(p.c_bar[B])
-            self.zN_pert = _reduced_costs(p.A, y_bar, p.c_bar, N)
+        y = self.fact.solve_transpose(self.c[B])
+        self.zN_base = self.rmatvec(y)[N] - self.c[N]
+        if np.any(self.c_bar):
+            y_bar = self.fact.solve_transpose(self.c_bar[B])
+            self.zN_pert = self.rmatvec(y_bar)[N] - self.c_bar[N]
         else:
             self.zN_pert = np.zeros(len(N))
-        self.objective_base = float(p.c[B] @ self.xB_base)
+        self.objective_base = float(self.c[B] @ self.xB_base)
 
     def primal_at(self, lam: float) -> np.ndarray:
-        x = np.zeros(self.program.n)
+        x = np.zeros(self.num_cols)
         x[self.partition.basic] = self.xB_base + lam * self.xB_pert
         return x
 
     def dual_at(self, lam: float) -> np.ndarray:
-        z = np.zeros(self.program.n)
+        z = np.zeros(self.num_cols)
         z[self.partition.nonbasic] = self.zN_base + lam * self.zN_pert
         return z
 
@@ -203,7 +234,7 @@ class DictionaryState:
         return PathSegment(
             lambda_lo=lambda_lo,
             lambda_hi=lambda_hi,
-            n_cols=self.program.n,
+            n_cols=self.num_cols,
             primal_indices=self.partition.basic.copy(),
             primal_base=self.xB_base.copy(),
             primal_slope=self.xB_pert.copy(),
@@ -213,6 +244,11 @@ class DictionaryState:
             entering=entering,
             leaving=leaving,
         )
+
+
+def _num_cols(p: ParametricProgram) -> int:
+    """Column count of the standard form: n, plus one slack per <= row."""
+    return p.n + (p.m if p.kind is ProgramKind.LESS_EQUAL else 0)
 
 
 def _transpose_times(A: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -225,17 +261,11 @@ def _transpose_times(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y[rows] @ A[rows]
 
 
-def _reduced_costs(A: np.ndarray, y: np.ndarray, cost: np.ndarray,
-                   cols=slice(None)) -> np.ndarray:
-    """``(A' y - cost)[cols]``. Forms A' y in full: gathering ``A[:, cols]``
-    first would copy the nonbasic block, which dominates memory on wide
-    problems."""
-    return _transpose_times(A, y)[cols] - cost[cols]
-
-
-def initialize(p: ParametricProgram, basic: Sequence[int],
-               slack: Optional[SlackInfo] = None) -> DictionaryState:
+def initialize(p: ParametricProgram, basic: Sequence[int]) -> DictionaryState:
     """Build a DictionaryState and verify it is optimal for large lambda.
+
+    ``basic`` is in standard-form numbering: slack ``n + i`` of a <= program
+    is the unit column of row i.
 
     Raises:
         SingularBasis: the chosen basis matrix cannot be factorized.
@@ -243,8 +273,8 @@ def initialize(p: ParametricProgram, basic: Sequence[int],
             some entry has a (near-)zero perturbation with a negative base,
             or the window [lambda_star, lambda_max] is empty.
     """
-    partition = BasisPartition.from_basic(p.n, basic)
-    state = DictionaryState(p, partition, slack)
+    partition = BasisPartition.from_basic(_num_cols(p), basic)
+    state = DictionaryState(p, partition)
 
     for base, pert, what in (
         (state.xB_base, state.xB_pert, "basic value"),
@@ -346,7 +376,7 @@ def _delta_z(state: DictionaryState, basic_pos: int) -> np.ndarray:
     e = np.zeros(state.program.m)
     e[basic_pos] = 1.0
     v = state.fact.solve_transpose(e)
-    return -_transpose_times(state.program.A, v)[state.partition.nonbasic]
+    return -state.rmatvec(v)[state.partition.nonbasic]
 
 
 def _exchange(
@@ -377,7 +407,7 @@ def _exchange(
     s_bar = state.zN_pert[kN] / dz_j
 
     # May raise UpdateDegenerate; state is untouched in that case.
-    state.fact.replace_column(kB, state.program.A[:, j])
+    state.fact.replace_column(kB, state.column(j))
 
     state.xB_base -= t * dxB
     state.xB_base[kB] = t
@@ -389,7 +419,7 @@ def _exchange(
     state.zN_pert[kN] = s_bar
 
     part.swap(kB, kN)
-    state.objective_base = float(state.program.c[part.basic] @ state.xB_base)
+    state.objective_base = float(state.c[part.basic] @ state.xB_base)
     return PivotEvent(
         kind=kind,
         entering=j,
@@ -410,7 +440,7 @@ def primal_pivot(state: DictionaryState, entering: int, lam_star: float) -> Pivo
     Delta x_i > RATIO_TOL. Raises UnboundedDirection when no row blocks.
     """
     kN = state.partition.position(entering)
-    dxB = state.fact.solve(state.program.A[:, entering])
+    dxB = state.fact.solve(state.column(entering))
     xvals = state.xB_base + lam_star * state.xB_pert
     kB = _ratio_pick(dxB, xvals, state.partition.basic)
     if kB is None:
@@ -438,7 +468,7 @@ def dual_pivot(state: DictionaryState, leaving: int, lam_star: float) -> PivotEv
             f"no entering column for leaving basic variable {leaving}: "
             f"program is infeasible below lambda={lam_star:.6g}"
         )
-    dxB = state.fact.solve(state.program.A[:, state.partition.nonbasic[kN]])
+    dxB = state.fact.solve(state.column(state.partition.nonbasic[kN]))
     return _exchange(state, kB, kN, dxB, dzN, PivotKind.DUAL, lam_star)
 
 
@@ -474,25 +504,29 @@ def verify_certificate(
         y = np.linalg.solve(p.A[:, B].T, cost[B])
     else:
         y, *_ = np.linalg.lstsq(p.A.T, z + cost, rcond=None)
-    return _certificate_residuals(p, x, z, y, lam, tol)[0]
+    return _certificate_residuals(
+        x, z, y, p.A @ x, _transpose_times(p.A, y), cost, p.rhs(lam), lam, tol
+    )[0]
 
 
 def _certificate_residuals(
-    p: ParametricProgram,
     x: np.ndarray,
     z: np.ndarray,
     y: np.ndarray,
+    ax: np.ndarray,
+    aty: np.ndarray,
+    cost: np.ndarray,
+    rhs: np.ndarray,
     lam: float,
     tol: float,
 ) -> Tuple[CertificateReport, np.ndarray]:
-    """The residuals of ``verify_certificate`` for given multipliers y,
-    plus the recomputed reduced costs ``zhat = A' y - c(lam)``."""
-    cost = p.cost(lam)
-    rhs = p.rhs(lam)
-    zhat = _reduced_costs(p.A, y, cost)
+    """The residuals of ``verify_certificate`` for given multipliers y and
+    the products ``ax = A x`` and ``aty = A' y``, plus the recomputed
+    reduced costs ``zhat = A' y - c(lam)``."""
+    zhat = aty - cost
 
     rp = max(
-        float(np.abs(p.A @ x - rhs).max()),
+        float(np.abs(ax - rhs).max()),
         float(max(0.0, -x.min(initial=0.0))),
     )
     rd = float(max(0.0, -zhat.min(initial=0.0)))
@@ -527,15 +561,17 @@ def _post_pivot_ok(state: DictionaryState, lam: float) -> bool:
     residuals of ``verify_certificate``, and the maintained reduced costs
     must agree with ``A_N' y - c_N(lam)`` (complementarity is structural for
     dictionary solutions, so this is the check that catches accumulated
-    update error in z).
+    update error in z). ``A x`` is formed from the basic columns alone,
+    O(mk); ``A' y`` is the one product with all of A.
     """
-    p = state.program
     B = state.partition.basic
     N = state.partition.nonbasic
-    cost = p.cost(lam)
+    cost = state.c + lam * state.c_bar
     y = state.fact.solve_transpose(cost[B])
+    xB = state.xB_base + lam * state.xB_pert
     report, zhat = _certificate_residuals(
-        p, state.primal_at(lam), state.dual_at(lam), y, lam, CERT_TOL
+        state.primal_at(lam), state.dual_at(lam), y, state.basic_times(xB),
+        state.rmatvec(y), cost, state.program.rhs(lam), lam, CERT_TOL,
     )
     basis_residual = float(np.abs(zhat[B]).max(initial=0.0))
     if basis_residual > CERT_TOL * (1.0 + float(np.abs(cost).max(initial=0.0))):
@@ -579,10 +615,11 @@ def solve_path(
     ``linalg.REFRESH_LIMIT`` updates, and whenever a post-pivot check fails.
 
     Args:
-        p: the parametric program. <= programs are converted to equality
-            form internally (slack columns appended); the returned path is
-            expressed in those standard-form coordinates and carries
-            ``slack_info`` for mapping back.
+        p: the parametric program. <= programs are solved in standard-form
+            coordinates, one unit slack column per row after the n
+            structural ones; the slacks stay implicit (``[A | I]`` is never
+            formed). The returned path is expressed in those coordinates and
+            carries ``slack_info`` for mapping back.
         options: SolveOptions; keyword arguments override its fields
             (e.g. ``solve_path(p, lambda_target=1.5)``).
         initial_basis: basic column indices (standard-form numbering).
@@ -607,17 +644,16 @@ def solve_path(
     if kwargs:
         opts = SolveOptions(**{**opts.__dict__, **kwargs})
 
-    p_std, slack = to_standard_form(p)
     if initial_basis is not None:
         basic = list(initial_basis)
-    elif slack is not None:
-        basic = [slack.slack_index(r) for r in range(slack.num_rows)]
+    elif p.kind is ProgramKind.LESS_EQUAL:
+        basic = list(range(p.n, p.n + p.m))
     else:
         raise ValueError("equality programs need an initial_basis")
-    max_pivots = opts.max_pivots if opts.max_pivots is not None else 10 * p_std.n
 
-    state = initialize(p_std, basic, slack)
-    path = SolutionPath(num_cols=p_std.n, slack_info=slack)
+    state = initialize(p, basic)
+    max_pivots = opts.max_pivots if opts.max_pivots is not None else 10 * state.num_cols
+    path = SolutionPath(num_cols=state.num_cols, slack_info=state.slack)
     lam_hi = state.lambda_hi
     # For Dantzig the first breakpoint is ||X'y||_inf, the scale of lambda.
     first = state.lambda_lo

@@ -3,11 +3,12 @@
 import io
 import logging
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from parasimplex import engine, linalg
+from parasimplex import core, engine, linalg
 from parasimplex.core import (
     BasisPartition,
     ParametricProgram,
@@ -330,15 +331,14 @@ def _regression_program(n=60, d=30, seed=1):
 
 
 def _pivoted_state(pivots=3):
-    """A Dantzig dictionary a few pivots down its path, and the lambda of
-    its last breakpoint."""
+    """A Dantzig dictionary a few pivots down its path, its slack columns
+    implicit, and the lambda of its last breakpoint."""
     _, _, p = _regression_program(n=20, d=8, seed=4)
-    std, info = to_standard_form(p)
-    state = initialize(std, list(range(info.original_n, std.n)))
+    state = initialize(p, list(range(p.n, p.n + p.m)))
     for _ in range(pivots):
         lam, tight = compute_lambda_star(state)
         engine._pivot_at(state, tight, lam)
-    return std, info, state, lam
+    return state, lam
 
 
 def _pivot_sequence(path):
@@ -357,12 +357,12 @@ def test_full_regression_path_ends_lambda_nonpositive():
 
 
 def test_post_pivot_check_passes_on_clean_dictionary():
-    _, _, state, lam = _pivoted_state()
+    state, lam = _pivoted_state()
     assert engine._post_pivot_ok(state, lam)
 
 
 def test_post_pivot_check_catches_reduced_cost_drift(caplog):
-    _, _, state, lam = _pivoted_state()
+    state, lam = _pivoted_state()
     state.zN_base = state.zN_base + 1e-3
     with caplog.at_level(logging.DEBUG, logger="parasimplex.engine"):
         assert not engine._post_pivot_ok(state, lam)
@@ -370,12 +370,25 @@ def test_post_pivot_check_catches_reduced_cost_drift(caplog):
 
 
 def test_post_pivot_check_catches_wrong_factorization(caplog):
-    std, info, state, lam = _pivoted_state()
-    slack = list(range(info.original_n, std.n))
-    state.fact = linalg.BasisFactorization(std.A[:, slack])
+    state, lam = _pivoted_state()
+    state.fact = linalg.BasisFactorization(np.eye(state.program.m))
     with caplog.at_level(logging.DEBUG, logger="parasimplex.engine"):
         assert not engine._post_pivot_ok(state, lam)
     assert "A_B' y - c_B residual" in caplog.text
+
+
+@pytest.mark.parametrize("slot", ["structural", "slack"])
+def test_post_pivot_check_reads_every_basic_value(caplog, slot):
+    # A x is formed from the basic entries only; a wrong value in either
+    # kind of basic slot must still show up as a primal residual
+    state, lam = _pivoted_state()
+    is_slack = state.partition.basic >= state.program.n
+    assert is_slack.any() and (~is_slack).any()
+    k = int(np.flatnonzero(is_slack if slot == "slack" else ~is_slack)[0])
+    state.xB_base[k] += 1e-3
+    with caplog.at_level(logging.DEBUG, logger="parasimplex.engine"):
+        assert not engine._post_pivot_ok(state, lam)
+    assert "certificate failed" in caplog.text
 
 
 def test_failed_check_is_retried_on_a_fresh_factorization(monkeypatch):
@@ -524,3 +537,56 @@ def test_lu_factor_sees_only_the_structural_core(monkeypatch):
     assert path.num_pivots > linalg.REFRESH_LIMIT
     assert structural[0] == 0  # the all-slack start factors nothing
     assert dims == [k for k in structural if k > 0]
+
+
+# ------------------------------------------------------ implicit slack columns
+
+
+def _materialized_path(p):
+    """``p`` solved as its ``[A | I]`` equality program from the slack basis."""
+    std, info = to_standard_form(p)
+    return solve_path(std, initial_basis=range(info.original_n, std.n))
+
+
+def _random_programs(count=10, seed=4242):
+    rng = np.random.default_rng(seed)
+    return [random_less_equal(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("programs", [
+    lambda: [_regression_program()[2]],
+    lambda: [_diffnet_program()],
+    _random_programs,
+], ids=["dantzig-n60-d30", "diffnet-d10", "random-10"])
+def test_implicit_slacks_follow_the_materialized_path(programs):
+    for p in programs():
+        implicit = solve_path(p)
+        materialized = _materialized_path(p)
+        assert implicit.num_cols == materialized.num_cols == p.n + p.m
+        assert _pivot_sequence(implicit) == _pivot_sequence(materialized)
+        assert implicit.termination is materialized.termination
+        assert [s.lambda_lo for s in implicit.segments] == pytest.approx(
+            [s.lambda_lo for s in materialized.segments], abs=BP_TOL)
+
+
+def test_solve_never_forms_the_standard_form(monkeypatch):
+    calls = []
+    real = core.to_standard_form
+
+    def spy(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(core, "to_standard_form", spy)
+    monkeypatch.setattr(engine, "to_standard_form", spy, raising=False)
+    _, _, p = _regression_program(n=100, d=200, seed=2)
+    assert (p.m, p.n) == (400, 400)
+    tracemalloc.start()
+    try:
+        path = solve_path(p, max_pivots=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.num_pivots == 20
+    assert calls == []
+    assert peak < 8 * p.m * (p.n + p.m)  # the bytes of [A | I]
