@@ -137,6 +137,10 @@ class BasisPartition:
     def __init__(self, n: int, basic: np.ndarray, nonbasic: np.ndarray):
         self.basic = np.asarray(basic, dtype=np.intp)
         self.nonbasic = np.asarray(nonbasic, dtype=np.intp)
+        for idx in (self.basic, self.nonbasic):
+            bad = idx[(idx < 0) | (idx >= n)]
+            if bad.size:
+                raise ValueError(f"column {int(bad[0])} is out of range for {n} columns")
         if len(self.basic) + len(self.nonbasic) != n:
             raise ValueError("partition does not cover all columns")
         self._pos = np.empty(n, dtype=np.intp)
@@ -154,7 +158,7 @@ class BasisPartition:
     def from_basic(cls, n: int, basic) -> "BasisPartition":
         basic = np.asarray(sorted(basic), dtype=np.intp)
         mask = np.ones(n, dtype=bool)
-        mask[basic] = False
+        mask[basic[(basic >= 0) & (basic < n)]] = False  # __init__ rejects the rest
         return cls(n, basic, np.flatnonzero(mask))
 
     @property

@@ -117,7 +117,6 @@ class TightConstraint:
     """The coordinate whose sign constraint becomes active at lambda_star."""
 
     column: int
-    position: int
     in_basis: bool  # True: basic x-entry tight; False: nonbasic z-entry tight
 
 
@@ -166,7 +165,6 @@ class DictionaryState:
         self.xB_pert = np.zeros(program.m)
         self.zN_base = np.zeros(self.num_cols - program.m)
         self.zN_pert = np.zeros(self.num_cols - program.m)
-        self.objective_base = 0.0
         self.lambda_lo = float("-inf")
         self.lambda_hi = float("inf")
         self.refresh()
@@ -212,7 +210,6 @@ class DictionaryState:
             self.zN_pert = self.rmatvec(y_bar)[N] - self.c_bar[N]
         else:
             self.zN_pert = np.zeros(len(N))
-        self.objective_base = float(self.c[B] @ self.xB_base)
 
     def primal_at(self, lam: float) -> np.ndarray:
         x = np.zeros(self.num_cols)
@@ -329,9 +326,7 @@ def compute_lambda_star(
         # the nonbasic family is scanned first, so it keeps cross-family ties
         if top > best_lam + BREAKPOINT_RTOL * (1.0 + abs(top)):
             best_lam = top
-            best = TightConstraint(
-                column=int(cols[pos]), position=pos, in_basis=in_basis
-            )
+            best = TightConstraint(column=int(cols[pos]), in_basis=in_basis)
     return best_lam, best
 
 
@@ -419,7 +414,6 @@ def _exchange(
     state.zN_pert[kN] = s_bar
 
     part.swap(kB, kN)
-    state.objective_base = float(state.c[part.basic] @ state.xB_base)
     return PivotEvent(
         kind=kind,
         entering=j,
@@ -664,7 +658,6 @@ def solve_path(
 
     while True:
         lam_star, tight = compute_lambda_star(state)
-        state.lambda_lo, state.lambda_hi = lam_star, lam_hi
         seg = state.segment(lam_star, lam_hi, entering, leaving)
         path.segments.append(seg)
         nonpositive = lam_star <= zero_tol
@@ -692,9 +685,8 @@ def solve_path(
             path.terminal_lambda = lam_star
             break
 
-        snapshot = state.partition.copy()
         try:
-            event = _try_pivot(state, snapshot, tight, lam_star, opts)
+            event = _checked_pivot(state, tight, lam_star, opts)
         except tuple(_FAILURE_STATUS) as exc:
             path.termination = _FAILURE_STATUS[type(exc)]
             path.termination_detail = str(exc)
@@ -720,60 +712,44 @@ def solve_path(
     return path
 
 
-def _try_pivot(
+def _checked_pivot(
     state: DictionaryState,
-    snapshot: BasisPartition,
     tight: TightConstraint,
     lam_star: float,
     opts: SolveOptions,
 ) -> PivotEvent:
     """One pivot with the certificate/retry protocol.
 
-    On a failed post-pivot check (or a degenerate update), the partition is
-    rolled back, everything is refactorized from scratch, the breakpoint is
-    recomputed, and the pivot is retried once. A second failure is a
-    NumericalFailure.
+    On a failed post-pivot check the exchange is undone in the partition (a
+    degenerate update fails before it); then everything is refactorized
+    from scratch, the breakpoint is recomputed, and the pivot is retried
+    once. A second failure is a NumericalFailure.
     """
-    try:
-        event = _exchange_checked(state, tight, lam_star, opts)
-        if event is not None:
-            return event
-    except UpdateDegenerate:
-        pass
-
-    # Roll back and retry on fresh numbers.
-    state.partition = snapshot
-    state.refresh()
-    lam2, tight2 = compute_lambda_star(state)
-    if tight2 is None:
-        raise NumericalFailure(
-            "breakpoint vanished after refactorization (was "
-            f"lambda*={lam_star:.6g})"
+    for retry in (False, True):
+        try:
+            event = _pivot_at(state, tight, lam_star)
+        except UpdateDegenerate as exc:
+            if retry:
+                raise NumericalFailure(f"degenerate update on retry: {exc}") from exc
+        else:
+            if not opts.check_certificates or _post_pivot_ok(state, lam_star):
+                return event
+            if retry:
+                raise NumericalFailure(
+                    f"certificate still failing after refactorization at "
+                    f"lambda*={lam_star:.6g}"
+                )
+            part = state.partition
+            part.swap(part.position(event.entering), part.position(event.leaving))
+        state.refresh()
+        lam2, tight = compute_lambda_star(state)
+        if tight is None:
+            raise NumericalFailure(
+                "breakpoint vanished after refactorization (was "
+                f"lambda*={lam_star:.6g})"
+            )
+        logger.info(
+            "retrying pivot after refactorization: lambda*=%.9g -> %.9g",
+            lam_star, lam2,
         )
-    logger.info(
-        "retrying pivot after refactorization: lambda*=%.9g -> %.9g",
-        lam_star, lam2,
-    )
-    try:
-        event = _exchange_checked(state, tight2, lam2, opts)
-    except UpdateDegenerate as exc:
-        raise NumericalFailure(f"degenerate update on retry: {exc}") from exc
-    if event is None:
-        raise NumericalFailure(
-            f"certificate still failing after refactorization at "
-            f"lambda*={lam2:.6g}"
-        )
-    return event
-
-
-def _exchange_checked(
-    state: DictionaryState,
-    tight: TightConstraint,
-    lam_star: float,
-    opts: SolveOptions,
-) -> Optional[PivotEvent]:
-    """Pivot and validate; None signals a failed check (caller retries)."""
-    event = _pivot_at(state, tight, lam_star)
-    if opts.check_certificates and not _post_pivot_ok(state, lam_star):
-        return None
-    return event
+        lam_star = lam2

@@ -76,6 +76,11 @@ def save_program_json(path: PathLike, p: ParametricProgram) -> None:
 
 def load_program_json(path: PathLike) -> ParametricProgram:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("program JSON must be an object")
+    missing = [k for k in ("A", "b", "b_bar", "c", "c_bar") if k not in doc]
+    if missing:
+        raise ValueError(f"program JSON has no {', '.join(missing)} key")
     p = ParametricProgram(
         A=np.asarray(doc["A"], dtype=float),
         b=np.asarray(doc["b"], dtype=float),
@@ -108,6 +113,15 @@ def save_program_coo(path: PathLike, p: ParametricProgram) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _coo_index(rec: List[str], k: int, size: int) -> int:
+    """Field k of a COO record as an index below ``size``; a negative one
+    would otherwise wrap around to the end."""
+    i = int(rec[k])
+    if not 0 <= i < size:
+        raise ValueError(f"index {i} out of range 0..{size - 1} in record: {rec}")
+    return i
+
+
 def load_program_coo(path: PathLike) -> ParametricProgram:
     header = None
     records: List[List[str]] = []
@@ -136,11 +150,11 @@ def load_program_coo(path: PathLike) -> ParametricProgram:
         if tag == "A":
             if len(rec) != 4:
                 raise ValueError(f"bad A record: {rec}")
-            A[int(rec[1]), int(rec[2])] = float(rec[3])
+            A[_coo_index(rec, 1, m), _coo_index(rec, 2, n)] = float(rec[3])
         elif tag in vec:
             if len(rec) != 3:
                 raise ValueError(f"bad {tag} record: {rec}")
-            vec[tag][int(rec[1])] = float(rec[2])
+            vec[tag][_coo_index(rec, 1, len(vec[tag]))] = float(rec[2])
         else:
             raise ValueError(f"unknown record tag {tag!r}")
     return ParametricProgram(A=A, b=b, b_bar=b_bar, c=c, c_bar=c_bar, kind=kind)

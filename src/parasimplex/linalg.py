@@ -41,8 +41,6 @@ REFRESH_LIMIT = 50
 # Pivot admissibility: LU diagonal entries (and |1 + p_k| in updates) below
 # PIVOT_RTOL * ||B||_inf mean the basis is numerically rank deficient.
 PIVOT_RTOL = 1e-11
-# Residual contract for solve(): ||B w - v||_inf <= LIN_TOL * (1 + ||v||_inf).
-LIN_TOL = 1e-8
 
 
 class BasisFactorization:

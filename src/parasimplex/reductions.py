@@ -155,33 +155,33 @@ class PathInOriginalCoords:
 def build_dantzig(inst: DantzigInstance) -> ParametricProgram:
     """LP for l1 minimization subject to ||X'(y - X theta)||_inf <= lambda.
 
-    With theta = theta_plus - theta_minus and G = X'X, the two-sided bound
-    |G theta - X'y| <= lambda becomes 2d <= rows over the 2d split columns:
-
-        [[ G, -G],     [ X'y ]            c = -1 (both halves),
-         [-G,  G]] x <= [-X'y ] + lambda,  c_bar = 0, b_bar = 1.
-
+    The sup-norm program of ``_sup_norm_program`` with G = X'X and g = X'y:
+    2d <= rows over the 2d split columns of theta = theta_plus - theta_minus.
     The slack basis is optimal for every lambda >= ||X'y||_inf, so no phase-1
     is needed.
     """
-    X, y = inst.X, inst.y
-    G = X.T @ X
-    g = X.T @ y
-    d = G.shape[0]
+    return _sup_norm_program(inst.X.T @ inst.X, inst.X.T @ inst.y)
+
+
+def _sup_norm_program(G: np.ndarray, g: np.ndarray) -> ParametricProgram:
+    """The <= program for min ||u||_1 s.t. ||G u - g||_inf <= lambda over
+    the split u = u_plus - u_minus:
+
+        [[ G, -G],     [ g]
+         [-G,  G]] x <= [-g] + lambda,   c = -1, c_bar = 0, b_bar = 1.
+
+    Both Dantzig (G = X'X) and diffnet (G = Z' kron X) are this program.
+    """
+    r, d = G.shape
     # Filled in place: np.block's temporaries took half of the build.
-    A = np.empty((2 * d, 2 * d))
-    A[:d, :d] = G
-    np.negative(G, out=A[:d, d:])
-    A[d:, :d] = A[:d, d:]
-    A[d:, d:] = G
-    b = np.concatenate([g, -g])
+    A = np.empty((2 * r, 2 * d))
+    A[:r, :d] = G
+    np.negative(G, out=A[:r, d:])
+    A[r:, :d] = A[:r, d:]
+    A[r:, d:] = G
     return ParametricProgram(
-        A=A,
-        b=b,
-        b_bar=np.ones(2 * d),
-        c=-np.ones(2 * d),
-        c_bar=np.zeros(2 * d),
-        kind=ProgramKind.LESS_EQUAL,
+        A=A, b=np.concatenate([g, -g]), b_bar=np.ones(2 * r), c=-np.ones(2 * d),
+        c_bar=np.zeros(2 * d), kind=ProgramKind.LESS_EQUAL,
     )
 
 
@@ -230,11 +230,8 @@ def build_diffnet(inst: DiffNetInstance) -> ParametricProgram:
     """Inequality-form LP for min ||D||_1 s.t. ||X D Z - Y||_inf <= lambda.
 
     The product X D Z is vectorized column-major, vec(X D Z) = G vec(D) with
-    G = Z' kron X, so the two-sided bound becomes the Dantzig-style block
-    system over the split D = D_plus - D_minus:
-
-        [ G  -G] [vec(D_plus) ]    [ vec(Y)]
-        [-G   G] [vec(D_minus)] <= [-vec(Y)] + lambda.
+    G = Z' kron X ((m1*m2) x (d1*d2)), so this is the sup-norm program of
+    ``_sup_norm_program`` with g = vec(Y) over the split D = D_plus - D_minus.
 
     An intermediate product variable C = X D would carry its defining
     equalities with zero right-hand side; every basis would then hold C
@@ -244,24 +241,7 @@ def build_diffnet(inst: DiffNetInstance) -> ParametricProgram:
     The slack start (D = 0, slacks = +-vec(Y) + lambda) is feasible and
     optimal for every lambda >= ||Y||_max, so no explicit basis is needed.
     """
-    m1, d1, d2, m2 = inst.dims
-    nD = d1 * d2
-    nW = m1 * m2
-    G = np.kron(inst.Z.T, inst.X)             # (m1*m2) x (d1*d2)
-    vecY = inst.Y.flatten(order="F")
-
-    A = np.zeros((2 * nW, 2 * nD))
-    A[:nW, :nD] = G
-    A[:nW, nD:] = -G
-    A[nW:, :nD] = -G
-    A[nW:, nD:] = G
-
-    b = np.concatenate([vecY, -vecY])
-    c = -np.ones(2 * nD)
-    return ParametricProgram(
-        A=A, b=b, b_bar=np.ones(2 * nW), c=c, c_bar=np.zeros(2 * nD),
-        kind=ProgramKind.LESS_EQUAL,
-    )
+    return _sup_norm_program(np.kron(inst.Z.T, inst.X), inst.Y.flatten(order="F"))
 
 
 def _dense_affine(seg: PathSegment, limit: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -310,31 +290,15 @@ def diffnet_sparsity_stop(
 
 
 def recover_dantzig(path: SolutionPath, d: Optional[int] = None) -> PathInOriginalCoords:
-    """Map a Dantzig path back to theta = theta_plus - theta_minus.
-
+    """Map a Dantzig path back to theta = theta_plus - theta_minus, checking
+    split complementarity and recording the support at every breakpoint.
     ``d`` defaults to the width implied by the path's slack bookkeeping.
-    Verifies split complementarity at every breakpoint and records the
-    support set there.
     """
     if d is None:
         if path.slack_info is None:
             raise ValueError("d cannot be inferred: path has no slack info")
         d = path.slack_info.original_n // 2
-    out = PathInOriginalCoords(
-        termination=path.termination, terminal_lambda=path.terminal_lambda
-    )
-    for seg in path.segments:
-        base, slope = _dense_affine(seg, 2 * d)
-        lam = segment_breakpoint(seg)
-        x = base + lam * slope
-        _check_split_complement(x[:d], x[d:], lam, "theta")
-        theta_base = base[:d] - base[d:]
-        theta_slope = slope[:d] - slope[d:]
-        out.segments.append(
-            OriginalSegment(seg.lambda_lo, seg.lambda_hi, theta_base, theta_slope)
-        )
-        out.supports.append(_support_of(theta_base + lam * theta_slope))
-    return out
+    return _recover_sup_norm(path, d, "theta", (d,))
 
 
 def recover_svm(path: SolutionPath, inst: SvmInstance) -> PathInOriginalCoords:
@@ -376,24 +340,30 @@ def recover_diffnet(path: SolutionPath, inst: DiffNetInstance) -> PathInOriginal
     Support sets use column-major flat indices into D.
     """
     m1, d1, d2, m2 = inst.dims
-    nD = d1 * d2
+    return _recover_sup_norm(path, d1 * d2, "D", (d1, d2))
+
+
+def _recover_sup_norm(
+    path: SolutionPath, d: int, name: str, shape: Tuple[int, ...]
+) -> PathInOriginalCoords:
+    """Map a ``_sup_norm_program`` path back to u = u_plus - u_minus.
+
+    Checks split complementarity at every breakpoint, reshapes u
+    column-major to ``shape`` and records its support (flat indices) there.
+    """
     out = PathInOriginalCoords(
         termination=path.termination, terminal_lambda=path.terminal_lambda
     )
     for seg in path.segments:
-        base, slope = _dense_affine(seg, 2 * nD)
+        base, slope = _dense_affine(seg, 2 * d)
         lam = segment_breakpoint(seg)
         x = base + lam * slope
-        _check_split_complement(x[:nD], x[nD:], lam, "D")
-        flat_base = base[:nD] - base[nD:]
-        flat_slope = slope[:nD] - slope[nD:]
-        out.segments.append(
-            OriginalSegment(
-                seg.lambda_lo,
-                seg.lambda_hi,
-                flat_base.reshape((d1, d2), order="F"),
-                flat_slope.reshape((d1, d2), order="F"),
-            )
-        )
-        out.supports.append(_support_of(flat_base + lam * flat_slope))
+        _check_split_complement(x[:d], x[d:], lam, name)
+        u_base = base[:d] - base[d:]
+        u_slope = slope[:d] - slope[d:]
+        out.segments.append(OriginalSegment(
+            seg.lambda_lo, seg.lambda_hi,
+            u_base.reshape(shape, order="F"), u_slope.reshape(shape, order="F"),
+        ))
+        out.supports.append(_support_of(u_base + lam * u_slope))
     return out

@@ -157,6 +157,31 @@ def test_solve_equality_needs_basis(tmp_path, capsys):
     assert cli.main(["solve", str(src), "--basis", "0"]) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("basis", ["-1,2", "9,2"])
+def test_solve_out_of_range_basis_exits_64(tmp_path, capsys, basis):
+    src = _write_program(tmp_path, _soft_threshold_program(y=(3.0,)), name="prog.coo")
+    out_json = tmp_path / "o.json"
+    rc = cli.main(["solve", str(src), f"--basis={basis}", "--out-json", str(out_json)])
+    assert rc == cli.EXIT_USAGE
+    column = basis.split(",")[0]
+    assert f"column {column} is out of range" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("prog.coo", "psm-coo m=2 n=2 kind=less_equal\nA -1 0 1.0\n"),
+    ("prog.coo", "psm-coo m=2 n=2 kind=less_equal\nA 5 1 1.0\n"),
+    ("prog.json", json.dumps({"A": [[1.0]], "b": [1.0], "c": [-1.0],
+                              "c_bar": [0.0], "kind": "less_equal"})),
+    ("prog.json", "3"),
+])
+def test_solve_malformed_program_exits_64(tmp_path, capsys, name, text):
+    src = tmp_path / name
+    src.write_text(text)
+    assert cli.main(["solve", str(src)]) == cli.EXIT_USAGE
+    assert "input error" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- dantzig
 
 

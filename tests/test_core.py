@@ -100,6 +100,15 @@ def test_partition_swap_and_lookup():
         assert part.position(col) == pos
 
 
+@pytest.mark.parametrize("column", [-1, 4, 9])
+def test_partition_rejects_out_of_range_columns(column):
+    # -1 must not wrap around to the last column
+    with pytest.raises(ValueError, match=f"column {column} is out of range"):
+        BasisPartition.from_basic(4, [column, 2])
+    with pytest.raises(ValueError, match=f"column {column} is out of range"):
+        BasisPartition(4, [2], [0, 1, column])
+
+
 def test_partition_copy_is_independent():
     a = BasisPartition.from_basic(4, [0, 1])
     b = a.copy()

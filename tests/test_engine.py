@@ -25,7 +25,7 @@ from parasimplex.engine import (
     solve_path,
     verify_certificate,
 )
-from parasimplex.errors import InfeasibleAtLargeLambda
+from parasimplex.errors import InfeasibleAtLargeLambda, UpdateDegenerate
 from parasimplex.experiments import (
     DantzigGenConfig,
     DiffNetGenConfig,
@@ -417,6 +417,44 @@ def test_check_failing_twice_is_numerical_failure(monkeypatch):
     assert path.termination is Termination.NUMERICAL_FAILURE
     assert path.num_pivots == 0
     assert path.terminal_lambda == pytest.approx(first_breakpoint, abs=BP_TOL)
+
+
+def _degenerate_updates(monkeypatch, fail):
+    """Make ``replace_column`` raise UpdateDegenerate on the calls for which
+    ``fail(call_number)`` is true (numbered from 1)."""
+    real = linalg.BasisFactorization.replace_column
+    calls = []
+
+    def replace(self, k, a_new):
+        calls.append(k)
+        if fail(len(calls)):
+            raise UpdateDegenerate(f"forced at position {k}")
+        return real(self, k, a_new)
+
+    monkeypatch.setattr(linalg.BasisFactorization, "replace_column", replace)
+    return calls
+
+
+def test_degenerate_update_is_retried_on_a_fresh_factorization(monkeypatch):
+    _, _, p = _regression_program(n=20, d=8, seed=4)
+    clean = solve_path(p)
+    calls = _degenerate_updates(monkeypatch, lambda call: call == 1)
+    retried = solve_path(p)
+    assert len(calls) == clean.num_pivots + 1
+    assert _pivot_sequence(retried) == _pivot_sequence(clean)
+    assert retried.termination is clean.termination
+    assert [s.lambda_lo for s in retried.segments] == pytest.approx(
+        [s.lambda_lo for s in clean.segments], abs=BP_TOL)
+
+
+def test_degenerate_update_twice_is_numerical_failure(monkeypatch):
+    _, _, p = _regression_program(n=20, d=8, seed=4)
+    calls = _degenerate_updates(monkeypatch, lambda call: True)
+    path = solve_path(p)
+    assert len(calls) == 2
+    assert path.termination is Termination.NUMERICAL_FAILURE
+    assert path.num_pivots == 0
+    assert "degenerate update on retry" in path.termination_detail
 
 
 def test_certificates_do_not_change_the_pivots():

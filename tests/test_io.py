@@ -95,6 +95,30 @@ def test_program_coo_bad_header(tmp_path):
         pio.load_program_coo(f)
 
 
+@pytest.mark.parametrize("record", [
+    "A -1 0 1.0", "A 5 1 1.0", "A 0 2 1.0",
+    "b 2 1.0", "bbar -1 1.0", "c 2 1.0", "cbar 7 1.0",
+])
+def test_program_coo_index_out_of_range(tmp_path, record):
+    # a negative index must not wrap around to the last row or column
+    f = tmp_path / "bad.coo"
+    f.write_text(f"psm-coo m=2 n=2 kind=less_equal\n{record}\n")
+    with pytest.raises(ValueError, match="out of range") as exc:
+        pio.load_program_coo(f)
+    assert record.split()[0] in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["A", "b", "b_bar", "c", "c_bar"])
+def test_program_json_missing_key(tmp_path, key):
+    f = tmp_path / "p.json"
+    pio.save_program_json(f, _program())
+    doc = json.loads(f.read_text())
+    del doc[key]
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"no {key} key"):
+        pio.load_program_json(f)
+
+
 def test_path_json_roundtrip(tmp_path):
     path = solve_path(_program())
     f = tmp_path / "path.json"

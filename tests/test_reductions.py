@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from parasimplex.core import ProgramKind, SolutionPath, Termination
+from parasimplex.core import ProgramKind, SolutionPath, Termination, segment_breakpoint
 from parasimplex.engine import solve_path
 from parasimplex.errors import ComplementarityViolation, InfeasibleAtLargeLambda
 from parasimplex.reductions import (
     DantzigInstance,
     DiffNetInstance,
     OriginalSegment,
+    SUPPORT_TOL,
     SvmInstance,
     build_dantzig,
     build_diffnet,
@@ -177,6 +178,29 @@ def test_diffnet_blocks_encode_the_linear_map():
     np.testing.assert_allclose(
         p.A[:nW] @ xsplit, (X @ D @ Z).flatten(order="F"), atol=1e-10
     )
+
+
+def test_diffnet_rectangular_path_recovers_d1_by_d2():
+    # G = Z' kron X is 4 x 12: the template's blocks are not square and D is
+    # 3 x 4, so a row/column or C/F-order mix-up shows in the residual
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((2, 3))
+    Z = rng.standard_normal((4, 2))
+    Y = rng.standard_normal((2, 2))
+    inst = DiffNetInstance(X, Z, Y)
+    path = solve_path(build_diffnet(inst), lambda_target=0.0)
+    assert path.termination in (Termination.LAMBDA_NONPOSITIVE,
+                                Termination.REACHED_TARGET)
+    orig = recover_diffnet(path, inst)
+    assert path.num_pivots > 0
+    for seg, support in zip(orig.segments, orig.supports):
+        assert seg.base.shape == seg.slope.shape == (3, 4)
+        lam = max(segment_breakpoint(seg), 0.0)
+        D = seg.value(lam)
+        assert np.abs(X @ D @ Z - Y).max() <= lam + 1e-9 * (1.0 + lam)
+        want = np.flatnonzero(np.abs(D.flatten(order="F")) > SUPPORT_TOL)
+        assert support == frozenset(want.tolist())
+    assert len(orig.supports[-1]) > 0
 
 
 def test_diffnet_scalar_closed_form():
