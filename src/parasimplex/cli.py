@@ -103,7 +103,10 @@ def _parse_stop_rule(text: str) -> Tuple[str, Optional[float]]:
     if text.startswith("value:"):
         return "value", float(text.split(":", 1)[1])
     if text.startswith("sparsity:"):
-        return "sparsity", float(int(text.split(":", 1)[1]))
+        k = int(text.split(":", 1)[1])
+        if k < 0:
+            raise ValueError(f"sparsity:<k> needs k >= 0, got {k}")
+        return "sparsity", float(k)
     raise ValueError(
         f"bad stop rule {text!r}: expected path-demo, benchmark, "
         "value:<lambda>, or sparsity:<k>"
@@ -131,9 +134,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     basis = None
     if args.basis:
         basis = [int(t) for t in args.basis.split(",") if t.strip()]
-    opts = SolveOptions(lambda_target=args.target, trace=args.trace)
-    if args.max_pivots is not None:
-        opts.max_pivots = args.max_pivots
+    opts = SolveOptions(lambda_target=args.target, max_pivots=args.max_pivots,
+                        trace=args.trace)
     path = solve_path(program, opts, initial_basis=basis)
     if args.out_json:
         pio.save_path_json(args.out_json, path)
@@ -217,43 +219,40 @@ def cmd_diffnet(args: argparse.Namespace) -> int:
     return _report(path)
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _gen_config(args: argparse.Namespace):
+    """The generator config that ``gen`` and ``bench`` read from the flags."""
     if args.family == "dantzig":
-        cfg = DantzigGenConfig(
+        return DantzigGenConfig(
             n=args.n, d=args.d, s=args.s, sigma=args.sigma, rng_seed=args.seed
         )
+    return DiffNetGenConfig(d=args.d, n=args.n, sparsity=args.s, rng_seed=args.seed)
+
+
+def cmd_gen(args: argparse.Namespace) -> int:
+    cfg = _gen_config(args)
+    if args.family == "dantzig":
         X, y, theta0 = gen_dantzig(cfg)
-        pio.save_matrix_csv(out / "X.csv", X)
-        pio.save_matrix_csv(out / "y.csv", y.reshape(-1, 1))
-        pio.save_matrix_csv(out / "theta0.csv", theta0.reshape(-1, 1))
-        print(f"wrote X.csv y.csv theta0.csv to {out}")
+        files = {"X.csv": X, "y.csv": y.reshape(-1, 1),
+                 "theta0.csv": theta0.reshape(-1, 1)}
     else:
-        cfg = DiffNetGenConfig(
-            d=args.d, n=args.n, sparsity=args.s, rng_seed=args.seed
-        )
         S_X, S_Y, delta0 = gen_diffnet(cfg)
-        pio.save_matrix_csv(out / "SX.csv", S_X)
-        pio.save_matrix_csv(out / "SY.csv", S_Y)
-        pio.save_matrix_csv(out / "delta0.csv", delta0)
-        print(f"wrote SX.csv SY.csv delta0.csv to {out}")
+        files = {"SX.csv": S_X, "SY.csv": S_Y, "delta0.csv": delta0}
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, M in files.items():
+        pio.save_matrix_csv(out / name, M)
+    print(f"wrote {' '.join(files)} to {out}")
     return EXIT_OK
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    cfg = _gen_config(args)
     if args.family == "dantzig":
-        cfg = DantzigGenConfig(
-            n=args.n, d=args.d, s=args.s, sigma=args.sigma, rng_seed=args.seed
-        )
         records = run_dantzig_bench(
             cfg, stop_rule=args.stop_rule, repetitions=args.reps
         )
     else:
-        dcfg = DiffNetGenConfig(
-            d=args.d, n=args.n, sparsity=args.s, rng_seed=args.seed
-        )
-        records = run_diffnet_bench(dcfg, repetitions=args.reps)
+        records = run_diffnet_bench(cfg, repetitions=args.reps)
     if args.out_csv:
         pio.save_bench_csv(args.out_csv, records)
     stats = summarize(records)
@@ -304,25 +303,24 @@ def build_parser() -> _Parser:
     p_dn.add_argument("--out", default=None)
     p_dn.set_defaults(func=cmd_diffnet)
 
-    p_gen = sub.add_parser("gen", help="write a synthetic instance to CSVs")
-    p_gen.add_argument("family", choices=("dantzig", "diffnet"))
-    p_gen.add_argument("--n", type=int, default=100)
-    p_gen.add_argument("--d", type=int, default=250)
-    p_gen.add_argument("--s", type=int, default=5,
-                       help="true support size (dantzig) or off-diagonal "
-                            "perturbations (diffnet)")
-    p_gen.add_argument("--sigma", type=float, default=1.0)
-    p_gen.add_argument("--seed", type=int, default=None)
+    # the generator flags of gen and bench, read by _gen_config
+    gen_flags = _Parser(add_help=False)
+    gen_flags.add_argument("family", choices=("dantzig", "diffnet"))
+    gen_flags.add_argument("--n", type=int, default=100)
+    gen_flags.add_argument("--d", type=int, default=250)
+    gen_flags.add_argument("--s", type=int, default=5,
+                           help="true support size (dantzig) or off-diagonal "
+                                "perturbations (diffnet)")
+    gen_flags.add_argument("--sigma", type=float, default=1.0)
+    gen_flags.add_argument("--seed", type=int, default=None)
+
+    p_gen = sub.add_parser("gen", parents=[gen_flags],
+                           help="write a synthetic instance to CSVs")
     p_gen.add_argument("--out-dir", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_bench = sub.add_parser("bench", help="replicated runs with summary stats")
-    p_bench.add_argument("family", choices=("dantzig", "diffnet"))
-    p_bench.add_argument("--n", type=int, default=100)
-    p_bench.add_argument("--d", type=int, default=250)
-    p_bench.add_argument("--s", type=int, default=5)
-    p_bench.add_argument("--sigma", type=float, default=1.0)
-    p_bench.add_argument("--seed", type=int, default=None)
+    p_bench = sub.add_parser("bench", parents=[gen_flags],
+                             help="replicated runs with summary stats")
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--stop-rule", default="benchmark")
     p_bench.add_argument("--out-csv", default=None)

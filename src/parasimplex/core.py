@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -89,9 +89,6 @@ class ParametricProgram:
     def rhs(self, lam: float) -> np.ndarray:
         return self.b + lam * self.b_bar
 
-    def objective(self, x: np.ndarray, lam: float) -> float:
-        return float(self.cost(lam) @ x)
-
 
 @dataclass(frozen=True)
 class SlackInfo:
@@ -100,13 +97,6 @@ class SlackInfo:
 
     original_n: int
     num_rows: int
-
-    def slack_index(self, row: int) -> int:
-        return self.original_n + row
-
-    def strip(self, x: np.ndarray) -> np.ndarray:
-        """Drop slack coordinates from a standard-form primal vector."""
-        return x[: self.original_n]
 
 
 def to_standard_form(p: ParametricProgram) -> Tuple[ParametricProgram, Optional[SlackInfo]]:
@@ -132,7 +122,7 @@ class BasisPartition:
     value vectors, and likewise for nonbasic reduced costs.
     """
 
-    __slots__ = ("basic", "nonbasic", "_pos", "_is_basic")
+    __slots__ = ("basic", "nonbasic", "_pos")
 
     def __init__(self, n: int, basic: np.ndarray, nonbasic: np.ndarray):
         self.basic = np.asarray(basic, dtype=np.intp)
@@ -143,16 +133,11 @@ class BasisPartition:
                 raise ValueError(f"column {int(bad[0])} is out of range for {n} columns")
         if len(self.basic) + len(self.nonbasic) != n:
             raise ValueError("partition does not cover all columns")
-        self._pos = np.empty(n, dtype=np.intp)
-        self._is_basic = np.zeros(n, dtype=bool)
+        self._pos = np.full(n, -1, dtype=np.intp)
         self._pos[self.basic] = np.arange(len(self.basic))
         self._pos[self.nonbasic] = np.arange(len(self.nonbasic))
-        self._is_basic[self.basic] = True
-        seen = np.zeros(n, dtype=bool)
-        for idx in (self.basic, self.nonbasic):
-            if np.any(seen[idx]):
-                raise ValueError("duplicate column index in partition")
-            seen[idx] = True
+        if np.any(self._pos < 0):  # n columns in range miss one only by repeats
+            raise ValueError("duplicate column index in partition")
 
     @classmethod
     def from_basic(cls, n: int, basic) -> "BasisPartition":
@@ -160,13 +145,6 @@ class BasisPartition:
         mask = np.ones(n, dtype=bool)
         mask[basic[(basic >= 0) & (basic < n)]] = False  # __init__ rejects the rest
         return cls(n, basic, np.flatnonzero(mask))
-
-    @property
-    def n(self) -> int:
-        return len(self.basic) + len(self.nonbasic)
-
-    def is_basic(self, j: int) -> bool:
-        return bool(self._is_basic[j])
 
     def position(self, j: int) -> int:
         """Index of column j within its own list (basic or nonbasic)."""
@@ -180,14 +158,6 @@ class BasisPartition:
         self.nonbasic[nonbasic_pos] = i
         self._pos[j] = basic_pos
         self._pos[i] = nonbasic_pos
-        self._is_basic[j] = True
-        self._is_basic[i] = False
-
-    def copy(self) -> "BasisPartition":
-        return BasisPartition(self.n, self.basic.copy(), self.nonbasic.copy())
-
-    def basis_hash(self) -> int:
-        return hash(tuple(sorted(int(j) for j in self.basic)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"BasisPartition(basic={self.basic.tolist()})"
@@ -216,20 +186,14 @@ class PathSegment:
     leaving: Optional[int] = None
 
     def contains(self, lam: float) -> bool:
-        tol = INTERVAL_TOL * (1.0 + abs(lam))
-        return (lam >= self.lambda_lo - tol) and (lam <= self.lambda_hi + tol)
+        return segment_contains(self, lam)
 
-    def primal_map(self) -> Dict[int, Tuple[float, float]]:
-        return {
-            int(j): (float(b), float(s))
-            for j, b, s in zip(self.primal_indices, self.primal_base, self.primal_slope)
-        }
 
-    def dual_map(self) -> Dict[int, Tuple[float, float]]:
-        return {
-            int(j): (float(b), float(s))
-            for j, b, s in zip(self.dual_indices, self.dual_base, self.dual_slope)
-        }
+def segment_contains(segment, lam: float) -> bool:
+    """Whether lam lies in ``[lambda_lo, lambda_hi]`` up to INTERVAL_TOL
+    (relative); works for either kind of segment, like ``segment_breakpoint``."""
+    tol = INTERVAL_TOL * (1.0 + abs(lam))
+    return segment.lambda_lo - tol <= lam <= segment.lambda_hi + tol
 
 
 def segment_breakpoint(segment) -> float:
@@ -250,27 +214,27 @@ def evaluate_primal(segment: PathSegment, lam: float) -> np.ndarray:
     Raises ValueError if lam lies outside the segment's interval (up to a
     small tolerance).
     """
-    if not segment.contains(lam):
-        raise ValueError(
-            f"lambda={lam} outside segment interval "
-            f"[{segment.lambda_lo}, {segment.lambda_hi}]"
-        )
-    x = np.zeros(segment.n_cols)
-    x[segment.primal_indices] = segment.primal_base + lam * segment.primal_slope
-    return x
+    return _dense_at(segment, lam, segment.primal_indices,
+                     segment.primal_base, segment.primal_slope)
 
 
 def evaluate_dual(segment: PathSegment, lam: float) -> np.ndarray:
     """Dense reduced-cost vector of a segment at a given lambda (basic
-    coordinates are zero)."""
+    coordinates are zero); raises like ``evaluate_primal``."""
+    return _dense_at(segment, lam, segment.dual_indices,
+                     segment.dual_base, segment.dual_slope)
+
+
+def _dense_at(segment: PathSegment, lam: float, idx: np.ndarray,
+              base: np.ndarray, slope: np.ndarray) -> np.ndarray:
     if not segment.contains(lam):
         raise ValueError(
             f"lambda={lam} outside segment interval "
             f"[{segment.lambda_lo}, {segment.lambda_hi}]"
         )
-    z = np.zeros(segment.n_cols)
-    z[segment.dual_indices] = segment.dual_base + lam * segment.dual_slope
-    return z
+    v = np.zeros(segment.n_cols)
+    v[idx] = base + lam * slope
+    return v
 
 
 class PivotKind(Enum):

@@ -160,11 +160,7 @@ class DictionaryState:
                 f"basis size {len(partition.basic)} != row count {program.m}"
             )
         self.partition = partition
-        self.fact: linalg.BasisFactorization = None  # set by refresh()
-        self.xB_base = np.zeros(program.m)
-        self.xB_pert = np.zeros(program.m)
-        self.zN_base = np.zeros(self.num_cols - program.m)
-        self.zN_pert = np.zeros(self.num_cols - program.m)
+        # refresh() sets fact, xB_base, xB_pert, zN_base and zN_pert
         self.lambda_lo = float("-inf")
         self.lambda_hi = float("inf")
         self.refresh()
@@ -210,16 +206,6 @@ class DictionaryState:
             self.zN_pert = self.rmatvec(y_bar)[N] - self.c_bar[N]
         else:
             self.zN_pert = np.zeros(len(N))
-
-    def primal_at(self, lam: float) -> np.ndarray:
-        x = np.zeros(self.num_cols)
-        x[self.partition.basic] = self.xB_base + lam * self.xB_pert
-        return x
-
-    def dual_at(self, lam: float) -> np.ndarray:
-        z = np.zeros(self.num_cols)
-        z[self.partition.nonbasic] = self.zN_base + lam * self.zN_pert
-        return z
 
     def segment(
         self,
@@ -319,10 +305,7 @@ def compute_lambda_star(
         if not np.any(mask):
             continue
         idx = np.flatnonzero(mask)
-        ratios = -base[idx] / pert[idx]
-        top = float(ratios.max())
-        tie = idx[ratios >= top - BREAKPOINT_RTOL * (1.0 + abs(top))]
-        pos = int(tie[np.argmin(cols[tie])])
+        top, pos = _largest_ratio(-base[idx] / pert[idx], idx, cols)
         # the nonbasic family is scanned first, so it keeps cross-family ties
         if top > best_lam + BREAKPOINT_RTOL * (1.0 + abs(top)):
             best_lam = top
@@ -344,6 +327,17 @@ def compute_lambda_max(state: DictionaryState) -> float:
     return best
 
 
+def _largest_ratio(
+    ratios: np.ndarray, idx: np.ndarray, cols: np.ndarray
+) -> Tuple[float, int]:
+    """The largest of ``ratios`` (taken at positions ``idx``) and the
+    position it belongs to; ratios within BREAKPOINT_RTOL of it tie, and
+    ties go to the smallest column index ``cols[pos]``."""
+    top = float(ratios.max())
+    tie = idx[ratios >= top - BREAKPOINT_RTOL * (1.0 + abs(top))]
+    return top, int(tie[np.argmin(cols[tie])])
+
+
 def _ratio_pick(
     deltas: np.ndarray, values_at_lam: np.ndarray, cols: np.ndarray
 ) -> Optional[int]:
@@ -360,10 +354,7 @@ def _ratio_pick(
     degenerate = cand[vals < FEAS_TOL]
     if degenerate.size:
         return int(degenerate[np.argmin(cols[degenerate])])
-    ratios = deltas[cand] / vals
-    top = ratios.max()
-    tie = cand[ratios >= top - BREAKPOINT_RTOL * (1.0 + abs(top))]
-    return int(tie[np.argmin(cols[tie])])
+    return _largest_ratio(deltas[cand] / vals, cand, cols)[1]
 
 
 def _delta_z(state: DictionaryState, basic_pos: int) -> np.ndarray:
@@ -378,12 +369,14 @@ def _exchange(
     state: DictionaryState,
     kB: int,
     kN: int,
+    a_j: np.ndarray,
     dxB: np.ndarray,
     dzN: np.ndarray,
     kind: PivotKind,
     lam_star: float,
 ) -> PivotEvent:
-    """Apply the basis exchange at (basic pos kB) <-> (nonbasic pos kN).
+    """Apply the basis exchange at (basic pos kB) <-> (nonbasic pos kN),
+    where ``a_j`` is the entering column and ``dxB = B^{-1} a_j``.
 
     Step lengths are taken from the tight coordinates; all four dictionary
     vectors are updated in place and the swapped slots receive the step
@@ -402,7 +395,7 @@ def _exchange(
     s_bar = state.zN_pert[kN] / dz_j
 
     # May raise UpdateDegenerate; state is untouched in that case.
-    state.fact.replace_column(kB, state.column(j))
+    state.fact.replace_column(kB, a_j)
 
     state.xB_base -= t * dxB
     state.xB_base[kB] = t
@@ -434,7 +427,8 @@ def primal_pivot(state: DictionaryState, entering: int, lam_star: float) -> Pivo
     Delta x_i > RATIO_TOL. Raises UnboundedDirection when no row blocks.
     """
     kN = state.partition.position(entering)
-    dxB = state.fact.solve(state.column(entering))
+    a_j = state.column(entering)
+    dxB = state.fact.solve(a_j)
     xvals = state.xB_base + lam_star * state.xB_pert
     kB = _ratio_pick(dxB, xvals, state.partition.basic)
     if kB is None:
@@ -443,7 +437,7 @@ def primal_pivot(state: DictionaryState, entering: int, lam_star: float) -> Pivo
             f"program is unbounded below lambda={lam_star:.6g}"
         )
     dzN = _delta_z(state, kB)
-    return _exchange(state, kB, kN, dxB, dzN, PivotKind.PRIMAL, lam_star)
+    return _exchange(state, kB, kN, a_j, dxB, dzN, PivotKind.PRIMAL, lam_star)
 
 
 def dual_pivot(state: DictionaryState, leaving: int, lam_star: float) -> PivotEvent:
@@ -462,8 +456,9 @@ def dual_pivot(state: DictionaryState, leaving: int, lam_star: float) -> PivotEv
             f"no entering column for leaving basic variable {leaving}: "
             f"program is infeasible below lambda={lam_star:.6g}"
         )
-    dxB = state.fact.solve(state.column(state.partition.nonbasic[kN]))
-    return _exchange(state, kB, kN, dxB, dzN, PivotKind.DUAL, lam_star)
+    a_j = state.column(state.partition.nonbasic[kN])
+    dxB = state.fact.solve(a_j)
+    return _exchange(state, kB, kN, a_j, dxB, dzN, PivotKind.DUAL, lam_star)
 
 
 def verify_certificate(
@@ -472,7 +467,6 @@ def verify_certificate(
     z: np.ndarray,
     lam: float,
     basic: Optional[Sequence[int]] = None,
-    tol: float = CERT_TOL,
 ) -> CertificateReport:
     """Check that (x, z) certify optimality of the LP at a fixed lambda.
 
@@ -486,7 +480,7 @@ def verify_certificate(
         complementarity:  max_j |x_j * z_j|
         duality_gap:      |c(lam)' x - b(lam)' y|
 
-    Each must be <= tol * (1 + scale of the quantities involved).
+    Each must be <= CERT_TOL * (1 + scale of the quantities involved).
     """
     if p.kind is not ProgramKind.EQUALITY:
         raise ValueError("certificates are checked on equality-kind programs")
@@ -499,7 +493,7 @@ def verify_certificate(
     else:
         y, *_ = np.linalg.lstsq(p.A.T, z + cost, rcond=None)
     return _certificate_residuals(
-        x, z, y, p.A @ x, _transpose_times(p.A, y), cost, p.rhs(lam), lam, tol
+        x, z, y, p.A @ x, _transpose_times(p.A, y), cost, p.rhs(lam), lam
     )[0]
 
 
@@ -512,7 +506,6 @@ def _certificate_residuals(
     cost: np.ndarray,
     rhs: np.ndarray,
     lam: float,
-    tol: float,
 ) -> Tuple[CertificateReport, np.ndarray]:
     """The residuals of ``verify_certificate`` for given multipliers y and
     the products ``ax = A x`` and ``aty = A' y``, plus the recomputed
@@ -530,10 +523,10 @@ def _certificate_residuals(
     gap = abs(primal_obj - dual_obj)
 
     ok = (
-        rp <= tol * (1.0 + float(np.abs(rhs).max(initial=0.0)))
-        and rd <= tol * (1.0 + float(np.abs(cost).max(initial=0.0)))
-        and rc <= tol * (1.0 + float(np.abs(x).max(initial=0.0)) * float(np.abs(z).max(initial=0.0)))
-        and gap <= tol * (1.0 + abs(primal_obj) + abs(dual_obj))
+        rp <= CERT_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+        and rd <= CERT_TOL * (1.0 + float(np.abs(cost).max(initial=0.0)))
+        and rc <= CERT_TOL * (1.0 + float(np.abs(x).max(initial=0.0)) * float(np.abs(z).max(initial=0.0)))
+        and gap <= CERT_TOL * (1.0 + abs(primal_obj) + abs(dual_obj))
     )
     report = CertificateReport(
         lambda_value=lam,
@@ -541,7 +534,7 @@ def _certificate_residuals(
         dual_residual=rd,
         complementarity=rc,
         duality_gap=gap,
-        tolerance=tol,
+        tolerance=CERT_TOL,
         passed=ok,
     )
     return report, zhat
@@ -563,9 +556,14 @@ def _post_pivot_ok(state: DictionaryState, lam: float) -> bool:
     cost = state.c + lam * state.c_bar
     y = state.fact.solve_transpose(cost[B])
     xB = state.xB_base + lam * state.xB_pert
+    zN = state.zN_base + lam * state.zN_pert
+    x = np.zeros(state.num_cols)
+    x[B] = xB
+    z = np.zeros(state.num_cols)
+    z[N] = zN
     report, zhat = _certificate_residuals(
-        state.primal_at(lam), state.dual_at(lam), y, state.basic_times(xB),
-        state.rmatvec(y), cost, state.program.rhs(lam), lam, CERT_TOL,
+        x, z, y, state.basic_times(xB), state.rmatvec(y), cost,
+        state.program.rhs(lam), lam,
     )
     basis_residual = float(np.abs(zhat[B]).max(initial=0.0))
     if basis_residual > CERT_TOL * (1.0 + float(np.abs(cost).max(initial=0.0))):
@@ -576,7 +574,7 @@ def _post_pivot_ok(state: DictionaryState, lam: float) -> bool:
         return False
     zhat_n = zhat[N]
     scale = 1.0 + float(np.abs(zhat_n).max(initial=0.0))
-    drift = float(np.abs(zhat_n - (state.zN_base + lam * state.zN_pert)).max(initial=0.0))
+    drift = float(np.abs(zhat_n - zN).max(initial=0.0))
     if drift > CERT_TOL * scale:
         logger.debug("dictionary drift %.3e at lambda=%g", drift, lam)
         return False
@@ -629,6 +627,7 @@ def solve_path(
         ``termination_detail``.
 
     Raises:
+        ValueError: lambda_target is NaN or max_pivots is negative.
         InfeasibleAtLargeLambda: the starting basis is never optimal.
         SingularBasis: the starting basis cannot be factorized.
         NumericalFailure is *not* raised: it is reported as a termination
@@ -637,6 +636,10 @@ def solve_path(
     opts = options or SolveOptions()
     if kwargs:
         opts = SolveOptions(**{**opts.__dict__, **kwargs})
+    if np.isnan(opts.lambda_target):
+        raise ValueError("lambda_target is NaN")
+    if opts.max_pivots is not None and opts.max_pivots < 0:
+        raise ValueError(f"max_pivots must be >= 0, got {opts.max_pivots}")
 
     if initial_basis is not None:
         basic = list(initial_basis)
@@ -662,13 +665,10 @@ def solve_path(
         path.segments.append(seg)
         nonpositive = lam_star <= zero_tol
 
-        if tight is None:  # optimal all the way down
-            path.termination = Termination.REACHED_TARGET
-            path.terminal_lambda = opts.lambda_target
-            break
-        if lam_star <= opts.lambda_target and (
+        reached = lam_star <= opts.lambda_target and (
             opts.lambda_target > 0.0 or not nonpositive
-        ):
+        )
+        if tight is None or reached:  # tight is None: optimal all the way down
             path.termination = Termination.REACHED_TARGET
             path.terminal_lambda = opts.lambda_target
             break
@@ -701,10 +701,6 @@ def solve_path(
                 f"{pivots}\t{event.kind.value}\t{event.entering}\t{event.leaving}"
                 f"\t{event.lambda_star:.12g}\t{event.t:.6g}\t{event.s:.6g}\n"
             )
-        logger.debug(
-            "pivot %d (%s): entering=%d leaving=%d lambda*=%.9g",
-            pivots, event.kind.value, event.entering, event.leaving, lam_star,
-        )
         if state.fact.updates_since_refactor >= linalg.REFRESH_LIMIT:
             state.refresh()
         lam_hi = lam_star

@@ -52,6 +52,8 @@ def gen_dantzig(
     cfg: DantzigGenConfig, rng: Optional[np.random.Generator] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (X, y, theta0) for one regression instance."""
+    if min(cfg.n, cfg.d) < 1:
+        raise ValueError(f"n and d must be >= 1, got n={cfg.n}, d={cfg.d}")
     if cfg.s > cfg.d:
         raise ValueError("sparsity s cannot exceed dimension d")
     if rng is None:
@@ -91,6 +93,8 @@ def gen_diffnet(
     cfg: DiffNetGenConfig, rng: Optional[np.random.Generator] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (S_X, S_Y, Delta0) with Delta0 the true precision difference."""
+    if min(cfg.n, cfg.d) < 1:
+        raise ValueError(f"n and d must be >= 1, got n={cfg.n}, d={cfg.d}")
     d = cfg.d
     max_offdiag = d * (d - 1) // 2
     if cfg.sparsity > max_offdiag:
@@ -179,6 +183,8 @@ def run_dantzig_bench(
     """Solve ``repetitions`` independent regression instances down to the
     stop level, recording pivots, timing, worst constraint violation over
     the breakpoints, and whether the terminal support covers theta0's."""
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     root = np.random.SeedSequence(cfg.rng_seed)
     target = stop_lambda(stop_rule, cfg.n, cfg.d, cfg.sigma)
     records: List[BenchRecord] = []
@@ -222,6 +228,8 @@ def run_diffnet_bench(
     """Trace the matrix-estimator path until the estimate has target_nnz
     nonzeros (default: the true sparsity of Delta0), then check that the
     recovered support is contained in the truth's."""
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     root = np.random.SeedSequence(cfg.rng_seed)
     records: List[BenchRecord] = []
     for rep, child in enumerate(root.spawn(repetitions)):

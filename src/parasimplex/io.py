@@ -11,7 +11,7 @@ import csv
 import json
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,9 +55,8 @@ def load_vector_csv(path: PathLike) -> np.ndarray:
     return load_matrix_csv(path).reshape(-1)
 
 
-def save_matrix_csv(path: PathLike, M: np.ndarray, header: str = "") -> None:
-    np.savetxt(path, np.atleast_2d(M), delimiter=",", fmt="%.17g",
-               header=header, comments="")
+def save_matrix_csv(path: PathLike, M: np.ndarray) -> None:
+    np.savetxt(path, np.atleast_2d(M), delimiter=",", fmt="%.17g")
 
 
 def save_program_json(path: PathLike, p: ParametricProgram) -> None:
@@ -104,12 +103,9 @@ def save_program_coo(path: PathLike, p: ParametricProgram) -> None:
     lines = [f"psm-coo m={p.m} n={p.n} kind={p.kind.value}"]
     for (i, j) in zip(*np.nonzero(p.A)):
         lines.append(f"A {i} {j} {float(p.A[i, j])!r}")
-    for tag, vec in (("b", p.b), ("bbar", p.b_bar)):
+    for tag, vec in (("b", p.b), ("bbar", p.b_bar), ("c", p.c), ("cbar", p.c_bar)):
         for i in np.flatnonzero(vec):
             lines.append(f"{tag} {i} {float(vec[i])!r}")
-    for tag, vec in (("c", p.c), ("cbar", p.c_bar)):
-        for j in np.flatnonzero(vec):
-            lines.append(f"{tag} {j} {float(vec[j])!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -160,20 +156,23 @@ def load_program_coo(path: PathLike) -> ParametricProgram:
     return ParametricProgram(A=A, b=b, b_bar=b_bar, c=c, c_bar=c_bar, kind=kind)
 
 
+def _affine_doc(indices: np.ndarray, base: np.ndarray, slope: np.ndarray) -> Dict:
+    return {"indices": indices.tolist(), "base": base.tolist(), "slope": slope.tolist()}
+
+
+def _affine_arrays(doc: Dict) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (indices, base, slope) arrays of an ``_affine_doc``."""
+    return (np.asarray(doc["indices"], dtype=np.intp),
+            np.asarray(doc["base"], dtype=float),
+            np.asarray(doc["slope"], dtype=float))
+
+
 def _segment_doc(seg: PathSegment) -> Dict:
     return {
         "lambda_lo": _enc_float(seg.lambda_lo),
         "lambda_hi": _enc_float(seg.lambda_hi),
-        "primal": {
-            "indices": [int(i) for i in seg.primal_indices],
-            "base": seg.primal_base.tolist(),
-            "slope": seg.primal_slope.tolist(),
-        },
-        "dual": {
-            "indices": [int(i) for i in seg.dual_indices],
-            "base": seg.dual_base.tolist(),
-            "slope": seg.dual_slope.tolist(),
-        },
+        "primal": _affine_doc(seg.primal_indices, seg.primal_base, seg.primal_slope),
+        "dual": _affine_doc(seg.dual_indices, seg.dual_base, seg.dual_slope),
         "entering": seg.entering,
         "leaving": seg.leaving,
     }
@@ -184,6 +183,7 @@ def save_path_json(path: PathLike, sol: SolutionPath) -> None:
         "num_cols": sol.num_cols,
         "termination": sol.termination.value,
         "terminal_lambda": _enc_float(sol.terminal_lambda),
+        "termination_detail": sol.termination_detail,
         "slack_info": (
             None if sol.slack_info is None else {
                 "original_n": sol.slack_info.original_n,
@@ -211,23 +211,13 @@ def save_path_json(path: PathLike, sol: SolutionPath) -> None:
 def load_path_json(path: PathLike) -> SolutionPath:
     doc = json.loads(Path(path).read_text())
     n_cols = int(doc["num_cols"])
-    segments = []
-    for s in doc["segments"]:
-        segments.append(
-            PathSegment(
-                lambda_lo=float(s["lambda_lo"]),
-                lambda_hi=float(s["lambda_hi"]),
-                n_cols=n_cols,
-                primal_indices=np.asarray(s["primal"]["indices"], dtype=np.intp),
-                primal_base=np.asarray(s["primal"]["base"], dtype=float),
-                primal_slope=np.asarray(s["primal"]["slope"], dtype=float),
-                dual_indices=np.asarray(s["dual"]["indices"], dtype=np.intp),
-                dual_base=np.asarray(s["dual"]["base"], dtype=float),
-                dual_slope=np.asarray(s["dual"]["slope"], dtype=float),
-                entering=s.get("entering"),
-                leaving=s.get("leaving"),
-            )
-        )
+    segments = [
+        # PathSegment's fields in order: the interval, n_cols, primal, dual
+        PathSegment(float(s["lambda_lo"]), float(s["lambda_hi"]), n_cols,
+                    *_affine_arrays(s["primal"]), *_affine_arrays(s["dual"]),
+                    entering=s.get("entering"), leaving=s.get("leaving"))
+        for s in doc["segments"]
+    ]
     events = [
         PivotEvent(
             kind=PivotKind(e["kind"]),
@@ -251,22 +241,37 @@ def load_path_json(path: PathLike) -> SolutionPath:
         slack_info=None if si is None else SlackInfo(
             original_n=int(si["original_n"]), num_rows=int(si["num_rows"])
         ),
+        termination_detail=doc.get("termination_detail", ""),
     )
+
+
+def _write_path_rows(
+    path: PathLike, pieces: Iterable, violations: Optional[Sequence[float]] = None
+) -> None:
+    """One CSV row per (segment, variable) from per-segment pieces
+    ``(lambda_lo, lambda_hi, indices, base, slope)``. ``violations`` adds
+    one extra column, constant per segment."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        header = ["segment_id", "lambda_lo", "lambda_hi",
+                  "var_index", "base", "slope"]
+        if violations is not None:
+            header.append("violation_at_lo")
+        w.writerow(header)
+        for sid, (lo, hi, idx, base, slope) in enumerate(pieces):
+            lo, hi = repr(float(lo)), repr(float(hi))
+            tail = () if violations is None else (repr(float(violations[sid])),)
+            # csv writes a Python float as its repr, like the strings above
+            rows = zip(idx.tolist(), base.tolist(), slope.tolist())
+            w.writerows((sid, lo, hi, j, b, s) + tail for j, b, s in rows)
 
 
 def save_path_csv(path: PathLike, sol: SolutionPath) -> None:
     """Primal path rows: one line per (segment, basic variable)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["segment_id", "lambda_lo", "lambda_hi",
-                    "var_index", "base", "slope"])
-        for sid, seg in enumerate(sol.segments):
-            for j, base, slope in zip(
-                seg.primal_indices, seg.primal_base, seg.primal_slope
-            ):
-                w.writerow([sid, repr(float(seg.lambda_lo)),
-                            repr(float(seg.lambda_hi)),
-                            int(j), repr(float(base)), repr(float(slope))])
+    _write_path_rows(path, (
+        (s.lambda_lo, s.lambda_hi, s.primal_indices, s.primal_base, s.primal_slope)
+        for s in sol.segments
+    ))
 
 
 def save_original_path_csv(
@@ -276,25 +281,15 @@ def save_original_path_csv(
 ) -> None:
     """Recovered-coordinate path rows (matrix problems use column-major flat
     indices). ``violations`` adds one extra column, constant per segment."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        header = ["segment_id", "lambda_lo", "lambda_hi",
-                  "var_index", "base", "slope"]
-        if violations is not None:
-            header.append("violation_at_lo")
-        w.writerow(header)
-        for sid, seg in enumerate(orig.segments):
+
+    def pieces():
+        for seg in orig.segments:
             base = np.asarray(seg.base).flatten(order="F")
             slope = np.asarray(seg.slope).flatten(order="F")
             nz = np.flatnonzero((base != 0.0) | (slope != 0.0))
-            lo, hi = repr(float(seg.lambda_lo)), repr(float(seg.lambda_hi))
-            # csv writes a Python float as its repr, like the strings above
-            rows = zip(nz.tolist(), base[nz].tolist(), slope[nz].tolist())
-            if violations is None:
-                w.writerows([sid, lo, hi, j, b, s] for j, b, s in rows)
-            else:
-                viol = repr(float(violations[sid]))
-                w.writerows([sid, lo, hi, j, b, s, viol] for j, b, s in rows)
+            yield seg.lambda_lo, seg.lambda_hi, nz, base[nz], slope[nz]
+
+    _write_path_rows(path, pieces(), violations)
 
 
 def save_bench_csv(path: PathLike, records: Sequence) -> None:

@@ -155,10 +155,3 @@ class BasisFactorization:
             )
         self._updates.append((k, p, 1.0 / det_ratio))
         return float(det_ratio)
-
-    def condition_estimate(self) -> float:
-        """Cheap infinity-norm condition estimate (diagnostic only)."""
-        if self.m == 0:
-            return 1.0
-        inv_norm = float(np.abs(self.solve(np.ones(self.m))).max())
-        return self.norm_inf * inv_norm

@@ -21,13 +21,13 @@ from typing import Callable, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from .core import (
-    INTERVAL_TOL,
     ParametricProgram,
     PathSegment,
     ProgramKind,
     SolutionPath,
     Termination,
     segment_breakpoint,
+    segment_contains,
 )
 from .errors import ComplementarityViolation
 
@@ -35,6 +35,17 @@ from .errors import ComplementarityViolation
 SUPPORT_TOL = 1e-9
 # theta_plus * theta_minus above this at a breakpoint signals an engine bug.
 COMPL_TOL = 1e-12
+
+
+def _set_xy(inst) -> None:
+    """Store a frozen instance's X as a float matrix and y as a float vector
+    with one entry per row of X."""
+    X = np.atleast_2d(np.asarray(inst.X, dtype=float))
+    y = np.asarray(inst.y, dtype=float).reshape(-1)
+    if X.shape[0] != y.shape[0]:
+        raise ValueError("X row count must match len(y)")
+    object.__setattr__(inst, "X", X)
+    object.__setattr__(inst, "y", y)
 
 
 @dataclass(frozen=True)
@@ -45,12 +56,7 @@ class DantzigInstance:
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X row count must match len(y)")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+        _set_xy(self)
 
 
 @dataclass(frozen=True)
@@ -61,14 +67,9 @@ class SvmInstance:
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X row count must match len(y)")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
+        _set_xy(self)
+        if not np.all(np.isin(self.y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,7 @@ class PathInOriginalCoords:
 
     def segment_at(self, lam: float) -> OriginalSegment:
         for seg in self.segments:
-            tol = INTERVAL_TOL * (1.0 + abs(lam))
-            if seg.lambda_lo - tol <= lam <= seg.lambda_hi + tol:
+            if segment_contains(seg, lam):
                 return seg
         raise ValueError(f"lambda={lam} not covered by any segment")
 

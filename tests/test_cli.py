@@ -147,6 +147,18 @@ def test_solve_no_path_prints_the_reason_to_stderr(tmp_path, capsys):
     assert "entering column 0" in captured.err
 
 
+def test_solve_out_json_keeps_the_reason(tmp_path, capsys):
+    p = ParametricProgram(A=[[-1.0]], b=[1.0], b_bar=[0.0], c=[1.0],
+                          c_bar=[-1.0], kind=ProgramKind.LESS_EQUAL)
+    src = _write_program(tmp_path, p, name="unb.json")
+    out_json = tmp_path / "o.json"
+    rc = cli.main(["solve", str(src), "--out-json", str(out_json)])
+    assert rc == cli.EXIT_NO_SOLUTION
+    reason = capsys.readouterr().err.strip()
+    assert "entering column 0" in reason
+    assert json.loads(out_json.read_text())["termination_detail"] == reason
+
+
 def test_solve_equality_needs_basis(tmp_path, capsys):
     p = ParametricProgram(A=[[1.0, 1.0]], b=[1.0], b_bar=[1.0],
                           c=[-1.0, -2.0], c_bar=[0.0, 0.0],
@@ -364,6 +376,30 @@ def test_bench_diffnet_runs(tmp_path, capsys):
     ])
     assert rc == cli.EXIT_OK
     assert "violation_mean=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["dantzig", "--x", "{X}", "--y", "{y}", "--stop-rule", "value:nan"],
+    ["solve", "{prog}", "--target", "nan"],
+    ["solve", "{prog}", "--max-pivots", "-3"],
+    ["bench", "dantzig", "--n", "20", "--d", "8", "--reps", "-1"],
+    ["bench", "diffnet", "--n", "40", "--d", "3", "--s", "1", "--reps", "0"],
+    ["gen", "dantzig", "--n", "0", "--out-dir", "{out}"],
+    ["diffnet", "--sx", "{SX}", "--sy", "{SY}", "--stop-rule", "sparsity:-2"],
+], ids=["value-nan", "target-nan", "max-pivots-negative", "reps-negative",
+        "reps-zero", "gen-n-zero", "sparsity-negative"])
+def test_malformed_numeric_input_exits_64(tmp_path, capsys, argv):
+    pio.save_matrix_csv(tmp_path / "X.csv", np.eye(2))
+    pio.save_matrix_csv(tmp_path / "y.csv", np.array([[1.0], [2.0]]))
+    sx, sy = _diffnet_files(tmp_path)
+    files = {"X": tmp_path / "X.csv", "y": tmp_path / "y.csv", "SX": sx, "SY": sy,
+             "prog": _write_program(tmp_path, _soft_threshold_program()),
+             "out": tmp_path / "gen"}
+    rc = cli.main([a.format(**files) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert "input error" in captured.err and captured.out == ""
+    assert not (tmp_path / "gen").exists()
 
 
 # --------------------------------------------------------------- trace

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from parasimplex import io as pio
-from parasimplex.core import ProgramKind, Termination
+from parasimplex.core import ParametricProgram, ProgramKind, Termination
 from parasimplex.engine import solve_path
 from parasimplex.experiments import (
     BenchRecord,
@@ -143,6 +143,21 @@ def test_path_json_roundtrip(tmp_path):
     assert "Infinity" not in f.read_text()
 
 
+def test_path_json_keeps_termination_detail(tmp_path):
+    unbounded = ParametricProgram(A=[[-1.0]], b=[1.0], b_bar=[0.0], c=[1.0],
+                                  c_bar=[-1.0], kind=ProgramKind.LESS_EQUAL)
+    path = solve_path(unbounded)
+    assert path.termination is Termination.UNBOUNDED and path.termination_detail
+    f = tmp_path / "path.json"
+    pio.save_path_json(f, path)
+    assert pio.load_path_json(f).termination_detail == path.termination_detail
+    # files written before the field existed load with an empty detail
+    doc = json.loads(f.read_text())
+    del doc["termination_detail"]
+    f.write_text(json.dumps(doc))
+    assert pio.load_path_json(f).termination_detail == ""
+
+
 def test_path_csv_rows(tmp_path):
     path = solve_path(_program())
     f = tmp_path / "path.csv"
@@ -207,6 +222,27 @@ def test_original_path_csv_is_byte_identical_to_row_by_row(tmp_path):
         _original_path_csv_row_by_row(want, o, violations)
         assert len(want.read_bytes().splitlines()) > len(o.segments)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_path_csv_is_byte_identical_to_row_by_row(tmp_path):
+    X, y, _ = gen_dantzig(DantzigGenConfig(n=20, d=8, rng_seed=4))
+    path = solve_path(build_dantzig(DantzigInstance(X, y)))
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as f:  # one csv.writerow per entry
+        w = csv.writer(f)
+        w.writerow(["segment_id", "lambda_lo", "lambda_hi",
+                    "var_index", "base", "slope"])
+        for sid, seg in enumerate(path.segments):
+            for j, base, slope in zip(
+                seg.primal_indices, seg.primal_base, seg.primal_slope
+            ):
+                w.writerow([sid, repr(float(seg.lambda_lo)),
+                            repr(float(seg.lambda_hi)),
+                            int(j), repr(float(base)), repr(float(slope))])
+    got = tmp_path / "got.csv"
+    pio.save_path_csv(got, path)
+    assert len(want.read_bytes().splitlines()) > len(path.segments)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_bench_csv(tmp_path):

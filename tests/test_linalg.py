@@ -82,11 +82,6 @@ def test_long_update_chain_matches_dense():
                                atol=1e-7)
 
 
-def test_condition_estimate_positive():
-    f = BasisFactorization(np.diag([1.0, 1e-3]))
-    assert f.condition_estimate() >= 1.0
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_random_update_sequences_match_dense(data):
