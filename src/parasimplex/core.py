@@ -20,6 +20,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .operators import Operator, as_operator
+
 # Slack allowed when testing whether a lambda lies inside a segment.
 INTERVAL_TOL = 1e-9
 
@@ -45,13 +47,14 @@ class ParametricProgram:
     """A parametric LP ``max (c + lam c_bar)'x`` s.t. ``Ax (=|<=) b + lam b_bar, x >= 0``.
 
     Attributes:
-        A: constraint matrix, shape (m, n), full row rank assumed.
+        A: constraint matrix, shape (m, n), full row rank assumed, held as
+            an ``operators.Operator``; an array is wrapped as a DenseMatrix.
         b, b_bar: base and perturbation right-hand sides, shape (m,).
         c, c_bar: base and perturbation objective vectors, shape (n,).
         kind: whether rows are equalities or <= inequalities.
     """
 
-    A: np.ndarray
+    A: Operator
     b: np.ndarray
     b_bar: np.ndarray
     c: np.ndarray
@@ -60,7 +63,7 @@ class ParametricProgram:
 
     def __post_init__(self) -> None:
         self.kind = ProgramKind(self.kind)
-        self.A = np.ascontiguousarray(np.atleast_2d(np.asarray(self.A, dtype=float)))
+        self.A = as_operator(self.A)  # checks its entries are finite
         m, n = self.A.shape
         for name in ("b", "b_bar", "c", "c_bar"):
             v = np.asarray(getattr(self, name), dtype=float).reshape(-1)
@@ -69,7 +72,7 @@ class ParametricProgram:
             raise ValueError(f"rhs vectors must have shape ({m},)")
         if self.c.shape != (n,) or self.c_bar.shape != (n,):
             raise ValueError(f"cost vectors must have shape ({n},)")
-        for name in ("A", "b", "b_bar", "c", "c_bar"):
+        for name in ("b", "b_bar", "c", "c_bar"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite entries in {name}")
         if m > n and self.kind is ProgramKind.EQUALITY:
@@ -108,7 +111,7 @@ def to_standard_form(p: ParametricProgram) -> Tuple[ParametricProgram, Optional[
     if p.kind is ProgramKind.EQUALITY:
         return p, None
     m, n = p.m, p.n
-    A = np.hstack([p.A, np.eye(m)])
+    A = np.hstack([p.A.to_dense(), np.eye(m)])
     c = np.concatenate([p.c, np.zeros(m)])
     c_bar = np.concatenate([p.c_bar, np.zeros(m)])
     std = ParametricProgram(A, p.b.copy(), p.b_bar.copy(), c, c_bar, ProgramKind.EQUALITY)

@@ -55,13 +55,14 @@ logger = logging.getLogger(__name__)
 def _keep_freed_heap() -> None:
     """Fix glibc's heap thresholds at the ceiling its own adaptation reaches.
 
-    A build and solve allocate and free arrays of a few MB (the program's
-    constraint matrix, the basis gather and LU; the solve forms no standard
-    form). glibc serves those from the heap only once it has freed an
-    mmap block as large, and returns the heap top to the system whenever
-    twice that is free, so back-to-back solves of mid-sized programs
-    page-fault all of their arrays back in, a large and erratic share of a
-    short solve. Process-wide; no effect off glibc.
+    A solve allocates and frees arrays of a few MB (the basis gather and
+    its LU, the update chain's vectors, the products with the constraint
+    operator; it forms neither the standard form nor a structured
+    constraint matrix). glibc serves those from the heap only once it has
+    freed an mmap block as large, and returns the heap top to the system
+    whenever twice that is free, so back-to-back solves of mid-sized
+    programs page-fault all of their arrays back in, a large and erratic
+    share of a short solve. Process-wide; no effect off glibc.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -84,9 +85,6 @@ RATIO_TOL = 1e-9
 CERT_TOL = 1e-7
 # Relative slack when comparing candidate breakpoints and ratio-test ties.
 BREAKPOINT_RTOL = 1e-12
-# A' y reads only the rows of A where y is nonzero when they are at most this
-# share of all rows; gathering rows costs 3-5x a plain A' y per row read.
-SPARSE_ROWS_FRAC = 0.2
 
 
 @dataclass
@@ -138,11 +136,10 @@ class DictionaryState:
 
     The state works in standard-form numbering. A <= program's slack column
     ``n + i`` is the unit vector e_i; it is never stored, and ``slack``
-    records the layout (None for an equality program). Apart from the
-    structural basic columns that ``refresh`` hands to the factorization,
-    the engine reads the constraint matrix only through ``column``,
-    ``rmatvec`` and ``basic_times``, so slack columns are handled there
-    alone.
+    records the layout (None for an equality program). The engine reads
+    the constraint operator ``program.A`` only through ``column``,
+    ``rmatvec``, ``basic_times`` and the gather of the structural basic
+    columns in ``refresh``, so slack columns are handled there alone.
     """
 
     def __init__(self, program: ParametricProgram, partition: BasisPartition):
@@ -169,7 +166,7 @@ class DictionaryState:
         """Standard-form column j: ``A[:, j]``, or e_i for slack ``n + i``."""
         n = self.program.n
         if j < n:
-            return self.program.A[:, j]
+            return self.program.A.column(j)
         e = np.zeros(self.program.m)
         e[j - n] = 1.0
         return e
@@ -177,7 +174,7 @@ class DictionaryState:
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """Standard-form ``[A | I]' y = [A' y ; y]`` (just ``A' y`` without
         slacks)."""
-        aty = _transpose_times(self.program.A, y)
+        aty = self.program.A.rmatvec(y)
         return aty if self.slack is None else np.concatenate([aty, y])
 
     def basic_times(self, xB: np.ndarray) -> np.ndarray:
@@ -186,7 +183,7 @@ class DictionaryState:
         B = self.partition.basic
         n = self.program.n
         structural = B < n
-        ax = self.program.A[:, B[structural]] @ xB[structural]
+        ax = self.program.A.times_columns(B[structural], xB[structural])
         ax[B[~structural] - n] += xB[~structural]
         return ax
 
@@ -196,7 +193,8 @@ class DictionaryState:
         B = self.partition.basic
         N = self.partition.nonbasic
         slack_rows = np.where(B >= p.n, B - p.n, -1)
-        self.fact = linalg.BasisFactorization(p.A[:, B[slack_rows < 0]], slack_rows)
+        self.fact = linalg.BasisFactorization(
+            p.A.columns(B[slack_rows < 0]), slack_rows)
         self.xB_base = self.fact.solve(p.b)
         self.xB_pert = self.fact.solve(p.b_bar)
         y = self.fact.solve_transpose(self.c[B])
@@ -232,16 +230,6 @@ class DictionaryState:
 def _num_cols(p: ParametricProgram) -> int:
     """Column count of the standard form: n, plus one slack per <= row."""
     return p.n + (p.m if p.kind is ProgramKind.LESS_EQUAL else 0)
-
-
-def _transpose_times(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``A' y``, reading only the rows of A in the support of y when that
-    support is small. Basis solves leave y zero on every slack row the
-    update chain has not touched."""
-    rows = np.flatnonzero(y)
-    if rows.size > SPARSE_ROWS_FRAC * len(y):
-        return A.T @ y
-    return y[rows] @ A[rows]
 
 
 def initialize(p: ParametricProgram, basic: Sequence[int]) -> DictionaryState:
@@ -394,7 +382,8 @@ def _exchange(
     s = state.zN_base[kN] / dz_j
     s_bar = state.zN_pert[kN] / dz_j
 
-    # May raise UpdateDegenerate; state is untouched in that case.
+    # Reuses the solve that gave dxB. May raise UpdateDegenerate; state is
+    # untouched in that case.
     state.fact.replace_column(kB, a_j)
 
     state.xB_base -= t * dxB
@@ -487,13 +476,14 @@ def verify_certificate(
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     cost = p.cost(lam)
+    A = p.A.to_dense()
     if basic is not None:
         B = np.asarray(basic, dtype=np.intp)
-        y = np.linalg.solve(p.A[:, B].T, cost[B])
+        y = np.linalg.solve(A[:, B].T, cost[B])
     else:
-        y, *_ = np.linalg.lstsq(p.A.T, z + cost, rcond=None)
+        y, *_ = np.linalg.lstsq(A.T, z + cost, rcond=None)
     return _certificate_residuals(
-        x, z, y, p.A @ x, _transpose_times(p.A, y), cost, p.rhs(lam), lam
+        x, z, y, A @ x, A.T @ y, cost, p.rhs(lam), lam
     )[0]
 
 

@@ -64,7 +64,7 @@ def save_program_json(path: PathLike, p: ParametricProgram) -> None:
         "m": p.m,
         "n": p.n,
         "kind": p.kind.value,
-        "A": p.A.tolist(),
+        "A": p.A.to_dense().tolist(),
         "b": p.b.tolist(),
         "b_bar": p.b_bar.tolist(),
         "c": p.c.tolist(),
@@ -101,8 +101,9 @@ _COO_HEADER = re.compile(r"^psm-coo\s+m=(\d+)\s+n=(\d+)\s+kind=(\S+)$")
 def save_program_coo(path: PathLike, p: ParametricProgram) -> None:
     """Sparse text format: a header line, then one nonzero per line."""
     lines = [f"psm-coo m={p.m} n={p.n} kind={p.kind.value}"]
-    for (i, j) in zip(*np.nonzero(p.A)):
-        lines.append(f"A {i} {j} {float(p.A[i, j])!r}")
+    A = p.A.to_dense()
+    for (i, j) in zip(*np.nonzero(A)):
+        lines.append(f"A {i} {j} {float(A[i, j])!r}")
     for tag, vec in (("b", p.b), ("bbar", p.b_bar), ("c", p.c), ("cbar", p.c_bar)):
         for i in np.flatnonzero(vec):
             lines.append(f"{tag} {i} {float(vec[i])!r}")

@@ -23,7 +23,9 @@ a short chain of Sherman-Morrison updates:
 so ``B_new^{-1} v = (I - theta p e_k') B^{-1} v`` with ``theta = 1/(1+p_k)``.
 Entering slack columns are ordinary columns to the chain. The chain only
 grows; the engine rebuilds the factorization from the basis columns once it
-holds ``REFRESH_LIMIT`` entries.
+holds ``REFRESH_LIMIT`` entries. A pivot has already solved ``B p = a`` for
+its ratio test, so ``replace_column`` reuses the last ``solve`` when it is
+handed that same column object.
 """
 
 from __future__ import annotations
@@ -98,6 +100,8 @@ class BasisFactorization:
                 )
         # update chain entries: (position k, vector p, theta = 1/(1+p_k))
         self._updates: List[Tuple[int, np.ndarray, float]] = []
+        # (v, B^{-1} v) of the last solve against the current basis
+        self._last_solve: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def updates_since_refactor(self) -> int:
@@ -126,6 +130,7 @@ class BasisFactorization:
         w = self._base_solve(np.asarray(v, dtype=float))
         for k, p, theta in self._updates:
             w = w - (theta * w[k]) * p
+        self._last_solve = (v, w)
         return w
 
     def solve_transpose(self, v: np.ndarray) -> np.ndarray:
@@ -142,10 +147,18 @@ class BasisFactorization:
         UpdateDegenerate when that ratio is numerically zero (the new column
         lies in the span of the others); the caller should refactorize with
         a different pivot.
+
+        When ``a_new`` is the very array the last ``solve`` was given, that
+        solve's result is reused instead of solving again; neither array
+        may have been changed in place since.
         """
         if not 0 <= k < self.m:
             raise IndexError(f"column position {k} out of range")
-        p = self.solve(a_new)
+        last = self._last_solve
+        if last is not None and last[0] is a_new:
+            p = last[1].copy()
+        else:
+            p = self.solve(a_new)
         p[k] -= 1.0
         det_ratio = 1.0 + p[k]
         if abs(det_ratio) < PIVOT_RTOL * max(1.0, self.norm_inf):
@@ -154,4 +167,5 @@ class BasisFactorization:
                 f"(det ratio {det_ratio:.3e})"
             )
         self._updates.append((k, p, 1.0 / det_ratio))
+        self._last_solve = None
         return float(det_ratio)

@@ -1,0 +1,207 @@
+"""Constraint matrices as operators, so structured ones are never formed.
+
+The engine reads a program's constraint matrix A only through four
+operations, and every operator here implements them:
+
+    column(j)             A[:, j]
+    columns(S)            A[:, S], the gather that refresh factors
+    times_columns(S, x)   A[:, S] @ x, for an x that is zero off S
+    rmatvec(y)            A' y
+
+plus ``shape``, ``nbytes`` (the bytes the operator holds) and
+``to_dense()``, which forms the matrix for code that needs it on small
+programs (the oracle, file output, ``to_standard_form`` and
+``verify_certificate``). Each constructor checks its factors for
+non-finite entries and names the factor in its error.
+
+Kinds:
+    DenseMatrix(M)   any matrix given as an array
+    Gram(X)          G = X'X (d x d) held as X (n x d); a product is X'(X u)
+    Kron(X, Z)       G = Z' kron X held as X and Z; G vec(U) = vec(X U Z)
+    SupNorm(G)       [[G, -G], [-G, G]] held as G, one G product per product
+"""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+import numpy as np
+
+# A' y reads only the rows of A where y is nonzero when they are at most this
+# share of all rows; gathering rows costs 3-5x a plain A' y per row read.
+SPARSE_ROWS_FRAC = 0.2
+
+
+def _finite(M, name: str) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"non-finite entries in {name}")
+    return M
+
+
+def _sparse_support(y: np.ndarray):
+    """The indices where y is nonzero, or None when they are too many for
+    a gather to pay."""
+    rows = np.flatnonzero(y)
+    return None if rows.size > SPARSE_ROWS_FRAC * len(y) else rows
+
+
+class Operator:
+    """Base of the operator kinds; ``as_operator`` wraps anything else."""
+
+    shape: Tuple[int, int]
+    nbytes: int  # the bytes the operator holds
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"{type(self).__name__}(shape={self.shape})"
+
+
+def as_operator(M, name: str = "A") -> Operator:
+    """M itself when it is an operator, else M wrapped as a DenseMatrix."""
+    return M if isinstance(M, Operator) else DenseMatrix(M, name)
+
+
+class DenseMatrix(Operator):
+    """A matrix held as a C-contiguous array."""
+
+    def __init__(self, M, name: str = "A"):
+        self.M = np.ascontiguousarray(np.atleast_2d(_finite(M, name)))
+        self.shape = self.M.shape
+        self.nbytes = self.M.nbytes
+
+    def column(self, j: int) -> np.ndarray:
+        return self.M[:, j]
+
+    def columns(self, S: np.ndarray) -> np.ndarray:
+        return self.M[:, S]
+
+    def times_columns(self, S: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.M[:, S] @ x
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """``M' y``, reading only the rows in the support of y when that
+        support is small. Basis solves leave y zero on every slack row the
+        update chain has not touched."""
+        rows = _sparse_support(y)
+        return self.M.T @ y if rows is None else y[rows] @ self.M[rows]
+
+    def to_dense(self) -> np.ndarray:
+        return self.M
+
+
+class Gram(Operator):
+    """G = X'X for X of shape (n, d), held as X: every product costs
+    O(nd), against the O(d^2) of G itself when d > n."""
+
+    def __init__(self, X, name: str = "X"):
+        self.X = np.atleast_2d(_finite(X, name))
+        d = self.X.shape[1]
+        self.shape = (d, d)
+        self.nbytes = self.X.nbytes
+
+    def column(self, j: int) -> np.ndarray:
+        return self.X.T @ self.X[:, j]
+
+    def columns(self, S: np.ndarray) -> np.ndarray:
+        return self.X.T @ self.X[:, S]
+
+    def times_columns(self, S: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.X.T @ (self.X[:, S] @ x)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        rows = _sparse_support(y)  # G is symmetric, so G' y = G y
+        u = self.X @ y if rows is None else self.X[:, rows] @ y[rows]
+        return self.X.T @ u
+
+    def to_dense(self) -> np.ndarray:
+        return self.X.T @ self.X
+
+
+class Kron(Operator):
+    """G = Z' kron X for X (m1 x d1) and Z (d2 x m2), held as X and Z.
+
+    G maps a column-major vec(U) of a d1 x d2 matrix U to vec(X U Z), and
+    G' maps vec(W) of an m1 x m2 matrix W to vec(X' W Z'). Column
+    ``a + d1 * b`` is ``kron(Z[b], X[:, a])``.
+    """
+
+    def __init__(self, X, Z, names: Tuple[str, str] = ("X", "Z")):
+        self.X = np.atleast_2d(_finite(X, names[0]))
+        self.Z = np.atleast_2d(_finite(Z, names[1]))
+        (m1, d1), (d2, m2) = self.X.shape, self.Z.shape
+        self.shape = (m1 * m2, d1 * d2)
+        self.nbytes = self.X.nbytes + self.Z.nbytes
+
+    def _pairs(self, S) -> Tuple[np.ndarray, np.ndarray]:
+        """The (row of D, column of D) of each flat index in S."""
+        b, a = np.divmod(S, self.X.shape[1])
+        return a, b
+
+    def column(self, j: int) -> np.ndarray:
+        a, b = self._pairs(j)
+        return (self.Z[b][:, None] * self.X[:, a]).ravel()  # np.kron, minus its overhead
+
+    def columns(self, S: np.ndarray) -> np.ndarray:
+        a, b = self._pairs(S)
+        # entry (i + m1 * l, s) is X[i, a_s] * Z[b_s, l]
+        return (self.Z[b].T[:, None, :] * self.X[:, a][None, :, :]).reshape(
+            self.shape[0], len(S))
+
+    def times_columns(self, S: np.ndarray, x: np.ndarray) -> np.ndarray:
+        a, b = self._pairs(S)
+        return ((self.X[:, a] * x) @ self.Z[b]).ravel(order="F")
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        W = y.reshape((self.X.shape[0], self.Z.shape[1]), order="F")
+        return (self.X.T @ W @ self.Z.T).ravel(order="F")
+
+    def to_dense(self) -> np.ndarray:
+        return np.kron(self.Z.T, self.X)
+
+
+class SupNorm(Operator):
+    """A = [[G, -G], [-G, G]] over a G of shape (r, d), held as G.
+
+    Split column j < d is G's column j and column d + j its negation, and
+    the bottom half of every column negates the top half, so each product
+    with A is one product with G:
+
+        A[:, S] x_S = [G u; -G u]    u the signed sum of the split columns
+        A' y        = [G' w; -G' w]  w = y_top - y_bottom
+    """
+
+    def __init__(self, G: Operator):
+        self.G = G
+        r, d = G.shape
+        self.shape = (2 * r, 2 * d)
+        self.nbytes = G.nbytes
+
+    def _split(self, S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """G's column and the sign of each split column in S."""
+        d = self.G.shape[1]
+        return S % d, np.where(S < d, 1.0, -1.0)
+
+    def column(self, j: int) -> np.ndarray:
+        d = self.G.shape[1]
+        top = self.G.column(j % d)
+        top = top if j < d else -top
+        return np.concatenate([top, -top])
+
+    def columns(self, S: np.ndarray) -> np.ndarray:
+        idx, sign = self._split(S)
+        top = self.G.columns(idx) * sign
+        return np.vstack([top, -top])
+
+    def times_columns(self, S: np.ndarray, x: np.ndarray) -> np.ndarray:
+        idx, sign = self._split(S)
+        top = self.G.times_columns(idx, sign * x)
+        return np.concatenate([top, -top])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        r = self.G.shape[0]
+        v = self.G.rmatvec(y[:r] - y[r:])
+        return np.concatenate([v, -v])
+
+    def to_dense(self) -> np.ndarray:
+        G = self.G.to_dense()
+        return np.block([[G, -G], [-G, G]])

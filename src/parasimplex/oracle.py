@@ -97,8 +97,9 @@ class BasisEnumeration:
                 f"{n_candidates} candidate bases exceeds the {MAX_BASES} cap"
             )
         self.program = program
-        self._At = program.A.T.copy()
-        col_norms = np.linalg.norm(program.A, axis=0)
+        self.A = program.A.to_dense()
+        self._At = self.A.T.copy()
+        col_norms = np.linalg.norm(self.A, axis=0)
         cache_inv = n_candidates * m * m <= _INV_CACHE_FLOATS
         self._chunks: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
         self.n_bases = 0
@@ -127,7 +128,7 @@ class BasisEnumeration:
         if self._static_cost and self._ray_cache is not None:
             return self._ray_cache
         cost = self.program.cost(lam)
-        A = self.program.A
+        A = self.A
         found = False
         for cols, inv in self._iter_prepared():
             cB = cost[cols]
@@ -149,7 +150,7 @@ class BasisEnumeration:
     def _no_basis_fallback(self, cost: np.ndarray, rhs: np.ndarray) -> OracleResult:
         if np.abs(rhs).max(initial=0.0) > FEAS_ABS:
             return OracleResult(OracleStatus.INFEASIBLE, None, float("nan"))
-        col_inf = np.abs(self.program.A).max(axis=0, initial=0.0)
+        col_inf = np.abs(self.A).max(axis=0, initial=0.0)
         zero_cols = col_inf <= DET_RTOL * max(1.0, float(col_inf.max(initial=0.0)))
         if np.any(zero_cols & (cost > RAY_TOL)):
             return OracleResult(OracleStatus.UNBOUNDED, None, float("inf"))
@@ -230,7 +231,7 @@ def check_path_against_oracle(
             checked += 1
             rhs = p_std.rhs(lam)
             feas_scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
-            primal_err = float(np.abs(p_std.A @ x - rhs).max(initial=0.0))
+            primal_err = float(np.abs(enum.A @ x - rhs).max(initial=0.0))
             if primal_err > VALUE_RTOL * feas_scale or x.min(initial=0.0) < -VALUE_RTOL:
                 failures.append(
                     f"lambda={lam:.6g}: path point infeasible "

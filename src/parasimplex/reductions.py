@@ -30,6 +30,7 @@ from .core import (
     segment_contains,
 )
 from .errors import ComplementarityViolation
+from .operators import Gram, Kron, SupNorm, as_operator
 
 # Entries larger than this (in absolute value) count as support.
 SUPPORT_TOL = 1e-9
@@ -157,13 +158,16 @@ def build_dantzig(inst: DantzigInstance) -> ParametricProgram:
 
     The sup-norm program of ``_sup_norm_program`` with G = X'X and g = X'y:
     2d <= rows over the 2d split columns of theta = theta_plus - theta_minus.
-    The slack basis is optimal for every lambda >= ||X'y||_inf, so no phase-1
-    is needed.
+    G is formed when d <= n; when d > n it is held as the smaller X (a
+    ``Gram`` operator). The slack basis is optimal for every
+    lambda >= ||X'y||_inf, so no phase-1 is needed.
     """
-    return _sup_norm_program(inst.X.T @ inst.X, inst.X.T @ inst.y)
+    n, d = inst.X.shape
+    G = Gram(inst.X, "DantzigInstance.X")
+    return _sup_norm_program(G.to_dense() if d <= n else G, inst.X.T @ inst.y)
 
 
-def _sup_norm_program(G: np.ndarray, g: np.ndarray) -> ParametricProgram:
+def _sup_norm_program(G, g: np.ndarray) -> ParametricProgram:
     """The <= program for min ||u||_1 s.t. ||G u - g||_inf <= lambda over
     the split u = u_plus - u_minus:
 
@@ -171,17 +175,14 @@ def _sup_norm_program(G: np.ndarray, g: np.ndarray) -> ParametricProgram:
          [-G,  G]] x <= [-g] + lambda,   c = -1, c_bar = 0, b_bar = 1.
 
     Both Dantzig (G = X'X) and diffnet (G = Z' kron X) are this program.
+    G is an operator or an array; A is a ``SupNorm`` operator holding G
+    once, so the four blocks are never formed.
     """
+    G = as_operator(G, "G")
     r, d = G.shape
-    # Filled in place: np.block's temporaries took half of the build.
-    A = np.empty((2 * r, 2 * d))
-    A[:r, :d] = G
-    np.negative(G, out=A[:r, d:])
-    A[r:, :d] = A[:r, d:]
-    A[r:, d:] = G
     return ParametricProgram(
-        A=A, b=np.concatenate([g, -g]), b_bar=np.ones(2 * r), c=-np.ones(2 * d),
-        c_bar=np.zeros(2 * d), kind=ProgramKind.LESS_EQUAL,
+        A=SupNorm(G), b=np.concatenate([g, -g]), b_bar=np.ones(2 * r),
+        c=-np.ones(2 * d), c_bar=np.zeros(2 * d), kind=ProgramKind.LESS_EQUAL,
     )
 
 
@@ -232,6 +233,7 @@ def build_diffnet(inst: DiffNetInstance) -> ParametricProgram:
     The product X D Z is vectorized column-major, vec(X D Z) = G vec(D) with
     G = Z' kron X ((m1*m2) x (d1*d2)), so this is the sup-norm program of
     ``_sup_norm_program`` with g = vec(Y) over the split D = D_plus - D_minus.
+    G is held as X and Z (a ``Kron`` operator) and never formed.
 
     An intermediate product variable C = X D would carry its defining
     equalities with zero right-hand side; every basis would then hold C
@@ -241,7 +243,8 @@ def build_diffnet(inst: DiffNetInstance) -> ParametricProgram:
     The slack start (D = 0, slacks = +-vec(Y) + lambda) is feasible and
     optimal for every lambda >= ||Y||_max, so no explicit basis is needed.
     """
-    return _sup_norm_program(np.kron(inst.Z.T, inst.X), inst.Y.flatten(order="F"))
+    G = Kron(inst.X, inst.Z, ("DiffNetInstance.X", "DiffNetInstance.Z"))
+    return _sup_norm_program(G, inst.Y.flatten(order="F"))
 
 
 def _dense_affine(seg: PathSegment, limit: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,15 @@
 """End-to-end checks of the argparse front end.
 
-Everything goes through ``cli.main(argv)`` directly -- no subprocesses --
-so exit codes and stdout/stderr are observable with capsys.
+Everything but the ``python -m parasimplex`` check goes through
+``cli.main(argv)`` directly -- no subprocesses -- so exit codes and
+stdout/stderr are observable with capsys.
 """
 
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +325,17 @@ def test_diffnet_sparsity_rule(tmp_path, capsys):
     assert "termination=" in capsys.readouterr().out
 
 
+def test_diffnet_non_finite_covariance_names_the_input(tmp_path, capsys):
+    sx, sy = _diffnet_files(tmp_path)
+    S_X = pio.load_matrix_csv(sx)
+    S_X[1, 2] = np.nan
+    pio.save_matrix_csv(sx, S_X)
+    rc = cli.main(["diffnet", "--sx", str(sx), "--sy", str(sy)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert "input error: non-finite entries in DiffNetInstance.X" in err
+
+
 # ----------------------------------------------------------- gen/bench
 
 
@@ -413,3 +428,14 @@ def test_trace_env_streams_pivot_lines(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     pivot_lines = [ln for ln in err.splitlines() if ln.count("\t") == 6]
     assert len(pivot_lines) == 2
+
+
+# ---------------------------------------------------------------- module
+
+
+def test_python_m_parasimplex_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "parasimplex", "--help"], cwd=src,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: parasimplex" in proc.stdout

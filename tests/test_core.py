@@ -69,8 +69,8 @@ def test_to_standard_form_appends_identity_slacks():
     std, info = to_standard_form(p)
     assert std.kind is ProgramKind.EQUALITY
     assert std.n == p.n + p.m
-    np.testing.assert_allclose(std.A[:, p.n:], np.eye(p.m))
-    np.testing.assert_allclose(std.A[:, :p.n], p.A)
+    np.testing.assert_allclose(std.A.to_dense()[:, p.n:], np.eye(p.m))
+    np.testing.assert_allclose(std.A.to_dense()[:, :p.n], p.A.to_dense())
     assert np.all(std.c[p.n:] == 0.0) and np.all(std.c_bar[p.n:] == 0.0)
     assert info.original_n == p.n and info.num_rows == p.m
     assert std.n == info.original_n + info.num_rows

@@ -50,6 +50,7 @@ def _sample(seg, floor):
 def _check_against_highs(p, path, floor):
     assert p.kind is ProgramKind.LESS_EQUAL
     n = p.n
+    A = p.A.to_dense()
     checked = 0
     for k, seg in enumerate(path.segments):
         lam = _sample(seg, floor)
@@ -57,9 +58,9 @@ def _check_against_highs(p, path, floor):
         x = evaluate_primal(seg, lam)[:n]
         tol = FEAS_RTOL * (1.0 + float(np.abs(rhs).max()))
         assert x.min() >= -tol, f"segment {k}: negative x at lambda={lam:.6g}"
-        assert float((p.A @ x - rhs).max()) <= tol, (
+        assert float((A @ x - rhs).max()) <= tol, (
             f"segment {k}: A x > b(lambda) at lambda={lam:.6g}")
-        res = linprog(-cost, A_ub=p.A, b_ub=rhs, bounds=(0, None), method="highs")
+        res = linprog(-cost, A_ub=A, b_ub=rhs, bounds=(0, None), method="highs")
         assert res.status == 0, f"segment {k}: HiGHS says {res.message}"
         want, got = -res.fun, float(cost @ x)
         assert abs(got - want) <= OBJ_RTOL * (1.0 + abs(want)), (
@@ -118,6 +119,7 @@ def test_random_programs_match_highs(seed):
         # The lambdas with a feasible point form an interval, so a status of
         # infeasible at lambda* must hold at any lambda below it.
         below = lam - 1e-3 * (1.0 + abs(lam))
-        res = linprog(-(p.c + below * p.c_bar), A_ub=p.A, b_ub=p.b + below * p.b_bar,
+        res = linprog(-(p.c + below * p.c_bar), A_ub=p.A.to_dense(),
+                      b_ub=p.b + below * p.b_bar,
                       bounds=(0, None), method="highs")
         assert res.status == 2, f"HiGHS finds lambda={below:.6g} {res.message}"

@@ -56,7 +56,7 @@ def test_program_json_roundtrip(tmp_path):
     pio.save_program_json(f, p)
     q = pio.load_program_json(f)
     assert q.kind is ProgramKind.LESS_EQUAL
-    np.testing.assert_array_equal(q.A, p.A)
+    np.testing.assert_array_equal(q.A.to_dense(), p.A.to_dense())
     np.testing.assert_array_equal(q.b, p.b)
     np.testing.assert_array_equal(q.b_bar, p.b_bar)
     np.testing.assert_array_equal(q.c, p.c)
@@ -81,7 +81,7 @@ def test_program_coo_roundtrip(tmp_path):
     first = f.read_text().splitlines()[0]
     assert first == f"psm-coo m={p.m} n={p.n} kind=less_equal"
     q = pio.load_program_coo(f)
-    np.testing.assert_array_equal(q.A, p.A)
+    np.testing.assert_array_equal(q.A.to_dense(), p.A.to_dense())
     np.testing.assert_array_equal(q.b, p.b)
     np.testing.assert_array_equal(q.b_bar, p.b_bar)
     np.testing.assert_array_equal(q.c, p.c)

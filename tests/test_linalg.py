@@ -42,6 +42,33 @@ def test_duplicate_column_raises_degenerate():
     np.testing.assert_allclose(f.solve(np.array([1.0, 2.0])), [1.0, 2.0])
 
 
+def test_replace_column_reuses_the_last_solve(monkeypatch):
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
+    a, b = rng.standard_normal(5), rng.standard_normal(5)
+    f = BasisFactorization(B.copy())
+    w = f.solve(a)
+    solved = w.copy()
+    solves = []
+    real = BasisFactorization.solve
+    monkeypatch.setattr(BasisFactorization, "solve",
+                        lambda self, v: solves.append(v) or real(self, v))
+    f.replace_column(1, a)
+    assert solves == []  # the pivot's own solve of a is reused ...
+    np.testing.assert_array_equal(w, solved)  # ... and left as it was
+    # the basis changed since, so a is solved again (a stale solve would
+    # make this self-replacement change the basis)
+    assert f.replace_column(1, a) == pytest.approx(1.0)
+    assert len(solves) == 1
+    f.solve(b)
+    f.replace_column(2, b.copy())  # an equal column, not the same array
+    assert len(solves) == 3
+    M = B.copy()
+    M[:, 1], M[:, 2] = a, b
+    rhs = rng.standard_normal(5)
+    np.testing.assert_allclose(f.solve(rhs), np.linalg.solve(M, rhs), atol=1e-9)
+
+
 def test_singular_matrix_rejected():
     with pytest.raises(SingularBasis):
         BasisFactorization(np.array([[1.0, 2.0], [2.0, 4.0]]))

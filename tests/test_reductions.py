@@ -31,10 +31,10 @@ def test_dantzig_blocks():
     g = X.T @ y
     assert p.kind is ProgramKind.LESS_EQUAL
     assert p.A.shape == (4, 4)
-    np.testing.assert_allclose(p.A[:2, :2], G)
-    np.testing.assert_allclose(p.A[:2, 2:], -G)
-    np.testing.assert_allclose(p.A[2:, :2], -G)
-    np.testing.assert_allclose(p.A[2:, 2:], G)
+    np.testing.assert_allclose(p.A.to_dense()[:2, :2], G)
+    np.testing.assert_allclose(p.A.to_dense()[:2, 2:], -G)
+    np.testing.assert_allclose(p.A.to_dense()[2:, :2], -G)
+    np.testing.assert_allclose(p.A.to_dense()[2:, 2:], G)
     np.testing.assert_allclose(p.b, np.concatenate([g, -g]))
     assert np.all(p.b_bar == 1.0) and np.all(p.c == -1.0) and np.all(p.c_bar == 0.0)
 
@@ -106,20 +106,20 @@ def test_svm_layout_and_start_basis():
     assert p.kind is ProgramKind.EQUALITY
     assert p.A.shape == (n + 1, 2 * n + 2 * d + 3)
     Z = y[:, None] * X
-    np.testing.assert_allclose(p.A[:n, :n], np.eye(n))
-    np.testing.assert_allclose(p.A[:n, n:2 * n], -np.eye(n))
-    np.testing.assert_allclose(p.A[:n, 2 * n:2 * n + d], Z)
-    np.testing.assert_allclose(p.A[:n, 2 * n + 2 * d], y)
+    np.testing.assert_allclose(p.A.to_dense()[:n, :n], np.eye(n))
+    np.testing.assert_allclose(p.A.to_dense()[:n, n:2 * n], -np.eye(n))
+    np.testing.assert_allclose(p.A.to_dense()[:n, 2 * n:2 * n + d], Z)
+    np.testing.assert_allclose(p.A.to_dense()[:n, 2 * n + 2 * d], y)
     # norm-budget row touches theta halves and the norm slack only
-    np.testing.assert_allclose(p.A[n, 2 * n:2 * n + 2 * d], 1.0)
-    assert p.A[n, -1] == 1.0
+    np.testing.assert_allclose(p.A.to_dense()[n, 2 * n:2 * n + 2 * d], 1.0)
+    assert p.A.to_dense()[n, -1] == 1.0
     np.testing.assert_allclose(p.b, [1.0, 1.0, 1.0, 0.0])
     np.testing.assert_allclose(p.b_bar, [0.0, 0.0, 0.0, 1.0])
     # hinge block carries the objective
     assert np.all(p.c[:n] == -1.0) and np.all(p.c[n:] == 0.0)
     # starting basis is the hinge block plus the norm slack, and it is I
     assert basis == [0, 1, 2, 2 * n + 2 * d + 2]
-    np.testing.assert_allclose(p.A[:, basis], np.eye(n + 1))
+    np.testing.assert_allclose(p.A.to_dense()[:, basis], np.eye(n + 1))
 
 
 def test_svm_label_validation():
@@ -162,9 +162,9 @@ def test_diffnet_blocks_encode_the_linear_map():
     assert p.kind is ProgramKind.LESS_EQUAL
     assert p.A.shape == (2 * nW, 2 * nD)
     G = np.kron(Z.T, X)
-    np.testing.assert_allclose(p.A[:nW, :nD], G)
-    np.testing.assert_allclose(p.A[nW:, nD:], G)
-    np.testing.assert_allclose(p.A[:nW, nD:], -G)
+    np.testing.assert_allclose(p.A.to_dense()[:nW, :nD], G)
+    np.testing.assert_allclose(p.A.to_dense()[nW:, nD:], G)
+    np.testing.assert_allclose(p.A.to_dense()[:nW, nD:], -G)
     np.testing.assert_allclose(p.b[:nW], Y.flatten(order="F"))
     np.testing.assert_allclose(p.b_bar, np.ones(2 * nW))
     np.testing.assert_allclose(p.c, -np.ones(2 * nD))
@@ -176,7 +176,7 @@ def test_diffnet_blocks_encode_the_linear_map():
         np.maximum(-D, 0).flatten(order="F"),
     ])
     np.testing.assert_allclose(
-        p.A[:nW] @ xsplit, (X @ D @ Z).flatten(order="F"), atol=1e-10
+        p.A.to_dense()[:nW] @ xsplit, (X @ D @ Z).flatten(order="F"), atol=1e-10
     )
 
 
