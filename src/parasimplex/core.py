@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .operators import Operator, as_operator
+from .operators import Operator, WithSlacks, as_operator
 
 # Slack allowed when testing whether a lambda lies inside a segment.
 INTERVAL_TOL = 1e-9
@@ -73,7 +73,7 @@ class ParametricProgram:
         if self.c.shape != (n,) or self.c_bar.shape != (n,):
             raise ValueError(f"cost vectors must have shape ({n},)")
         for name in ("b", "b_bar", "c", "c_bar"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite entries in {name}")
         if m > n and self.kind is ProgramKind.EQUALITY:
             raise ValueError("equality program with more rows than columns")
@@ -103,19 +103,19 @@ class SlackInfo:
 
 
 def to_standard_form(p: ParametricProgram) -> Tuple[ParametricProgram, Optional[SlackInfo]]:
-    """Append one slack column per row to turn <= rows into equalities.
+    """Append one slack column per row to turn <= rows into equalities; the
+    constraint operator becomes ``WithSlacks(A)``, ``[A | I]`` held as A.
 
     Slacks get zero cost in both c and c_bar. Equality programs pass through
     unchanged (info is None).
     """
     if p.kind is ProgramKind.EQUALITY:
         return p, None
-    m, n = p.m, p.n
-    A = np.hstack([p.A.to_dense(), np.eye(m)])
-    c = np.concatenate([p.c, np.zeros(m)])
-    c_bar = np.concatenate([p.c_bar, np.zeros(m)])
-    std = ParametricProgram(A, p.b.copy(), p.b_bar.copy(), c, c_bar, ProgramKind.EQUALITY)
-    return std, SlackInfo(original_n=n, num_rows=m)
+    pad = np.zeros(p.m)
+    std = ParametricProgram(WithSlacks(p.A), p.b.copy(), p.b_bar.copy(),
+                            np.concatenate([p.c, pad]), np.concatenate([p.c_bar, pad]),
+                            ProgramKind.EQUALITY)
+    return std, SlackInfo(original_n=p.n, num_rows=p.m)
 
 
 class BasisPartition:

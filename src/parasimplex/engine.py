@@ -15,8 +15,8 @@ where both x_B(lam) = x*_B + lam x~_B and z_N(lam) = z*_N + lam z~_N are
 nonnegative. ``solve_path`` starts from a basis that is optimal for all large
 lam, repeatedly computes the next breakpoint lambda_star, performs the pivot
 that restores optimality just below it, and emits one affine path segment per
-basis visited. A <= program is solved as its standard form ``[A | I]`` with
-the unit slack columns left implicit (see ``DictionaryState``).
+basis visited. A <= program is solved as its standard form ``[A | I]``, an
+operator that keeps the unit slack columns implicit (``to_standard_form``).
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from .core import (
     PivotEvent,
     PivotKind,
     ProgramKind,
-    SlackInfo,
     SolutionPath,
     Termination,
+    to_standard_form,
 )
 from .errors import (
     InfeasibleAtLargeLambda,
@@ -134,24 +134,15 @@ class CertificateReport:
 class DictionaryState:
     """Mutable solver state: partition, factorization, dictionary vectors.
 
-    The state works in standard-form numbering. A <= program's slack column
-    ``n + i`` is the unit vector e_i; it is never stored, and ``slack``
-    records the layout (None for an equality program). The engine reads
-    the constraint operator ``program.A`` only through ``column``,
-    ``rmatvec``, ``basic_times`` and the gather of the structural basic
-    columns in ``refresh``, so slack columns are handled there alone.
+    ``program`` is an equality program; ``initialize`` turns a <= program
+    into its standard form first. The engine reads the constraint operator
+    ``program.A`` only through ``column``, ``columns``, ``times_columns``,
+    ``rmatvec`` and ``unit_rows``, so structure such as implicit slack
+    columns is the operator's alone.
     """
 
     def __init__(self, program: ParametricProgram, partition: BasisPartition):
         self.program = program
-        self.num_cols = _num_cols(program)
-        self.slack: Optional[SlackInfo] = (
-            SlackInfo(original_n=program.n, num_rows=program.m)
-            if self.num_cols > program.n else None
-        )
-        pad = np.zeros(self.num_cols - program.n)
-        self.c = np.concatenate([program.c, pad])
-        self.c_bar = np.concatenate([program.c_bar, pad])
         if len(partition.basic) != program.m:
             raise ValueError(
                 f"basis size {len(partition.basic)} != row count {program.m}"
@@ -162,46 +153,21 @@ class DictionaryState:
         self.lambda_hi = float("inf")
         self.refresh()
 
-    def column(self, j: int) -> np.ndarray:
-        """Standard-form column j: ``A[:, j]``, or e_i for slack ``n + i``."""
-        n = self.program.n
-        if j < n:
-            return self.program.A.column(j)
-        e = np.zeros(self.program.m)
-        e[j - n] = 1.0
-        return e
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """Standard-form ``[A | I]' y = [A' y ; y]`` (just ``A' y`` without
-        slacks)."""
-        aty = self.program.A.rmatvec(y)
-        return aty if self.slack is None else np.concatenate([aty, y])
-
-    def basic_times(self, xB: np.ndarray) -> np.ndarray:
-        """``[A | I] x`` for x zero off the basis, with basic values ``xB``:
-        ``A[:, S] x_S`` plus each basic slack value on its own row, O(mk)."""
-        B = self.partition.basic
-        n = self.program.n
-        structural = B < n
-        ax = self.program.A.times_columns(B[structural], xB[structural])
-        ax[B[~structural] - n] += xB[~structural]
-        return ax
-
     def refresh(self) -> None:
         """Rebuild the factorization and all dictionary vectors from scratch."""
         p = self.program
         B = self.partition.basic
         N = self.partition.nonbasic
-        slack_rows = np.where(B >= p.n, B - p.n, -1)
+        unit_rows = p.A.unit_rows(B)
         self.fact = linalg.BasisFactorization(
-            p.A.columns(B[slack_rows < 0]), slack_rows)
+            p.A.columns(B[unit_rows < 0]), unit_rows)
         self.xB_base = self.fact.solve(p.b)
         self.xB_pert = self.fact.solve(p.b_bar)
-        y = self.fact.solve_transpose(self.c[B])
-        self.zN_base = self.rmatvec(y)[N] - self.c[N]
-        if np.any(self.c_bar):
-            y_bar = self.fact.solve_transpose(self.c_bar[B])
-            self.zN_pert = self.rmatvec(y_bar)[N] - self.c_bar[N]
+        y = self.fact.solve_transpose(p.c[B])
+        self.zN_base = p.A.rmatvec(y)[N] - p.c[N]
+        if np.any(p.c_bar):
+            y_bar = self.fact.solve_transpose(p.c_bar[B])
+            self.zN_pert = p.A.rmatvec(y_bar)[N] - p.c_bar[N]
         else:
             self.zN_pert = np.zeros(len(N))
 
@@ -215,7 +181,7 @@ class DictionaryState:
         return PathSegment(
             lambda_lo=lambda_lo,
             lambda_hi=lambda_hi,
-            n_cols=self.num_cols,
+            n_cols=self.program.n,
             primal_indices=self.partition.basic.copy(),
             primal_base=self.xB_base.copy(),
             primal_slope=self.xB_pert.copy(),
@@ -225,11 +191,6 @@ class DictionaryState:
             entering=entering,
             leaving=leaving,
         )
-
-
-def _num_cols(p: ParametricProgram) -> int:
-    """Column count of the standard form: n, plus one slack per <= row."""
-    return p.n + (p.m if p.kind is ProgramKind.LESS_EQUAL else 0)
 
 
 def initialize(p: ParametricProgram, basic: Sequence[int]) -> DictionaryState:
@@ -244,7 +205,8 @@ def initialize(p: ParametricProgram, basic: Sequence[int]) -> DictionaryState:
             some entry has a (near-)zero perturbation with a negative base,
             or the window [lambda_star, lambda_max] is empty.
     """
-    partition = BasisPartition.from_basic(_num_cols(p), basic)
+    p, _ = to_standard_form(p)
+    partition = BasisPartition.from_basic(p.n, basic)
     state = DictionaryState(p, partition)
 
     for base, pert, what in (
@@ -350,7 +312,7 @@ def _delta_z(state: DictionaryState, basic_pos: int) -> np.ndarray:
     e = np.zeros(state.program.m)
     e[basic_pos] = 1.0
     v = state.fact.solve_transpose(e)
-    return -state.rmatvec(v)[state.partition.nonbasic]
+    return -state.program.A.rmatvec(v)[state.partition.nonbasic]
 
 
 def _exchange(
@@ -416,7 +378,7 @@ def primal_pivot(state: DictionaryState, entering: int, lam_star: float) -> Pivo
     Delta x_i > RATIO_TOL. Raises UnboundedDirection when no row blocks.
     """
     kN = state.partition.position(entering)
-    a_j = state.column(entering)
+    a_j = state.program.A.column(entering)
     dxB = state.fact.solve(a_j)
     xvals = state.xB_base + lam_star * state.xB_pert
     kB = _ratio_pick(dxB, xvals, state.partition.basic)
@@ -445,7 +407,7 @@ def dual_pivot(state: DictionaryState, leaving: int, lam_star: float) -> PivotEv
             f"no entering column for leaving basic variable {leaving}: "
             f"program is infeasible below lambda={lam_star:.6g}"
         )
-    a_j = state.column(state.partition.nonbasic[kN])
+    a_j = state.program.A.column(state.partition.nonbasic[kN])
     dxB = state.fact.solve(a_j)
     return _exchange(state, kB, kN, a_j, dxB, dzN, PivotKind.DUAL, lam_star)
 
@@ -541,19 +503,19 @@ def _post_pivot_ok(state: DictionaryState, lam: float) -> bool:
     update error in z). ``A x`` is formed from the basic columns alone,
     O(mk); ``A' y`` is the one product with all of A.
     """
+    p = state.program
     B = state.partition.basic
     N = state.partition.nonbasic
-    cost = state.c + lam * state.c_bar
+    cost = p.cost(lam)
     y = state.fact.solve_transpose(cost[B])
     xB = state.xB_base + lam * state.xB_pert
     zN = state.zN_base + lam * state.zN_pert
-    x = np.zeros(state.num_cols)
+    x = np.zeros(p.n)
     x[B] = xB
-    z = np.zeros(state.num_cols)
+    z = np.zeros(p.n)
     z[N] = zN
     report, zhat = _certificate_residuals(
-        x, z, y, state.basic_times(xB), state.rmatvec(y), cost,
-        state.program.rhs(lam), lam,
+        x, z, y, p.A.times_columns(B, xB), p.A.rmatvec(y), cost, p.rhs(lam), lam,
     )
     basis_residual = float(np.abs(zhat[B]).max(initial=0.0))
     if basis_residual > CERT_TOL * (1.0 + float(np.abs(cost).max(initial=0.0))):
@@ -597,11 +559,11 @@ def solve_path(
     ``linalg.REFRESH_LIMIT`` updates, and whenever a post-pivot check fails.
 
     Args:
-        p: the parametric program. <= programs are solved in standard-form
-            coordinates, one unit slack column per row after the n
-            structural ones; the slacks stay implicit (``[A | I]`` is never
-            formed). The returned path is expressed in those coordinates and
-            carries ``slack_info`` for mapping back.
+        p: the parametric program. <= programs are solved as their
+            standard form (``to_standard_form``), one unit slack column per
+            row after the n structural ones, held implicitly. The returned
+            path is expressed in those coordinates and carries
+            ``slack_info`` for mapping back.
         options: SolveOptions; keyword arguments override its fields
             (e.g. ``solve_path(p, lambda_target=1.5)``).
         initial_basis: basic column indices (standard-form numbering).
@@ -631,16 +593,17 @@ def solve_path(
     if opts.max_pivots is not None and opts.max_pivots < 0:
         raise ValueError(f"max_pivots must be >= 0, got {opts.max_pivots}")
 
+    std, slack_info = to_standard_form(p)
     if initial_basis is not None:
         basic = list(initial_basis)
     elif p.kind is ProgramKind.LESS_EQUAL:
-        basic = list(range(p.n, p.n + p.m))
+        basic = list(range(p.n, std.n))
     else:
         raise ValueError("equality programs need an initial_basis")
 
-    state = initialize(p, basic)
-    max_pivots = opts.max_pivots if opts.max_pivots is not None else 10 * state.num_cols
-    path = SolutionPath(num_cols=state.num_cols, slack_info=state.slack)
+    state = initialize(std, basic)
+    max_pivots = opts.max_pivots if opts.max_pivots is not None else 10 * std.n
+    path = SolutionPath(num_cols=std.n, slack_info=slack_info)
     lam_hi = state.lambda_hi
     # For Dantzig the first breakpoint is ||X'y||_inf, the scale of lambda.
     first = state.lambda_lo

@@ -1,7 +1,7 @@
 """Basis factorization with rank-one column-replacement updates.
 
 Split base. A basis of a standard-form <= program is mostly slack columns,
-and slack column ``original_n + i`` is the unit vector e_i. Split the basis
+each a unit vector e_i (``operators.WithSlacks``). Split the basis
 positions into the slack slots, whose unit columns cover a row set R, and
 the k structural slots S. The k rows R_bar that no slack covers give the
 k x k core ``A[R_bar, S]``, and only the core is LU-factored:

@@ -1,24 +1,27 @@
 """Constraint matrices as operators, so structured ones are never formed.
 
-The engine reads a program's constraint matrix A only through four
+The engine reads a program's constraint matrix A only through five
 operations, and every operator here implements them:
 
     column(j)             A[:, j]
     columns(S)            A[:, S], the gather that refresh factors
     times_columns(S, x)   A[:, S] @ x, for an x that is zero off S
     rmatvec(y)            A' y
+    unit_rows(S)          per j in S, i where A[:, j] = e_i, else -1
 
 plus ``shape``, ``nbytes`` (the bytes the operator holds) and
 ``to_dense()``, which forms the matrix for code that needs it on small
-programs (the oracle, file output, ``to_standard_form`` and
-``verify_certificate``). Each constructor checks its factors for
-non-finite entries and names the factor in its error.
+programs (the oracle, file output and ``verify_certificate``). Negative
+column indices count from the end; any outside [-n, n) raises IndexError.
+Each constructor checks its factors for non-finite entries and names the
+factor in its error.
 
 Kinds:
     DenseMatrix(M)   any matrix given as an array
     Gram(X)          G = X'X (d x d) held as X (n x d); a product is X'(X u)
     Kron(X, Z)       G = Z' kron X held as X and Z; G vec(U) = vec(X U Z)
     SupNorm(G)       [[G, -G], [-G, G]] held as G, one G product per product
+    WithSlacks(A)    [A | I] held as A, the standard form of a <= program
 """
 
 from __future__ import annotations
@@ -46,11 +49,25 @@ def _sparse_support(y: np.ndarray):
     return None if rows.size > SPARSE_ROWS_FRAC * len(y) else rows
 
 
+def _in_range(S, n: int):
+    """Column indices S (an int or an int array) of an n-column operator,
+    counted from 0; raises IndexError outside [-n, n). An array costs a min
+    and a max; the modulo runs only when it holds a negative index."""
+    lo, hi = (S.min(initial=0), S.max(initial=-1)) if isinstance(S, np.ndarray) else (S, S)
+    if lo < -n or hi >= n:
+        raise IndexError(f"column index out of range for {n} columns")
+    return S % n if lo < 0 else S
+
+
 class Operator:
     """Base of the operator kinds; ``as_operator`` wraps anything else."""
 
     shape: Tuple[int, int]
     nbytes: int  # the bytes the operator holds
+
+    def unit_rows(self, S: np.ndarray) -> np.ndarray:
+        """-1 for every column in S: only WithSlacks has unit columns."""
+        return np.full(len(_in_range(S, self.shape[1])), -1, dtype=np.intp)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(shape={self.shape})"
@@ -179,10 +196,12 @@ class SupNorm(Operator):
     def _split(self, S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """G's column and the sign of each split column in S."""
         d = self.G.shape[1]
+        S = _in_range(S, 2 * d)
         return S % d, np.where(S < d, 1.0, -1.0)
 
     def column(self, j: int) -> np.ndarray:
         d = self.G.shape[1]
+        j = _in_range(j, 2 * d)
         top = self.G.column(j % d)
         top = top if j < d else -top
         return np.concatenate([top, -top])
@@ -205,3 +224,53 @@ class SupNorm(Operator):
     def to_dense(self) -> np.ndarray:
         G = self.G.to_dense()
         return np.block([[G, -G], [-G, G]])
+
+
+class WithSlacks(Operator):
+    """[A | I] for an m x n operator A, held as A: column n + i is the unit
+    vector e_i and is never stored. Each product is one product with A."""
+
+    def __init__(self, A: Operator):
+        self.A = as_operator(A)
+        m, n = self.A.shape
+        self.shape = (m, n + m)
+        self.nbytes = self.A.nbytes
+
+    def unit_rows(self, S: np.ndarray) -> np.ndarray:
+        n = self.A.shape[1]
+        S = _in_range(S, self.shape[1])
+        return np.where(S >= n, S - n, -1)
+
+    def column(self, j: int) -> np.ndarray:
+        n = self.A.shape[1]
+        j = _in_range(j, self.shape[1])
+        if j < n:
+            return self.A.column(j)
+        e = np.zeros(self.shape[0])
+        e[j - n] = 1.0
+        return e
+
+    def columns(self, S: np.ndarray) -> np.ndarray:
+        n = self.A.shape[1]
+        S = _in_range(S, self.shape[1])
+        unit = S >= n
+        if not unit.any():  # the structural gather refresh factors
+            return self.A.columns(S)
+        out = np.zeros((self.shape[0], len(S)))
+        out[:, ~unit] = self.A.columns(S[~unit])
+        out[S[unit] - n, np.flatnonzero(unit)] = 1.0
+        return out
+
+    def times_columns(self, S: np.ndarray, x: np.ndarray) -> np.ndarray:
+        n = self.A.shape[1]
+        S = _in_range(S, self.shape[1])
+        unit = S >= n
+        ax = self.A.times_columns(S[~unit], x[~unit])
+        np.add.at(ax, S[unit] - n, x[unit])  # repeated slacks add up
+        return ax
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return np.concatenate([self.A.rmatvec(y), y])
+
+    def to_dense(self) -> np.ndarray:
+        return np.hstack([self.A.to_dense(), np.eye(self.shape[0])])

@@ -86,8 +86,7 @@ class BasisEnumeration:
     """
 
     def __init__(self, program: ParametricProgram):
-        if program.kind.value != "equality":
-            program = to_standard_form(program)[0]
+        program = to_standard_form(program)[0]
         m, n = program.m, program.n
         if n > MAX_COLS:
             raise SizeGuard(f"{n} columns exceeds the {MAX_COLS}-column cap")

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parasimplex import core, engine, linalg
+from parasimplex import engine, linalg
 from parasimplex.core import (
     BasisPartition,
     ParametricProgram,
@@ -32,6 +32,7 @@ from parasimplex.experiments import (
     gen_dantzig,
     gen_diffnet,
 )
+from parasimplex.operators import WithSlacks
 from parasimplex.oracle import random_less_equal
 from parasimplex.reductions import (
     DantzigInstance,
@@ -382,7 +383,7 @@ def test_post_pivot_check_reads_every_basic_value(caplog, slot):
     # A x is formed from the basic entries only; a wrong value in either
     # kind of basic slot must still show up as a primal residual
     state, lam = _pivoted_state()
-    is_slack = state.partition.basic >= state.program.n
+    is_slack = state.program.A.unit_rows(state.partition.basic) >= 0
     assert is_slack.any() and (~is_slack).any()
     k = int(np.flatnonzero(is_slack if slot == "slack" else ~is_slack)[0])
     state.xB_base[k] += 1e-3
@@ -566,7 +567,7 @@ def test_lu_factor_sees_only_the_structural_core(monkeypatch):
         return real_lu(a, *args, **kwargs)
 
     def refresh(self):
-        structural.append(int(np.sum(self.partition.basic < self.slack.original_n)))
+        structural.append(int(np.sum(self.program.A.unit_rows(self.partition.basic) < 0)))
         real_refresh(self)
 
     monkeypatch.setattr(linalg, "lu_factor", lu_factor)
@@ -581,9 +582,12 @@ def test_lu_factor_sees_only_the_structural_core(monkeypatch):
 
 
 def _materialized_path(p):
-    """``p`` solved as its ``[A | I]`` equality program from the slack basis."""
+    """``p`` solved as its ``[A | I]`` formed as one dense equality program,
+    from the slack basis; the whole basis is factored."""
     std, info = to_standard_form(p)
-    return solve_path(std, initial_basis=range(info.original_n, std.n))
+    dense = ParametricProgram(A=std.A.to_dense(), b=std.b, b_bar=std.b_bar,
+                              c=std.c, c_bar=std.c_bar)
+    return solve_path(dense, initial_basis=range(info.original_n, std.n))
 
 
 def _random_programs(count=10, seed=4242):
@@ -609,14 +613,12 @@ def test_implicit_slacks_follow_the_materialized_path(programs):
 
 def test_solve_never_forms_the_standard_form(monkeypatch):
     calls = []
-    real = core.to_standard_form
 
-    def spy(p):
-        calls.append(p)
-        return real(p)
+    def spy(self):
+        calls.append(self)
+        raise AssertionError("[A | I] formed during a solve")
 
-    monkeypatch.setattr(core, "to_standard_form", spy)
-    monkeypatch.setattr(engine, "to_standard_form", spy, raising=False)
+    monkeypatch.setattr(WithSlacks, "to_dense", spy)
     _, _, p = _regression_program(n=100, d=200, seed=2)
     assert (p.m, p.n) == (400, 400)
     tracemalloc.start()

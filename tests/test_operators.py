@@ -14,7 +14,7 @@ from parasimplex.experiments import (
     gen_dantzig,
     gen_diffnet,
 )
-from parasimplex.operators import DenseMatrix, Gram, Kron, SupNorm
+from parasimplex.operators import DenseMatrix, Gram, Kron, SupNorm, WithSlacks
 from parasimplex.reductions import (
     SUPPORT_TOL,
     DantzigInstance,
@@ -44,10 +44,26 @@ def _kinds():
     }
 
 
+def _with_slacks():
+    k = _kinds()
+    return {
+        "slacks-dense": WithSlacks(k["dense"]),
+        "slacks-supnorm-gram": WithSlacks(SupNorm(k["gram-d-above-n"])),
+        "slacks-supnorm-kron": WithSlacks(SupNorm(k["kron-rectangular"])),
+    }
+
+
 _OPS = [
     *_kinds().items(),
     *((f"supnorm-{name}", SupNorm(G)) for name, G in _kinds().items()),
+    *_with_slacks().items(),
 ]
+
+
+def _unit_rows(cols):
+    """Per column of ``cols``, the row i where it is e_i, else -1."""
+    return np.array([int(np.argmax(c)) if np.count_nonzero(c) == 1 and c.max() == 1.0
+                     else -1 for c in cols.T])
 
 
 @pytest.mark.parametrize("op", [op for _, op in _OPS], ids=[k for k, _ in _OPS])
@@ -56,17 +72,42 @@ def test_operator_matches_its_dense_matrix(op):
     A = op.to_dense()
     m, n = A.shape
     assert op.shape == (m, n)
+    assert op.nbytes <= A.nbytes
     for j in range(n):
         np.testing.assert_allclose(op.column(j), A[:, j], atol=OP_TOL)
     S = rng.permutation(n)[: max(1, n // 2)]
+    if isinstance(op, WithSlacks):  # S mixes structural and slack columns
+        assert 0 < np.count_nonzero(S >= op.A.shape[1]) < len(S)
     np.testing.assert_allclose(op.columns(S), A[:, S], atol=OP_TOL)
+    np.testing.assert_array_equal(op.unit_rows(S), _unit_rows(A[:, S]))
     x = rng.standard_normal(len(S))
     np.testing.assert_allclose(op.times_columns(S, x), A[:, S] @ x, atol=OP_TOL)
+    R, xR = np.r_[S, S], np.r_[x, x]  # a repeated column adds up
+    np.testing.assert_allclose(op.times_columns(R, xR), A[:, R] @ xR, atol=OP_TOL)
     y_full = rng.standard_normal(m)
     y_sparse = np.zeros(m)
     y_sparse[m - 1] = 2.5
     for y in (y_full, y_sparse, np.zeros(m)):
         np.testing.assert_allclose(op.rmatvec(y), A.T @ y, atol=OP_TOL)
+
+
+@pytest.mark.parametrize("op", [op for _, op in _OPS], ids=[k for k, _ in _OPS])
+def test_column_indices_count_from_the_end_and_stop_at_n(op):
+    A = op.to_dense()
+    n = A.shape[1]
+    S = np.arange(-n, 0)
+    for j in S:
+        np.testing.assert_allclose(op.column(j), A[:, j], atol=OP_TOL)
+    np.testing.assert_allclose(op.columns(S), A[:, S], atol=OP_TOL)
+    x = _rng().standard_normal(n)
+    np.testing.assert_allclose(op.times_columns(S, x), A[:, S] @ x, atol=OP_TOL)
+    np.testing.assert_array_equal(op.unit_rows(S), op.unit_rows(S + n))
+    for bad in (n, -n - 1):
+        for call in (lambda: op.column(bad), lambda: op.columns(np.array([0, bad])),
+                     lambda: op.times_columns(np.array([bad]), np.ones(1)),
+                     lambda: op.unit_rows(np.array([bad]))):
+            with pytest.raises(IndexError):
+                call()
 
 
 def test_kron_columns_are_kron_of_factor_rows_and_columns():
@@ -88,6 +129,7 @@ def test_operators_hold_only_their_factors():
     K = SupNorm(Kron(X, Z))
     assert K.shape == (3200, 3200)
     assert K.nbytes == X.nbytes + Z.nbytes
+    assert WithSlacks(K).nbytes == K.nbytes
     Xg = rng.standard_normal((10, 50))
     assert SupNorm(Gram(Xg)).nbytes == Xg.nbytes
     assert DenseMatrix(Xg).nbytes == Xg.nbytes
@@ -191,7 +233,7 @@ def test_solve_never_forms_the_dense_matrix(monkeypatch):
         calls.append(type(self).__name__)
         raise AssertionError("to_dense called during a solve")
 
-    for kind in (DenseMatrix, Gram, Kron, SupNorm):
+    for kind in (DenseMatrix, Gram, Kron, SupNorm, WithSlacks):
         monkeypatch.setattr(kind, "to_dense", spy)
     for p, opts in programs:
         path = solve_path(p, check_certificates=True, **opts)
