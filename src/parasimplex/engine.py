@@ -56,7 +56,7 @@ def _keep_freed_heap() -> None:
     """Fix glibc's heap thresholds at the ceiling its own adaptation reaches.
 
     A solve allocates and frees arrays of a few MB (the basis gather and
-    its LU, the update chain's vectors, the products with the constraint
+    its LU, the update chain's block, the products with the constraint
     operator; it forms neither the standard form nor a structured
     constraint matrix). glibc serves those from the heap only once it has
     freed an mmap block as large, and returns the heap top to the system

@@ -252,19 +252,18 @@ def _write_path_rows(
     """One CSV row per (segment, variable) from per-segment pieces
     ``(lambda_lo, lambda_hi, indices, base, slope)``. ``violations`` adds
     one extra column, constant per segment."""
+    header = ["segment_id", "lambda_lo", "lambda_hi", "var_index", "base", "slope"]
+    if violations is not None:
+        header.append("violation_at_lo")
+    # The bytes csv.writer would write: no field is ever quoted (each is a
+    # header name, an int or a float repr), and rows end in "\r\n".
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        header = ["segment_id", "lambda_lo", "lambda_hi",
-                  "var_index", "base", "slope"]
-        if violations is not None:
-            header.append("violation_at_lo")
-        w.writerow(header)
+        f.write(",".join(header) + "\r\n")
         for sid, (lo, hi, idx, base, slope) in enumerate(pieces):
-            lo, hi = repr(float(lo)), repr(float(hi))
-            tail = () if violations is None else (repr(float(violations[sid])),)
-            # csv writes a Python float as its repr, like the strings above
+            head = f"{sid},{float(lo)!r},{float(hi)!r},"
+            tail = "\r\n" if violations is None else f",{float(violations[sid])!r}\r\n"
             rows = zip(idx.tolist(), base.tolist(), slope.tolist())
-            w.writerows((sid, lo, hi, j, b, s) + tail for j, b, s in rows)
+            f.write("".join(f"{head}{j},{b!r},{s!r}{tail}" for j, b, s in rows))
 
 
 def save_path_csv(path: PathLike, sol: SolutionPath) -> None:

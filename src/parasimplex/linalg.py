@@ -15,26 +15,44 @@ slack slot has a zero right-hand side come out exactly zero. A basis with no
 slack slots (``BasisFactorization(B)``) is the k = m case of the same code.
 
 Chain. The basis changes by a single column at every simplex pivot, so a
-full refactorization per pivot is wasteful. On top of the base solve we keep
-a short chain of Sherman-Morrison updates:
+full refactorization per pivot is wasteful. Replacing position k by a gives
 
     B_new = B + (a - B e_k) e_k'  =  B (I + p e_k'),   p = B^{-1} a - e_k
 
-so ``B_new^{-1} v = (I - theta p e_k') B^{-1} v`` with ``theta = 1/(1+p_k)``.
+with p solved against the current basis. After r such updates, the bordered
+(Schur-complement) form of Gill, Murray, Saunders & Wright (1984) keeps the
+replaced positions K, the m x r block P whose column i is p_i, and the r x r
+lower-triangular F with F[i, i] = 1 + p_i[k_i] (the determinant ratio of
+update i) and F[i, j] = p_j[k_i] for j < i. Each update appends one column
+to P and one row to F. Then
+
+    B_r^{-1} v  = w0 - P F^{-1} w0[K],            w0 = B_0^{-1} v
+    B_r^{-T} v  = B_0^{-T} (v - E_K F^{-T} P' v)
+
+where E_K scatters onto the positions K, which may repeat. Both equal the
+sequential Sherman-Morrison chain, and each adds to the base solve one GEMV
+with P and one r x r triangular solve, whatever r is. The core LU is solved
+by LAPACK ``getrs`` called directly, after one finiteness test of the
+right-hand side.
+
 Entering slack columns are ordinary columns to the chain. The chain only
 grows; the engine rebuilds the factorization from the basis columns once it
-holds ``REFRESH_LIMIT`` entries. A pivot has already solved ``B p = a`` for
-its ratio test, so ``replace_column`` reuses the last ``solve`` when it is
-handed that same column object.
+holds ``REFRESH_LIMIT`` entries. So P and F are allocated at that capacity
+by the first update, when the factorization a refresh replaced is already
+freed and its block can be reused, and grow only when a caller goes beyond
+it. A pivot has already solved ``B p = a`` for its ratio test, so
+``replace_column`` reuses the last ``solve`` when it is handed that same
+column object.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs, dtrtrs
 
 from .errors import SingularBasis, UpdateDegenerate
 
@@ -98,17 +116,31 @@ class BasisFactorization:
                     f"basis matrix has LU pivot {diag.min():.3e} below "
                     f"{PIVOT_RTOL:.0e} * ||B||_inf = {PIVOT_RTOL * self.norm_inf:.3e}"
                 )
-        # update chain entries: (position k, vector p, theta = 1/(1+p_k))
-        self._updates: List[Tuple[int, np.ndarray, float]] = []
+        # bordered update chain: storage for K, P and F, and views of the
+        # r entries in use (K[:r], P[:, :r], F[:, :r]). trtrs is handed the
+        # Fortran-contiguous F[:, :r], whose leading dimension locates the
+        # r x r block, so the block is never copied.
+        self._K = np.empty(0, dtype=np.intp)
+        self._P = np.empty((m, 0), order="F")
+        self._F = np.empty((0, 0), order="F")
+        self._in_use = (self._K, self._P, self._F)
         # (v, B^{-1} v) of the last solve against the current basis
         self._last_solve: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def updates_since_refactor(self) -> int:
-        return len(self._updates)
+        return len(self._in_use[0])
 
     def _core_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
-        return lu_solve(self._lu, rhs, trans=trans) if self._lu is not None else rhs
+        """Solve the core system in place of ``rhs``, a fresh array."""
+        if self._lu is None:
+            return rhs
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        x, info = dgetrs(*self._lu, rhs, trans=trans, overwrite_b=1)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        return x
 
     def _base_solve(self, v: np.ndarray) -> np.ndarray:
         x = np.empty(self.m)
@@ -128,16 +160,18 @@ class BasisFactorization:
     def solve(self, v: np.ndarray) -> np.ndarray:
         """Return ``B^{-1} v`` for the current basis."""
         w = self._base_solve(np.asarray(v, dtype=float))
-        for k, p, theta in self._updates:
-            w = w - (theta * w[k]) * p
+        K, P, F = self._in_use
+        if len(K):
+            w -= np.dot(P, dtrtrs(F, w[K], 1, 0)[0])
         self._last_solve = (v, w)
         return w
 
     def solve_transpose(self, v: np.ndarray) -> np.ndarray:
         """Return ``B^{-T} v`` for the current basis."""
         w = np.array(v, dtype=float, copy=True)
-        for k, p, theta in reversed(self._updates):
-            w[k] -= theta * (p @ w)
+        K, P, F = self._in_use
+        if len(K):
+            np.subtract.at(w, K, dtrtrs(F, np.dot(w, P), 1, 1)[0])
         return self._base_solve_transpose(w)
 
     def replace_column(self, k: int, a_new: np.ndarray) -> float:
@@ -154,11 +188,12 @@ class BasisFactorization:
         """
         if not 0 <= k < self.m:
             raise IndexError(f"column position {k} out of range")
+        r = len(self._in_use[0])
+        if r == len(self._K):
+            self._grow()
+        p = self._P[:, r]  # column r joins the views in use below
         last = self._last_solve
-        if last is not None and last[0] is a_new:
-            p = last[1].copy()
-        else:
-            p = self.solve(a_new)
+        p[:] = last[1] if last is not None and last[0] is a_new else self.solve(a_new)
         p[k] -= 1.0
         det_ratio = 1.0 + p[k]
         if abs(det_ratio) < PIVOT_RTOL * max(1.0, self.norm_inf):
@@ -166,6 +201,20 @@ class BasisFactorization:
                 f"replacement at position {k} makes the basis singular "
                 f"(det ratio {det_ratio:.3e})"
             )
-        self._updates.append((k, p, 1.0 / det_ratio))
+        self._K[r] = k
+        self._F[r, :r] = self._P[k, :r]
+        self._F[r, r] = det_ratio
+        self._in_use = (self._K[:r + 1], self._P[:, :r + 1], self._F[:, :r + 1])
         self._last_solve = None
         return float(det_ratio)
+
+    def _grow(self) -> None:
+        """Make room for REFRESH_LIMIT updates, or double the room beyond
+        that, keeping the entries in use."""
+        r = len(self._in_use[0])
+        cap = max(REFRESH_LIMIT, 2 * r)
+        K = np.empty(cap, dtype=np.intp)
+        P = np.empty((self.m, cap), order="F")
+        F = np.empty((cap, cap), order="F")
+        K[:r], P[:, :r], F[:r, :r] = self._K, self._P, self._F
+        self._K, self._P, self._F = K, P, F

@@ -269,7 +269,7 @@ def _check_split_complement(
 
 
 def _support_of(values: np.ndarray) -> FrozenSet[int]:
-    return frozenset(int(i) for i in np.flatnonzero(np.abs(values) > SUPPORT_TOL))
+    return frozenset(np.flatnonzero(np.abs(values) > SUPPORT_TOL).tolist())
 
 
 def diffnet_sparsity_stop(

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from parasimplex import io as pio
-from parasimplex.core import ParametricProgram, ProgramKind, Termination
+from parasimplex.core import (
+    ParametricProgram,
+    PathSegment,
+    ProgramKind,
+    SolutionPath,
+    Termination,
+)
 from parasimplex.engine import solve_path
 from parasimplex.experiments import (
     BenchRecord,
@@ -19,6 +25,8 @@ from parasimplex.experiments import (
 from parasimplex.reductions import (
     DantzigInstance,
     DiffNetInstance,
+    OriginalSegment,
+    PathInOriginalCoords,
     build_dantzig,
     build_diffnet,
     recover_dantzig,
@@ -204,17 +212,53 @@ def _original_path_csv_row_by_row(path, orig, violations=None):
                 w.writerow(row)
 
 
+def _path_csv_row_by_row(path, sol):
+    """One csv.writerow per entry: the reference for the primal path writer."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["segment_id", "lambda_lo", "lambda_hi",
+                    "var_index", "base", "slope"])
+        for sid, seg in enumerate(sol.segments):
+            for j, base, slope in zip(
+                seg.primal_indices, seg.primal_base, seg.primal_slope
+            ):
+                w.writerow([sid, repr(float(seg.lambda_lo)),
+                            repr(float(seg.lambda_hi)),
+                            int(j), repr(float(base)), repr(float(slope))])
+
+
+def _signed_zero_paths():
+    """A primal and a recovered path whose first segment reaches lambda =
+    inf and whose entries include -0.0, which must be written as "-0.0"."""
+    none = np.array([], dtype=np.intp)
+    sol = SolutionPath(segments=[
+        PathSegment(1.5, np.inf, 3, np.array([0, 2]), np.array([-0.0, 2.5]),
+                    np.array([1.0, -0.0]), none, none * 0.0, none * 0.0),
+        PathSegment(0.0, 1.5, 3, np.array([2]), np.array([1e-300]),
+                    np.array([-3.0]), none, none * 0.0, none * 0.0),
+    ])
+    orig = PathInOriginalCoords(segments=[
+        OriginalSegment(1.5, np.inf, np.array([-0.0, 0.0, 7.0]),
+                        np.array([1.0, 0.0, -0.0])),
+        OriginalSegment(0.0, 1.5, np.array([0.1, -0.0, 0.0]),
+                        np.array([0.0, -2.0, 0.0])),
+    ])
+    return sol, orig
+
+
 def test_original_path_csv_is_byte_identical_to_row_by_row(tmp_path):
     X, y, _ = gen_dantzig(DantzigGenConfig(n=20, d=8, rng_seed=4))
     orig = recover_dantzig(solve_path(build_dantzig(DantzigInstance(X, y))))
     S_X, S_Y, _ = gen_diffnet(DiffNetGenConfig(d=4, n=50, sparsity=2, rng_seed=2))
     inst = DiffNetInstance.from_covariances(S_X, S_Y)
     matrix = recover_diffnet(solve_path(build_diffnet(inst)), inst)
+    _, signed = _signed_zero_paths()
     rng = np.random.default_rng(0)
     cases = [
         (orig, rng.standard_normal(len(orig.segments)) * 1e-11),
         (orig, None),
         (matrix, None),  # matrix segments are written column-major
+        (signed, [-0.0, 1e-12]),
     ]
     for k, (o, violations) in enumerate(cases):
         got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
@@ -222,27 +266,20 @@ def test_original_path_csv_is_byte_identical_to_row_by_row(tmp_path):
         _original_path_csv_row_by_row(want, o, violations)
         assert len(want.read_bytes().splitlines()) > len(o.segments)
         assert got.read_bytes() == want.read_bytes()
+    assert b",inf,0,-0.0,1.0,-0.0\r\n" in got.read_bytes()
 
 
 def test_path_csv_is_byte_identical_to_row_by_row(tmp_path):
     X, y, _ = gen_dantzig(DantzigGenConfig(n=20, d=8, rng_seed=4))
-    path = solve_path(build_dantzig(DantzigInstance(X, y)))
-    want = tmp_path / "want.csv"
-    with open(want, "w", newline="") as f:  # one csv.writerow per entry
-        w = csv.writer(f)
-        w.writerow(["segment_id", "lambda_lo", "lambda_hi",
-                    "var_index", "base", "slope"])
-        for sid, seg in enumerate(path.segments):
-            for j, base, slope in zip(
-                seg.primal_indices, seg.primal_base, seg.primal_slope
-            ):
-                w.writerow([sid, repr(float(seg.lambda_lo)),
-                            repr(float(seg.lambda_hi)),
-                            int(j), repr(float(base)), repr(float(slope))])
-    got = tmp_path / "got.csv"
-    pio.save_path_csv(got, path)
-    assert len(want.read_bytes().splitlines()) > len(path.segments)
-    assert got.read_bytes() == want.read_bytes()
+    signed, _ = _signed_zero_paths()
+    for k, path in enumerate([solve_path(build_dantzig(DantzigInstance(X, y))),
+                              signed]):
+        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+        pio.save_path_csv(got, path)
+        _path_csv_row_by_row(want, path)
+        assert len(want.read_bytes().splitlines()) > len(path.segments)
+        assert got.read_bytes() == want.read_bytes()
+    assert b"0,1.5,inf,0,-0.0,1.0\r\n" in got.read_bytes()
 
 
 def test_bench_csv(tmp_path):

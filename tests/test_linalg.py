@@ -35,10 +35,17 @@ def test_self_replacement_is_identity():
 
 def test_duplicate_column_raises_degenerate():
     f = BasisFactorization(np.eye(2))
+    e1 = np.array([0.0, 1.0])
     # replacing column 0 with e_1 would make the basis singular
     with pytest.raises(UpdateDegenerate):
-        f.replace_column(0, np.array([0.0, 1.0]))
+        f.replace_column(0, e1)
     # the factorization must still be usable afterwards
+    np.testing.assert_allclose(f.solve(np.array([1.0, 2.0])), [1.0, 2.0])
+    # and a failed replacement leaves no altered solve of its column behind
+    # for the next replacement with the same array to reuse
+    with pytest.raises(UpdateDegenerate):
+        f.replace_column(0, e1)
+    assert f.replace_column(1, e1) == pytest.approx(1.0)
     np.testing.assert_allclose(f.solve(np.array([1.0, 2.0])), [1.0, 2.0])
 
 
@@ -107,6 +114,10 @@ def test_long_update_chain_matches_dense():
     rhs = rng.standard_normal(n)
     np.testing.assert_allclose(f.solve(rhs), np.linalg.solve(M, rhs),
                                atol=1e-7)
+    # every position repeats in the chain, so BTRAN scatters onto each
+    # position many times
+    np.testing.assert_allclose(f.solve_transpose(rhs),
+                               np.linalg.solve(M.T, rhs), atol=1e-7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,6 +139,8 @@ def test_random_update_sequences_match_dense(data):
         rhs = rng.standard_normal(n)
         np.testing.assert_allclose(f.solve(rhs), np.linalg.solve(M, rhs),
                                    atol=1e-7)
+        np.testing.assert_allclose(f.solve_transpose(rhs),
+                                   np.linalg.solve(M.T, rhs), atol=1e-7)
 
 
 # ------------------------------------------------ split slack/structural base
@@ -208,6 +221,8 @@ def test_split_base_chain_with_slack_swaps_matches_dense():
         (slack_pos[1], rng.standard_normal(m) + 3.0 * np.eye(m)[:, slack_rows[slack_pos[1]]]),
         (struct_pos[1], np.eye(m)[free_rows[1]]),    # structural -> slack
         (struct_pos[0], rng.standard_normal(m) + 3.0 * np.eye(m)[:, free_rows[0]]),
+        # the first slack position again: its chain entry repeats
+        (slack_pos[0], rng.standard_normal(m) + 3.0 * np.eye(m)[:, slack_rows[slack_pos[0]]]),
     ]
     for k, a in swaps:
         f.replace_column(k, a)
