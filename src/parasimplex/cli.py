@@ -19,8 +19,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import io as pio
 from .core import SolutionPath, Termination, segment_breakpoint
 from .engine import SolveOptions, solve_path
@@ -47,8 +45,6 @@ from .experiments import (
 from .reductions import (
     DantzigInstance,
     DiffNetInstance,
-    OriginalSegment,
-    PathInOriginalCoords,
     SvmInstance,
     build_dantzig,
     build_diffnet,
@@ -113,7 +109,10 @@ def _parse_stop_rule(text: str) -> Tuple[str, Optional[float]]:
     )
 
 
-def _report(path: SolutionPath) -> int:
+def _report(path: SolutionPath, orig=None) -> int:
+    """Print orig's terminal support size, if given, and the outcome."""
+    if orig is not None and orig.supports:
+        print(f"terminal_support_size={len(orig.supports[-1])}")
     print(
         f"termination={path.termination.value} pivots={path.num_pivots} "
         f"segments={len(path.segments)} terminal_lambda={path.terminal_lambda:.10g}"
@@ -163,9 +162,7 @@ def cmd_dantzig(args: argparse.Namespace) -> int:
             bp = segment_breakpoint(seg)
             violations.append(feasibility_violation(X, y, seg.value(bp), bp))
         pio.save_original_path_csv(args.out, orig, violations)
-    if orig.supports:
-        print(f"terminal_support_size={len(orig.supports[-1])}")
-    return _report(path)
+    return _report(path, orig)
 
 
 def cmd_svm(args: argparse.Namespace) -> int:
@@ -179,22 +176,8 @@ def cmd_svm(args: argparse.Namespace) -> int:
     )
     orig = recover_svm(path, inst)
     if args.out:
-        augmented = PathInOriginalCoords(
-            segments=[
-                OriginalSegment(
-                    s.lambda_lo, s.lambda_hi,
-                    np.append(s.base, s.intercept_base),
-                    np.append(s.slope, s.intercept_slope),
-                )
-                for s in orig.segments
-            ],
-            termination=orig.termination,
-            terminal_lambda=orig.terminal_lambda,
-        )
-        pio.save_original_path_csv(args.out, augmented)
-    if orig.supports:
-        print(f"terminal_support_size={len(orig.supports[-1])}")
-    return _report(path)
+        pio.save_original_path_csv(args.out, orig)
+    return _report(path, orig)
 
 
 def cmd_diffnet(args: argparse.Namespace) -> int:
@@ -214,9 +197,7 @@ def cmd_diffnet(args: argparse.Namespace) -> int:
     orig = recover_diffnet(path, inst)
     if args.out:
         pio.save_original_path_csv(args.out, orig)
-    if orig.supports:
-        print(f"terminal_support_size={len(orig.supports[-1])}")
-    return _report(path)
+    return _report(path, orig)
 
 
 def _gen_config(args: argparse.Namespace):

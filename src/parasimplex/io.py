@@ -280,12 +280,13 @@ def save_original_path_csv(
     violations: Optional[Sequence[float]] = None,
 ) -> None:
     """Recovered-coordinate path rows (matrix problems use column-major flat
-    indices). ``violations`` adds one extra column, constant per segment."""
+    indices; a nonzero intercept, SVM's theta_0, is the last coordinate).
+    ``violations`` adds one extra column, constant per segment."""
 
     def pieces():
         for seg in orig.segments:
-            base = np.asarray(seg.base).flatten(order="F")
-            slope = np.asarray(seg.slope).flatten(order="F")
+            base = np.append(np.ravel(seg.base, order="F"), seg.intercept_base)
+            slope = np.append(np.ravel(seg.slope, order="F"), seg.intercept_slope)
             nz = np.flatnonzero((base != 0.0) | (slope != 0.0))
             yield seg.lambda_lo, seg.lambda_hi, nz, base[nz], slope[nz]
 

@@ -247,25 +247,37 @@ def build_diffnet(inst: DiffNetInstance) -> ParametricProgram:
     return _sup_norm_program(G, inst.Y.flatten(order="F"))
 
 
-def _dense_affine(seg: PathSegment, limit: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense (base, slope) arrays over the first ``limit`` columns."""
-    base = np.zeros(limit)
-    slope = np.zeros(limit)
-    keep = seg.primal_indices < limit
+def _split_halves(seg: PathSegment, lo: int, w: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense (base, slope) of the split u = u_plus - u_minus held in
+    columns lo : lo + 2w of ``seg``, each a 2 x w array whose rows are the
+    plus and the minus half."""
+    hi = lo + 2 * w
+    base = np.zeros(hi)
+    slope = np.zeros(hi)
+    keep = seg.primal_indices < hi
     base[seg.primal_indices[keep]] = seg.primal_base[keep]
     slope[seg.primal_indices[keep]] = seg.primal_slope[keep]
-    return base, slope
+    return base[lo:].reshape(2, w), slope[lo:].reshape(2, w)
 
 
-def _check_split_complement(
-    plus: np.ndarray, minus: np.ndarray, lam: float, what: str
-) -> None:
-    worst = float(np.abs(plus * minus).max(initial=0.0))
+def _split_affine(
+    seg: PathSegment, lo: int, w: int, what: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u's dense (base, slope) and its value at the segment's breakpoint,
+    for the split in columns lo : lo + 2w; raises ComplementarityViolation
+    if both halves of an entry are on there."""
+    base, slope = _split_halves(seg, lo, w)
+    lam = segment_breakpoint(seg)
+    x = base + lam * slope
+    worst = float(np.abs(x[0] * x[1]).max(initial=0.0))
     if worst > COMPL_TOL:
         raise ComplementarityViolation(
             f"{what} split has overlapping halves at lambda={lam:.6g} "
             f"(max product {worst:.3e})"
         )
+    u_base = base[0] - base[1]
+    u_slope = slope[0] - slope[1]
+    return u_base, u_slope, u_base + lam * u_slope
 
 
 def _support_of(values: np.ndarray) -> FrozenSet[int]:
@@ -284,10 +296,9 @@ def diffnet_sparsity_stop(
         lam = segment.lambda_lo
         if not np.isfinite(lam):
             return False
-        keep = segment.primal_indices < 2 * nD
-        vals = segment.primal_base[keep] + lam * segment.primal_slope[keep]
-        idx = segment.primal_indices[keep] % nD
-        return np.unique(idx[np.abs(vals) > SUPPORT_TOL]).size >= want
+        base, slope = _split_halves(segment, 0, nD)
+        on = (np.abs(base + lam * slope) > SUPPORT_TOL).any(axis=0)
+        return np.count_nonzero(on) >= want
 
     return enough
 
@@ -312,28 +323,14 @@ def recover_svm(path: SolutionPath, inst: SvmInstance) -> PathInOriginalCoords:
         termination=path.termination, terminal_lambda=path.terminal_lambda
     )
     for seg in path.segments:
-        base, slope = _dense_affine(seg, 2 * n + 2 * d + 3)
-        lam = segment_breakpoint(seg)
-        x = base + lam * slope
-        _check_split_complement(x[:n], x[n:2 * n], lam, "hinge")
-        tp = slice(2 * n, 2 * n + d)
-        tm = slice(2 * n + d, 2 * n + 2 * d)
-        _check_split_complement(x[tp], x[tm], lam, "theta")
-        i0 = 2 * n + 2 * d
-        _check_split_complement(x[i0:i0 + 1], x[i0 + 1:i0 + 2], lam, "theta0")
-        theta_base = base[tp] - base[tm]
-        theta_slope = slope[tp] - slope[tm]
-        out.segments.append(
-            OriginalSegment(
-                seg.lambda_lo,
-                seg.lambda_hi,
-                theta_base,
-                theta_slope,
-                intercept_base=base[i0] - base[i0 + 1],
-                intercept_slope=slope[i0] - slope[i0 + 1],
-            )
-        )
-        out.supports.append(_support_of(theta_base + lam * theta_slope))
+        _split_affine(seg, 0, n, "hinge")  # checked only
+        theta_base, theta_slope, theta = _split_affine(seg, 2 * n, d, "theta")
+        t0_base, t0_slope, _ = _split_affine(seg, 2 * n + 2 * d, 1, "theta0")
+        out.segments.append(OriginalSegment(
+            seg.lambda_lo, seg.lambda_hi, theta_base, theta_slope,
+            intercept_base=t0_base[0], intercept_slope=t0_slope[0],
+        ))
+        out.supports.append(_support_of(theta))
     return out
 
 
@@ -358,15 +355,10 @@ def _recover_sup_norm(
         termination=path.termination, terminal_lambda=path.terminal_lambda
     )
     for seg in path.segments:
-        base, slope = _dense_affine(seg, 2 * d)
-        lam = segment_breakpoint(seg)
-        x = base + lam * slope
-        _check_split_complement(x[:d], x[d:], lam, name)
-        u_base = base[:d] - base[d:]
-        u_slope = slope[:d] - slope[d:]
+        u_base, u_slope, u = _split_affine(seg, 0, d, name)
         out.segments.append(OriginalSegment(
             seg.lambda_lo, seg.lambda_hi,
             u_base.reshape(shape, order="F"), u_slope.reshape(shape, order="F"),
         ))
-        out.supports.append(_support_of(u_base + lam * u_slope))
+        out.supports.append(_support_of(u))
     return out

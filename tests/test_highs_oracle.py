@@ -3,7 +3,9 @@
 At one lambda inside every segment, ``c(lambda)' x(lambda)`` of the traced
 path must match an independent ``scipy.optimize.linprog(method="highs")``
 solve of the same <= program to relative ``OBJ_RTOL``, and x(lambda) must
-be feasible. This reaches programs far beyond the 24 columns the
+be feasible. For Dantzig and diffnet the recovered estimate is checked too:
+its l1 norm must match the HiGHS optimum and it must meet its sup-norm
+bound. This reaches programs far beyond the 24 columns the
 basis-enumeration oracle can handle.
 """
 
@@ -32,6 +34,8 @@ from parasimplex.reductions import (
     DiffNetInstance,
     build_dantzig,
     build_diffnet,
+    recover_dantzig,
+    recover_diffnet,
 )
 
 OBJ_RTOL = 1e-7
@@ -47,7 +51,9 @@ def _sample(seg, floor):
     return 0.5 * (lo + hi)
 
 
-def _check_against_highs(p, path, floor):
+def _check_against_highs(p, path, floor, estimate=None):
+    """``estimate(lam)``, if given, returns the recovered estimate u and
+    its sup-norm residual, which must be at most lam."""
     assert p.kind is ProgramKind.LESS_EQUAL
     n = p.n
     A = p.A.to_dense()
@@ -66,6 +72,14 @@ def _check_against_highs(p, path, floor):
         assert abs(got - want) <= OBJ_RTOL * (1.0 + abs(want)), (
             f"segment {k}: objective {got:.12g}, HiGHS {want:.12g} "
             f"at lambda={lam:.6g}")
+        if estimate is not None:
+            u, resid = estimate(lam)
+            l1 = float(np.abs(u).sum())
+            assert abs(l1 - res.fun) <= OBJ_RTOL * (1.0 + abs(res.fun)), (
+                f"segment {k}: ||u||_1 = {l1:.12g}, HiGHS {res.fun:.12g} "
+                f"at lambda={lam:.6g}")
+            assert resid <= lam + tol, (
+                f"segment {k}: sup-norm residual {resid:.12g} > lambda={lam:.12g}")
         checked += 1
     return checked
 
@@ -77,18 +91,31 @@ def test_dantzig_target_path_matches_highs():
     target = stop_lambda("benchmark", cfg.n, cfg.d, cfg.sigma)
     path = solve_path(p, lambda_target=target)
     assert path.num_pivots > 0
-    assert _check_against_highs(p, path, target) == len(path.segments)
+    orig = recover_dantzig(path)
+
+    def estimate(lam):
+        theta = orig.value_at(lam)
+        return theta, float(np.abs(X.T @ (y - X @ theta)).max())
+
+    assert _check_against_highs(p, path, target, estimate) == len(path.segments)
 
 
 def test_diffnet_path_matches_highs():
     S_X, S_Y, _ = gen_diffnet(DiffNetGenConfig(d=10, n=100, sparsity=4, rng_seed=3))
-    p = build_diffnet(DiffNetInstance.from_covariances(S_X, S_Y))
+    inst = DiffNetInstance.from_covariances(S_X, S_Y)
+    p = build_diffnet(inst)
     # Down to 2% of the first breakpoint: ~65 segments, one refresh. The
     # full path has ~385 and a HiGHS solve takes ~30 ms here.
     target = 0.02 * solve_path(p, max_pivots=0).segments[0].lambda_lo
     path = solve_path(p, lambda_target=target)
     assert path.num_pivots > 50
-    assert _check_against_highs(p, path, target) == len(path.segments)
+    orig = recover_diffnet(path, inst)
+
+    def estimate(lam):
+        D = orig.value_at(lam)
+        return D, float(np.abs(S_X @ D @ S_Y - (S_X - S_Y)).max())
+
+    assert _check_against_highs(p, path, target, estimate) == len(path.segments)
 
 
 def _random_program(rng):

@@ -269,6 +269,35 @@ def test_original_path_csv_is_byte_identical_to_row_by_row(tmp_path):
     assert b",inf,0,-0.0,1.0,-0.0\r\n" in got.read_bytes()
 
 
+def test_original_path_csv_writes_the_intercept_last(tmp_path):
+    # An SVM path: theta_0 is written as coordinate d, exactly as if it were
+    # appended to the estimate, and dropped where it is zero.
+    orig = PathInOriginalCoords(segments=[
+        OriginalSegment(2.0, np.inf, np.array([0.3, 0.0, -0.2]),
+                        np.array([0.05, 0.0, 0.1]),
+                        intercept_base=0.7, intercept_slope=-0.1),
+        OriginalSegment(1.0, 2.0, np.array([0.0, 1.5, 0.0]),
+                        np.array([0.0, -0.5, 0.0]),
+                        intercept_base=0.0, intercept_slope=-0.4),
+        OriginalSegment(0.0, 1.0, np.array([0.0, 0.0, 0.6]),
+                        np.array([0.0, 0.0, 0.2]),
+                        intercept_base=-0.0, intercept_slope=0.0),
+    ])
+    augmented = PathInOriginalCoords(segments=[
+        OriginalSegment(s.lambda_lo, s.lambda_hi,
+                        np.append(s.base, s.intercept_base),
+                        np.append(s.slope, s.intercept_slope))
+        for s in orig.segments
+    ])
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    pio.save_original_path_csv(got, orig)
+    _original_path_csv_row_by_row(want, augmented)
+    assert got.read_bytes() == want.read_bytes()
+    rows = got.read_bytes().splitlines()
+    assert b"0,2.0,inf,3,0.7,-0.1" in rows and b"1,1.0,2.0,3,0.0,-0.4" in rows
+    assert not any(r.startswith(b"2,") and b",3," in r for r in rows)
+
+
 def test_path_csv_is_byte_identical_to_row_by_row(tmp_path):
     X, y, _ = gen_dantzig(DantzigGenConfig(n=20, d=8, rng_seed=4))
     signed, _ = _signed_zero_paths()

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from parasimplex.core import ProgramKind, SolutionPath, Termination, segment_breakpoint
+from parasimplex.core import (
+    PathSegment,
+    ProgramKind,
+    SolutionPath,
+    Termination,
+    evaluate_primal,
+    segment_breakpoint,
+)
 from parasimplex.engine import solve_path
+from parasimplex.experiments import DiffNetGenConfig, gen_diffnet
 from parasimplex.errors import ComplementarityViolation, InfeasibleAtLargeLambda
 from parasimplex.reductions import (
     DantzigInstance,
@@ -15,6 +23,7 @@ from parasimplex.reductions import (
     build_dantzig,
     build_diffnet,
     build_svm,
+    diffnet_sparsity_stop,
     recover_dantzig,
     recover_diffnet,
     recover_svm,
@@ -82,8 +91,6 @@ def test_recover_complementarity_guard():
         terminal_lambda=0.0,
         num_cols=4,
     )
-    from parasimplex.core import PathSegment
-
     seg_path.segments.append(
         PathSegment(
             lambda_lo=0.0, lambda_hi=1.0, n_cols=4,
@@ -148,6 +155,77 @@ def test_svm_balanced_data_gives_trivial_path():
     seg = orig.segment_at(1.0)
     np.testing.assert_allclose(seg.value(1.0), [0.0, 0.0], atol=VAL_TOL)
     assert seg.intercept(1.0) == pytest.approx(0.0, abs=VAL_TOL)
+
+
+def _svm_path(n, d, pieces):
+    """A hand-built path in build_svm's column layout from pieces
+    (lambda_lo, lambda_hi, columns, base, slope)."""
+    cols = 2 * n + 2 * d + 3
+    none = np.array([], dtype=np.intp)
+    return SolutionPath(num_cols=cols, terminal_lambda=0.0, segments=[
+        PathSegment(lo, hi, cols, np.array(idx), np.array(base, dtype=float),
+                    np.array(slope, dtype=float), none, none * 0.0, none * 0.0)
+        for lo, hi, idx, base, slope in pieces
+    ])
+
+
+def test_recover_svm_matches_dense_reference():
+    n, d = 3, 4
+    tp, tm, i0 = 2 * n, 2 * n + d, 2 * n + 2 * d  # theta+, theta-, theta0+
+    path = _svm_path(n, d, [
+        (2.0, np.inf, [0, 1, tp + 0, tm + 2, i0],
+         [0.2, 0.5, 0.3, 0.2, 0.7], [0.1, -0.2, 0.05, 0.1, -0.1]),
+        # theta+[1] is 0 at the breakpoint lambda = 1, so not in the support
+        (1.0, 2.0, [n + 2, tp + 1, tm + 0, tm + 3, i0 + 1, i0 + 2],
+         [0.4, -0.5, 0.25, 1.5, 0.3, 0.1], [0.2, 0.5, -0.05, -0.5, 0.4, 1.0]),
+        # theta0 halves both off: the intercept is exactly zero
+        (0.0, 1.0, [2, tm + 3, i0 + 2], [1.0, 0.6, 0.5], [-0.5, 0.2, 0.3]),
+    ])
+    orig = recover_svm(path, SvmInstance(np.ones((n, d)), np.ones(n)))
+    assert orig.terminal_lambda == 0.0 and len(orig.segments) == 3
+    for seg, got, support in zip(path.segments, orig.segments, orig.supports):
+        assert (got.lambda_lo, got.lambda_hi) == (seg.lambda_lo, seg.lambda_hi)
+        bp = segment_breakpoint(seg)
+        for lam in (bp, bp + 0.5):
+            x = evaluate_primal(seg, lam)
+            np.testing.assert_allclose(got.value(lam), x[tp:tm] - x[tm:i0],
+                                       rtol=0, atol=1e-15)
+            assert got.intercept(lam) == pytest.approx(x[i0] - x[i0 + 1],
+                                                      rel=0, abs=1e-15)
+        x = evaluate_primal(seg, bp)
+        want = np.flatnonzero(np.abs(x[tp:tm] - x[tm:i0]) > SUPPORT_TOL)
+        assert support == frozenset(want.tolist())
+    assert [sorted(s) for s in orig.supports] == [[0, 2], [0, 3], [3]]
+    assert orig.segments[1].intercept(1.5) == pytest.approx(-(0.3 + 1.5 * 0.4))
+    assert orig.segments[2].intercept_base == orig.segments[2].intercept_slope == 0
+
+
+# n=3, d=2: hinge halves 0-2 and 3-5, theta 6-7 and 8-9, theta0 10 and 11
+@pytest.mark.parametrize("columns, name", [
+    ([0, 3], "hinge"),
+    ([6, 8], "theta"),
+    ([10, 11], "theta0"),
+    ([10, 11, 7, 9, 2, 5], "hinge"),  # checked in the order hinge, theta, theta0
+    ([10, 11, 6, 8], "theta"),
+])
+def test_recover_svm_names_the_overlapping_split(columns, name):
+    k = len(columns)
+    path = _svm_path(3, 2, [(0.0, 1.0, columns, [1.0] * k, [0.0] * k)])
+    with pytest.raises(ComplementarityViolation, match=f"^{name} split"):
+        recover_svm(path, SvmInstance(np.ones((3, 2)), np.ones(3)))
+
+
+def test_sparsity_stop_agrees_with_recovered_supports():
+    S_X, S_Y, delta0 = gen_diffnet(DiffNetGenConfig(d=8, n=100, sparsity=3,
+                                                    rng_seed=5))
+    want = int(np.count_nonzero(np.abs(delta0) > SUPPORT_TOL))
+    inst = DiffNetInstance.from_covariances(S_X, S_Y)
+    path = solve_path(build_diffnet(inst),
+                      stop_callback=diffnet_sparsity_stop(inst, want))
+    assert path.termination is Termination.REACHED_TARGET
+    sizes = [len(s) for s in recover_diffnet(path, inst).supports]
+    assert len(sizes) > 2
+    assert max(sizes[:-1]) < want <= sizes[-1]
 
 
 def test_diffnet_blocks_encode_the_linear_map():
