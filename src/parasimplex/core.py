@@ -107,14 +107,16 @@ def to_standard_form(p: ParametricProgram) -> Tuple[ParametricProgram, Optional[
     constraint operator becomes ``WithSlacks(A)``, ``[A | I]`` held as A.
 
     Slacks get zero cost in both c and c_bar. Equality programs pass through
-    unchanged (info is None).
+    unchanged (info is None). The vectors come from p, which its own
+    construction checked, so the checks of ``__post_init__`` are not rerun.
     """
     if p.kind is ProgramKind.EQUALITY:
         return p, None
     pad = np.zeros(p.m)
-    std = ParametricProgram(WithSlacks(p.A), p.b.copy(), p.b_bar.copy(),
-                            np.concatenate([p.c, pad]), np.concatenate([p.c_bar, pad]),
-                            ProgramKind.EQUALITY)
+    std = object.__new__(ParametricProgram)
+    vars(std).update(A=WithSlacks(p.A), b=p.b.copy(), b_bar=p.b_bar.copy(),
+                     c=np.concatenate([p.c, pad]), c_bar=np.concatenate([p.c_bar, pad]),
+                     kind=ProgramKind.EQUALITY)
     return std, SlackInfo(original_n=p.n, num_rows=p.m)
 
 

@@ -85,6 +85,9 @@ RATIO_TOL = 1e-9
 CERT_TOL = 1e-7
 # Relative slack when comparing candidate breakpoints and ratio-test ties.
 BREAKPOINT_RTOL = 1e-12
+# A window is certified in batches of at most this many n-vectors, so the
+# batch's temporaries stay cache-sized on programs with many columns.
+CERT_BATCH_FLOATS = 1 << 18
 
 
 @dataclass
@@ -95,12 +98,14 @@ class SolveOptions:
         lambda_target: stop once lambda_star falls to or below this value.
         max_pivots: hard cap on basis exchanges (IterationCap termination);
             None means 10x the column count of the standard-form program.
-        check_certificates: verify an optimality certificate after every
-            pivot (with one refactorize-and-retry on failure).
+        check_certificates: certify every segment a pivot produces, in one
+            batch per refactorization window (see ``solve_path``).
         stop_callback: called with each newly emitted segment; returning
-            True ends the path early (ReachedTarget).
+            True ends the path early (ReachedTarget). Must be pure: it can
+            see a segment that a rollback replaces, then the replayed one.
         trace: writable text stream receiving one tab-separated line per
-            pivot: pivot#, kind, entering, leaving, lambda_star, t, s.
+            pivot: pivot#, kind, entering, leaving, lambda_star, t, s,
+            written once the pivot's window certifies.
     """
 
     lambda_target: float = 0.0
@@ -148,7 +153,7 @@ class DictionaryState:
                 f"basis size {len(partition.basic)} != row count {program.m}"
             )
         self.partition = partition
-        # refresh() sets fact, xB_base, xB_pert, zN_base and zN_pert
+        # refresh() sets fact, xB_base/pert, zN_base/pert and y_base/pert
         self.lambda_lo = float("-inf")
         self.lambda_hi = float("inf")
         self.refresh()
@@ -163,13 +168,19 @@ class DictionaryState:
             p.A.columns(B[unit_rows < 0]), unit_rows)
         self.xB_base = self.fact.solve(p.b)
         self.xB_pert = self.fact.solve(p.b_bar)
-        y = self.fact.solve_transpose(p.c[B])
-        self.zN_base = p.A.rmatvec(y)[N] - p.c[N]
+        self.y_base = self.fact.solve_transpose(p.c[B])
+        self.zN_base = p.A.rmatvec(self.y_base)[N] - p.c[N]
         if np.any(p.c_bar):
-            y_bar = self.fact.solve_transpose(p.c_bar[B])
-            self.zN_pert = p.A.rmatvec(y_bar)[N] - p.c_bar[N]
+            self.y_pert = self.fact.solve_transpose(p.c_bar[B])
+            self.zN_pert = p.A.rmatvec(self.y_pert)[N] - p.c_bar[N]
         else:
+            self.y_pert = np.zeros(p.m)
             self.zN_pert = np.zeros(len(N))
+
+    def entry(self, lam: float) -> Tuple[PathSegment, np.ndarray]:
+        """This dictionary as a window entry certified at ``lam``: a segment
+        ending there, and the duals y(lam)."""
+        return self.segment(lam, lam), self.y_base + lam * self.y_pert
 
     def segment(
         self,
@@ -307,12 +318,13 @@ def _ratio_pick(
     return _largest_ratio(deltas[cand] / vals, cand, cols)[1]
 
 
-def _delta_z(state: DictionaryState, basic_pos: int) -> np.ndarray:
-    """Row of the dictionary matrix: Delta z_N for leaving basic position."""
+def _delta_z(state: DictionaryState, basic_pos: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row of the dictionary matrix: Delta z_N for leaving basic position,
+    and the v = B^{-T} e_r it comes from."""
     e = np.zeros(state.program.m)
     e[basic_pos] = 1.0
     v = state.fact.solve_transpose(e)
-    return -state.program.A.rmatvec(v)[state.partition.nonbasic]
+    return -state.program.A.rmatvec(v)[state.partition.nonbasic], v
 
 
 def _exchange(
@@ -322,16 +334,19 @@ def _exchange(
     a_j: np.ndarray,
     dxB: np.ndarray,
     dzN: np.ndarray,
+    v: np.ndarray,
     kind: PivotKind,
     lam_star: float,
 ) -> PivotEvent:
     """Apply the basis exchange at (basic pos kB) <-> (nonbasic pos kN),
-    where ``a_j`` is the entering column and ``dxB = B^{-1} a_j``.
+    where ``a_j`` is the entering column, ``dxB = B^{-1} a_j`` and
+    ``dzN = -(A' v)_N`` for ``v = B^{-T} e_kB``.
 
     Step lengths are taken from the tight coordinates; all four dictionary
     vectors are updated in place and the swapped slots receive the step
     lengths themselves (the leaving variable's new reduced cost is (s, s_bar),
-    the entering variable's new basic value is (t, t_bar)).
+    the entering variable's new basic value is (t, t_bar)). The duals move
+    with the reduced costs, y += s v (Vanderbei, ch. 6).
     """
     part = state.partition
     i = int(part.basic[kB])
@@ -356,6 +371,9 @@ def _exchange(
     state.zN_base[kN] = s
     state.zN_pert -= s_bar * dzN
     state.zN_pert[kN] = s_bar
+    state.y_base += s * v
+    if s_bar:  # zero whenever c_bar is
+        state.y_pert += s_bar * v
 
     part.swap(kB, kN)
     return PivotEvent(
@@ -387,8 +405,8 @@ def primal_pivot(state: DictionaryState, entering: int, lam_star: float) -> Pivo
             f"no blocking basic variable for entering column {entering}: "
             f"program is unbounded below lambda={lam_star:.6g}"
         )
-    dzN = _delta_z(state, kB)
-    return _exchange(state, kB, kN, a_j, dxB, dzN, PivotKind.PRIMAL, lam_star)
+    dzN, v = _delta_z(state, kB)
+    return _exchange(state, kB, kN, a_j, dxB, dzN, v, PivotKind.PRIMAL, lam_star)
 
 
 def dual_pivot(state: DictionaryState, leaving: int, lam_star: float) -> PivotEvent:
@@ -399,7 +417,7 @@ def dual_pivot(state: DictionaryState, leaving: int, lam_star: float) -> PivotEv
     with Delta z_j > RATIO_TOL. Raises InfeasibleProblem when none exists.
     """
     kB = state.partition.position(leaving)
-    dzN = _delta_z(state, kB)
+    dzN, v = _delta_z(state, kB)
     zvals = state.zN_base + lam_star * state.zN_pert
     kN = _ratio_pick(dzN, zvals, state.partition.nonbasic)
     if kN is None:
@@ -409,7 +427,7 @@ def dual_pivot(state: DictionaryState, leaving: int, lam_star: float) -> PivotEv
         )
     a_j = state.program.A.column(state.partition.nonbasic[kN])
     dxB = state.fact.solve(a_j)
-    return _exchange(state, kB, kN, a_j, dxB, dzN, PivotKind.DUAL, lam_star)
+    return _exchange(state, kB, kN, a_j, dxB, dzN, v, PivotKind.DUAL, lam_star)
 
 
 def verify_certificate(
@@ -438,99 +456,100 @@ def verify_certificate(
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     cost = p.cost(lam)
-    A = p.A.to_dense()
+    dense = ParametricProgram(p.A.to_dense(), p.b, p.b_bar, p.c, p.c_bar)
+    A = dense.A.M
     if basic is not None:
         B = np.asarray(basic, dtype=np.intp)
         y = np.linalg.solve(A[:, B].T, cost[B])
     else:
         y, *_ = np.linalg.lstsq(A.T, z + cost, rcond=None)
-    return _certificate_residuals(
-        x, z, y, A @ x, A.T @ y, cost, p.rhs(lam), lam
-    )[0]
+    # a window of one, with x and z given on every column
+    res, passed, *_ = _residuals(
+        dense, np.array([lam]), np.arange(p.n)[None], x[None], z[None], y[None])
+    return CertificateReport(lam, *res[0].tolist(), CERT_TOL, bool(passed[0]))
 
 
-def _certificate_residuals(
-    x: np.ndarray,
-    z: np.ndarray,
-    y: np.ndarray,
-    ax: np.ndarray,
-    aty: np.ndarray,
-    cost: np.ndarray,
-    rhs: np.ndarray,
-    lam: float,
-) -> Tuple[CertificateReport, np.ndarray]:
-    """The residuals of ``verify_certificate`` for given multipliers y and
-    the products ``ax = A x`` and ``aty = A' y``, plus the recomputed
-    reduced costs ``zhat = A' y - c(lam)``."""
-    zhat = aty - cost
+def _residuals(p: ParametricProgram, lams: np.ndarray, S: np.ndarray, xS: np.ndarray,
+               zS: np.ndarray, Y: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The residuals of ``verify_certificate`` for W certificates at once.
 
-    rp = max(
-        float(np.abs(ax - rhs).max()),
-        float(max(0.0, -x.min(initial=0.0))),
-    )
-    rd = float(max(0.0, -zhat.min(initial=0.0)))
-    rc = float(np.abs(x * z).max(initial=0.0))
-    primal_obj = float(cost @ x)
-    dual_obj = float(rhs @ y)
-    gap = abs(primal_obj - dual_obj)
-
-    ok = (
-        rp <= CERT_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
-        and rd <= CERT_TOL * (1.0 + float(np.abs(cost).max(initial=0.0)))
-        and rc <= CERT_TOL * (1.0 + float(np.abs(x).max(initial=0.0)) * float(np.abs(z).max(initial=0.0)))
-        and gap <= CERT_TOL * (1.0 + abs(primal_obj) + abs(dual_obj))
-    )
-    report = CertificateReport(
-        lambda_value=lam,
-        primal_residual=rp,
-        dual_residual=rd,
-        complementarity=rc,
-        duality_gap=gap,
-        tolerance=CERT_TOL,
-        passed=ok,
-    )
-    return report, zhat
-
-
-def _post_pivot_ok(state: DictionaryState, lam: float) -> bool:
-    """A posteriori optimality check of the dictionary at ``lam``.
-
-    y comes from the maintained factorization, so nothing here trusts it:
-    ``A_B' y = c_B(lam)`` must hold to CERT_TOL, (x, z, y) must pass the
-    residuals of ``verify_certificate``, and the maintained reduced costs
-    must agree with ``A_N' y - c_N(lam)`` (complementarity is structural for
-    dictionary solutions, so this is the check that catches accumulated
-    update error in z). ``A x`` is formed from the basic columns alone,
-    O(mk); ``A' y`` is the one product with all of A.
+    Row w is the certificate at ``lams[w]``: x is ``xS[w]`` on the columns
+    ``S[w]`` (zero elsewhere), z is ``zS[w]`` there and y is ``Y[w]``. One
+    product of A with the union of the S, and one of A' with Y. Returns the
+    residual rows (primal, dual, complementarity, gap), the pass flags, the
+    rows ``zhat = A' y - c(lam)`` and each ``max |c(lam)|``.
     """
-    p = state.program
-    B = state.partition.basic
-    N = state.partition.nonbasic
-    cost = p.cost(lam)
-    y = state.fact.solve_transpose(cost[B])
-    xB = state.xB_base + lam * state.xB_pert
-    zN = state.zN_base + lam * state.zN_pert
-    x = np.zeros(p.n)
-    x[B] = xB
-    z = np.zeros(p.n)
-    z[N] = zN
-    report, zhat = _certificate_residuals(
-        x, z, y, p.A.times_columns(B, xB), p.A.rmatvec(y), cost, p.rhs(lam), lam,
+    U = np.flatnonzero(np.bincount(S.ravel(), minlength=p.n))
+    pos = np.empty(p.n, dtype=np.intp)
+    pos[U] = np.arange(len(U))
+    xU = np.zeros((len(U), len(lams)))  # x of certificate w in column w
+    xU.ravel()[pos[S] * len(lams) + np.arange(len(lams))[:, None]] = xS
+    lam_col = lams[:, None]
+    cost = p.c + lam_col * p.c_bar if p.c_bar.any() else p.c[None]
+    rhs = p.b + lam_col * p.b_bar
+    zhat = np.subtract(p.A.rmatvec(Y.T).T, cost, order="C")
+    cost_max = np.abs(cost).max(axis=1, initial=0.0)
+    rp = np.maximum(np.abs(p.A.times_columns(U, xU).T - rhs).max(axis=1, initial=0.0),
+                    -xS.min(axis=1, initial=0.0))
+    rd = -zhat.min(axis=1, initial=0.0) + 0.0  # drop -0.0
+    rc = np.abs(xS * zS).max(axis=1, initial=0.0)
+    x_max, z_max = (np.abs(v).max(axis=1, initial=0.0) for v in (xS, zS))
+    primal_obj = p.c[U] @ xU + lams * (p.c_bar[U] @ xU)
+    dual_obj = np.einsum("ij,ij->i", rhs, Y)
+    gap = np.abs(primal_obj - dual_obj)
+    passed = (
+        (rp <= CERT_TOL * (1.0 + np.abs(rhs).max(axis=1, initial=0.0)))
+        & (rd <= CERT_TOL * (1.0 + cost_max))
+        & (rc <= CERT_TOL * (1.0 + x_max * z_max))
+        & (gap <= CERT_TOL * (1.0 + np.abs(primal_obj) + np.abs(dual_obj)))
     )
-    basis_residual = float(np.abs(zhat[B]).max(initial=0.0))
-    if basis_residual > CERT_TOL * (1.0 + float(np.abs(cost).max(initial=0.0))):
-        logger.debug("A_B' y - c_B residual %.3e at lambda=%g", basis_residual, lam)
-        return False
-    if not report.passed:
-        logger.debug("certificate failed at lambda=%g: %s", lam, report)
-        return False
-    zhat_n = zhat[N]
-    scale = 1.0 + float(np.abs(zhat_n).max(initial=0.0))
-    drift = float(np.abs(zhat_n - zN).max(initial=0.0))
-    if drift > CERT_TOL * scale:
-        logger.debug("dictionary drift %.3e at lambda=%g", drift, lam)
-        return False
-    return True
+    return np.stack([rp, rd, rc, gap], axis=1), passed, zhat, cost_max
+
+
+def _post_pivot_ok(
+    p: ParametricProgram, window: Sequence[Tuple[PathSegment, np.ndarray]]
+) -> bool:
+    """A posteriori optimality check of a window of dictionaries.
+
+    Each entry is a segment, checked at its ``lambda_hi``, and the duals y
+    kept there. Nothing here trusts them: ``A_B' y = c_B(lam)`` must hold to
+    CERT_TOL, (x, z, y) must pass the residuals of ``verify_certificate``,
+    and the segment's reduced costs must agree with ``A_N' y - c_N(lam)``
+    (complementarity is structural for dictionary solutions, so this is the
+    check that catches accumulated update error in z).
+    """
+    step = max(1, CERT_BATCH_FLOATS // p.n)
+    if len(window) > step:
+        return all(_post_pivot_ok(p, window[i:i + step]) for i in range(0, len(window), step))
+    segs = [seg for seg, _ in window]
+    lams = np.array([seg.lambda_hi for seg in segs])
+    lam_col, rows = lams[:, None], np.arange(len(segs))[:, None]
+
+    def stack(field):  # one row per entry
+        return np.array([getattr(seg, field) for seg in segs])
+
+    B, N = stack("primal_indices"), stack("dual_indices")
+    xB = stack("primal_base") + lam_col * stack("primal_slope")
+    # z is zero on each entry's basis, where its x lives
+    res, passed, zhat, cost_max = _residuals(
+        p, lams, B, xB, np.zeros_like(xB), np.array([y for _, y in window]))
+    at = rows * p.n  # row offsets into the flat zhat
+    basis_residual = np.abs(np.take(zhat, B + at)).max(axis=1, initial=0.0)
+    zhat_n = np.take(zhat, N + at)
+    zN = stack("dual_base") + lam_col * stack("dual_slope")
+    drift = np.abs(zhat_n - zN).max(axis=1, initial=0.0)
+    scale = 1.0 + np.abs(zhat_n).max(axis=1, initial=0.0)
+    bad_basis = basis_residual > CERT_TOL * (1.0 + cost_max)
+    bad_drift = drift > CERT_TOL * scale
+    failed = np.flatnonzero(bad_basis | bad_drift | ~passed)
+    for w in failed:
+        if bad_basis[w]:
+            logger.debug("A_B' y - c_B residual %.3e at lambda=%g", basis_residual[w], lams[w])
+        elif not passed[w]:
+            logger.debug("certificate failed at lambda=%g: residuals %s", lams[w], res[w])
+        else:
+            logger.debug("dictionary drift %.3e at lambda=%g", drift[w], lams[w])
+    return failed.size == 0
 
 
 def _pivot_at(state: DictionaryState, tight: TightConstraint, lam_star: float) -> PivotEvent:
@@ -556,7 +575,10 @@ def solve_path(
     """Follow the optimal-basis path of ``p`` from large lambda downward.
 
     The factorization is rebuilt from the basis columns every
-    ``linalg.REFRESH_LIMIT`` updates, and whenever a post-pivot check fails.
+    ``linalg.REFRESH_LIMIT`` updates. With certificates on, every segment a
+    pivot produces is certified before it is returned: those since the last
+    rebuild are checked in one batch at the next one and where the path
+    ends, however it ends (``_post_pivot_ok``).
 
     Args:
         p: the parametric program. <= programs are solved as their
@@ -583,7 +605,8 @@ def solve_path(
         InfeasibleAtLargeLambda: the starting basis is never optimal.
         SingularBasis: the starting basis cannot be factorized.
         NumericalFailure is *not* raised: it is reported as a termination
-        status after the refactorize-and-retry protocol fails.
+        status after a failed batch is replayed one checked pivot at a
+        time and the refactorize-and-retry protocol fails.
     """
     opts = options or SolveOptions()
     if kwargs:
@@ -610,9 +633,12 @@ def solve_path(
     zero_tol = FEAS_TOL * (1.0 + (abs(first) if np.isfinite(first) else 0.0))
     entering: Optional[int] = None
     leaving: Optional[int] = None
-    pivots = 0
+    # The window: path.segments[start:], from a fresh factorization on. A
+    # failed one rolls back to its start and replays checking every pivot.
+    start, duals, per_pivot, traced = 0, [], False, 0
 
     while True:
+        windowed = opts.check_certificates and not per_pivot
         lam_star, tight = compute_lambda_star(state)
         seg = state.segment(lam_star, lam_hi, entering, leaving)
         path.segments.append(seg)
@@ -621,42 +647,55 @@ def solve_path(
         reached = lam_star <= opts.lambda_target and (
             opts.lambda_target > 0.0 or not nonpositive
         )
+        end: Optional[Tuple[Termination, float, str]] = None
         if tight is None or reached:  # tight is None: optimal all the way down
-            path.termination = Termination.REACHED_TARGET
-            path.terminal_lambda = opts.lambda_target
-            break
-        if nonpositive:
-            path.termination = Termination.LAMBDA_NONPOSITIVE
-            path.terminal_lambda = max(lam_star, 0.0) + 0.0  # drop -0.0
-            break
-        if opts.stop_callback is not None and opts.stop_callback(seg):
-            path.termination = Termination.REACHED_TARGET
-            path.terminal_lambda = lam_star
-            break
-        if pivots >= max_pivots:
-            path.termination = Termination.ITERATION_CAP
-            path.terminal_lambda = lam_star
-            break
+            end = (Termination.REACHED_TARGET, opts.lambda_target, "")
+        elif nonpositive:
+            end = (Termination.LAMBDA_NONPOSITIVE, max(lam_star, 0.0) + 0.0, "")  # drop -0.0
+        elif opts.stop_callback is not None and opts.stop_callback(seg):
+            end = (Termination.REACHED_TARGET, lam_star, "")
+        elif len(path.events) >= max_pivots:
+            end = (Termination.ITERATION_CAP, lam_star, "")
+        else:
+            try:
+                event = _checked_pivot(state, tight, lam_star, opts.check_certificates and per_pivot)
+            except tuple(_FAILURE_STATUS) as exc:
+                end = (_FAILURE_STATUS[type(exc)], lam_star, str(exc))
+            else:
+                path.events.append(event)
+                entering, leaving, lam_hi = event.entering, event.leaving, lam_star
+                if windowed:
+                    duals.append(state.y_base + lam_star * state.y_pert)
+        refresh = end is None and state.fact.updates_since_refactor >= linalg.REFRESH_LIMIT
 
-        try:
-            event = _checked_pivot(state, tight, lam_star, opts)
-        except tuple(_FAILURE_STATUS) as exc:
-            path.termination = _FAILURE_STATUS[type(exc)]
-            path.termination_detail = str(exc)
-            path.terminal_lambda = lam_star
+        if windowed and (end or refresh):
+            # the segment of the last pivot is not emitted before a refresh
+            window = list(zip(path.segments[start + 1:], duals))
+            if refresh:
+                window.append(state.entry(lam_star))
+            if window and not _post_pivot_ok(state.program, window):
+                head = path.segments[start]
+                logger.info("window certificate failed; replaying from lambda=%.9g",
+                            head.lambda_hi)
+                del path.segments[start:], path.events[start:]
+                state.partition = BasisPartition(
+                    std.n, head.primal_indices.copy(), head.dual_indices.copy())
+                state.refresh()
+                lam_hi, entering, leaving = head.lambda_hi, head.entering, head.leaving
+                duals, per_pivot = [], True
+                continue
+        if opts.trace is not None and (end or refresh or not windowed):
+            for pivot, ev in enumerate(path.events[traced:], start=traced + 1):
+                opts.trace.write(
+                    f"{pivot}\t{ev.kind.value}\t{ev.entering}\t{ev.leaving}"
+                    f"\t{ev.lambda_star:.12g}\t{ev.t:.6g}\t{ev.s:.6g}\n")
+            traced = len(path.events)
+        if end:
+            path.termination, path.terminal_lambda, path.termination_detail = end
             break
-
-        pivots += 1
-        path.events.append(event)
-        entering, leaving = event.entering, event.leaving
-        if opts.trace is not None:
-            opts.trace.write(
-                f"{pivots}\t{event.kind.value}\t{event.entering}\t{event.leaving}"
-                f"\t{event.lambda_star:.12g}\t{event.t:.6g}\t{event.s:.6g}\n"
-            )
-        if state.fact.updates_since_refactor >= linalg.REFRESH_LIMIT:
+        if refresh:
             state.refresh()
-        lam_hi = lam_star
+            start, duals, per_pivot = len(path.segments), [], False
 
     return path
 
@@ -665,14 +704,14 @@ def _checked_pivot(
     state: DictionaryState,
     tight: TightConstraint,
     lam_star: float,
-    opts: SolveOptions,
+    check: bool,
 ) -> PivotEvent:
-    """One pivot with the certificate/retry protocol.
+    """One pivot with the retry protocol, certified on its own if ``check``.
 
-    On a failed post-pivot check the exchange is undone in the partition (a
-    degenerate update fails before it); then everything is refactorized
-    from scratch, the breakpoint is recomputed, and the pivot is retried
-    once. A second failure is a NumericalFailure.
+    On a degenerate update, or a failed post-pivot check (the exchange is
+    then undone in the partition), everything is refactorized from scratch,
+    the breakpoint is recomputed, and the pivot is retried once. A second
+    failure is a NumericalFailure.
     """
     for retry in (False, True):
         try:
@@ -681,7 +720,7 @@ def _checked_pivot(
             if retry:
                 raise NumericalFailure(f"degenerate update on retry: {exc}") from exc
         else:
-            if not opts.check_certificates or _post_pivot_ok(state, lam_star):
+            if not check or _post_pivot_ok(state.program, [state.entry(lam_star)]):
                 return event
             if retry:
                 raise NumericalFailure(

@@ -87,24 +87,30 @@ class BasisFactorization:
                 raise ValueError("basis matrix must be square")
             slack_rows = np.full(m, -1, dtype=np.intp)
         slack_rows = np.asarray(slack_rows, dtype=np.intp)
-        is_slack = slack_rows >= 0
-        if slack_rows.shape != (m,) or m - int(is_slack.sum()) != k:
-            raise ValueError(f"{k} structural columns do not fill {m} basis slots")
+        if k == 0 and slack_rows.shape == (m,) and slack_rows.min(initial=0) >= 0:
+            # all slack, so B permutes I: nothing to split or factor
+            self._slack_pos, self._struct_pos = np.arange(m), np.arange(0)
+            self._rows = slack_rows
+        else:
+            is_slack = slack_rows >= 0
+            if slack_rows.shape != (m,) or m - int(is_slack.sum()) != k:
+                raise ValueError(f"{k} structural columns do not fill {m} basis slots")
+            self._slack_pos = np.flatnonzero(is_slack)
+            self._struct_pos = np.flatnonzero(~is_slack)
+            self._rows = slack_rows[is_slack]
         self.m = m
-        self._slack_pos = np.flatnonzero(is_slack)
-        self._struct_pos = np.flatnonzero(~is_slack)
-        self._rows = slack_rows[is_slack]
         covered = np.zeros(m, dtype=bool)
         covered[self._rows] = True
         if int(covered.sum()) < len(self._rows):
             raise SingularBasis("two basis positions hold the same slack column")
-        self._core_rows = np.flatnonzero(~covered)
-        self._cols_r = cols[self._rows]
-        row_abs = np.abs(cols).sum(axis=1)
-        row_abs[self._rows] += 1.0
-        self.norm_inf = float(row_abs.max()) if m else 0.0
+        self._core_rows, self._cols_r, self.norm_inf = self._struct_pos, cols, float(m > 0)
         self._lu: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if k:
+            self._core_rows = np.flatnonzero(~covered)
+            self._cols_r = cols[self._rows]
+            row_abs = np.abs(cols).sum(axis=1)
+            row_abs[self._rows] += 1.0
+            self.norm_inf = float(row_abs.max())
             # Fortran order lets lu_factor overwrite the gathered core in place.
             core = np.asfortranarray(cols[self._core_rows])
             with warnings.catch_warnings():

@@ -9,7 +9,8 @@ operations, and every operator here implements them:
     rmatvec(y)            A' y
     unit_rows(S)          per j in S, i where A[:, j] = e_i, else -1
 
-plus ``shape``, ``nbytes`` (the bytes the operator holds) and
+where x and y may also be blocks with one column per vector, so a batch
+costs one product; plus ``shape``, ``nbytes`` (the bytes the operator holds) and
 ``to_dense()``, which forms the matrix for code that needs it on small
 programs (the oracle, file output and ``verify_certificate``). Negative
 column indices count from the end; any outside [-n, n) raises IndexError.
@@ -43,9 +44,9 @@ def _finite(M, name: str) -> np.ndarray:
 
 
 def _sparse_support(y: np.ndarray):
-    """The indices where y is nonzero, or None when they are too many for
-    a gather to pay."""
-    rows = np.flatnonzero(y)
+    """The rows where y (a vector or a block) is nonzero, or None when they
+    are too many for a gather to pay."""
+    rows = np.flatnonzero(y if y.ndim == 1 else y.any(axis=1))
     return None if rows.size > SPARSE_ROWS_FRAC * len(y) else rows
 
 
@@ -100,7 +101,7 @@ class DenseMatrix(Operator):
         support is small. Basis solves leave y zero on every slack row the
         update chain has not touched."""
         rows = _sparse_support(y)
-        return self.M.T @ y if rows is None else y[rows] @ self.M[rows]
+        return self.M.T @ y if rows is None else (y[rows].T @ self.M[rows]).T
 
     def to_dense(self) -> np.ndarray:
         return self.M
@@ -166,10 +167,16 @@ class Kron(Operator):
 
     def times_columns(self, S: np.ndarray, x: np.ndarray) -> np.ndarray:
         a, b = self._pairs(S)
-        return ((self.X[:, a] * x) @ self.Z[b]).ravel(order="F")
+        # one X[:, a] diag(x) Z[b] per column of x, stacked first
+        P = (self.X[:, a] * np.atleast_2d(x.T)[:, None, :]) @ self.Z[b]
+        return np.moveaxis(P, 0, -1).reshape((-1,) + x.shape[1:], order="F")
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        W = y.reshape((self.X.shape[0], self.Z.shape[1]), order="F")
+        m1, m2 = self.X.shape[0], self.Z.shape[1]
+        if y.ndim == 2:  # one m1 x m2 matrix W per column of y, stacked first
+            W = np.moveaxis(y.reshape((m1, m2, -1), order="F"), -1, 0)
+            return np.moveaxis(self.X.T @ W @ self.Z.T, 0, -1).reshape((-1, y.shape[1]), order="F")
+        W = y.reshape((m1, m2), order="F")
         return (self.X.T @ W @ self.Z.T).ravel(order="F")
 
     def to_dense(self) -> np.ndarray:
@@ -213,7 +220,7 @@ class SupNorm(Operator):
 
     def times_columns(self, S: np.ndarray, x: np.ndarray) -> np.ndarray:
         idx, sign = self._split(S)
-        top = self.G.times_columns(idx, sign * x)
+        top = self.G.times_columns(idx, (sign * x.T).T)
         return np.concatenate([top, -top])
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
@@ -266,7 +273,9 @@ class WithSlacks(Operator):
         S = _in_range(S, self.shape[1])
         unit = S >= n
         ax = self.A.times_columns(S[~unit], x[~unit])
-        np.add.at(ax, S[unit] - n, x[unit])  # repeated slacks add up
+        W = x.shape[1] if x.ndim == 2 else 1
+        flat = ((S[unit] - n)[:, None] * W + np.arange(W)).ravel()
+        ax += np.bincount(flat, x[unit].ravel(), ax.size).reshape(ax.shape)  # repeats add up
         return ax
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:

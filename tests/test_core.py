@@ -76,6 +76,22 @@ def test_to_standard_form_appends_identity_slacks():
     assert std.n == info.original_n + info.num_rows
 
 
+def test_standard_form_skips_rechecks_but_user_programs_keep_them():
+    # to_standard_form trusts the vectors of an already-checked program ...
+    std, _ = to_standard_form(_toy_program())
+    checked = ParametricProgram(std.A, std.b, std.b_bar, std.c, std.c_bar)
+    assert std.kind is checked.kind and std.A is checked.A
+    for name in ("b", "b_bar", "c", "c_bar"):
+        assert getattr(std, name).dtype == float
+        np.testing.assert_array_equal(getattr(std, name), getattr(checked, name))
+    # ... while a program a user builds is checked entry by entry
+    for name in ("b", "b_bar", "c", "c_bar"):
+        fields = dict(A=[[1.0, 2.0]], b=[1.0], b_bar=[1.0], c=[0.0, 1.0], c_bar=[0.0, 0.0])
+        fields[name] = [np.nan] * len(fields[name])
+        with pytest.raises(ValueError, match=f"non-finite entries in {name}"):
+            ParametricProgram(**fields, kind=ProgramKind.LESS_EQUAL)
+
+
 def test_to_standard_form_passthrough_for_equality():
     p = _toy_program(kind=ProgramKind.EQUALITY)
     std, info = to_standard_form(p)

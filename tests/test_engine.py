@@ -357,24 +357,33 @@ def test_full_regression_path_ends_lambda_nonpositive():
     np.testing.assert_allclose(theta, ols, atol=1e-9)
 
 
+def _certify(state, lam):
+    """The engine's check of ``state`` as a window of one at ``lam``."""
+    return engine._post_pivot_ok(state.program, [state.entry(lam)])
+
+
 def test_post_pivot_check_passes_on_clean_dictionary():
     state, lam = _pivoted_state()
-    assert engine._post_pivot_ok(state, lam)
+    assert _certify(state, lam)
 
 
 def test_post_pivot_check_catches_reduced_cost_drift(caplog):
     state, lam = _pivoted_state()
     state.zN_base = state.zN_base + 1e-3
     with caplog.at_level(logging.DEBUG, logger="parasimplex.engine"):
-        assert not engine._post_pivot_ok(state, lam)
+        assert not _certify(state, lam)
     assert "drift" in caplog.text
 
 
 def test_post_pivot_check_catches_wrong_factorization(caplog):
-    state, lam = _pivoted_state()
+    # the check solves nothing itself: a wrong factorization shows through
+    # the duals the next pivot updates with it
+    state, _ = _pivoted_state()
     state.fact = linalg.BasisFactorization(np.eye(state.program.m))
+    lam, tight = compute_lambda_star(state)
+    engine._pivot_at(state, tight, lam)
     with caplog.at_level(logging.DEBUG, logger="parasimplex.engine"):
-        assert not engine._post_pivot_ok(state, lam)
+        assert not _certify(state, lam)
     assert "A_B' y - c_B residual" in caplog.text
 
 
@@ -388,7 +397,7 @@ def test_post_pivot_check_reads_every_basic_value(caplog, slot):
     k = int(np.flatnonzero(is_slack if slot == "slack" else ~is_slack)[0])
     state.xB_base[k] += 1e-3
     with caplog.at_level(logging.DEBUG, logger="parasimplex.engine"):
-        assert not engine._post_pivot_ok(state, lam)
+        assert not _certify(state, lam)
     assert "certificate failed" in caplog.text
 
 
@@ -398,9 +407,9 @@ def test_failed_check_is_retried_on_a_fresh_factorization(monkeypatch):
     real = engine._post_pivot_ok
     calls = []
 
-    def fail_once(state, lam):
-        calls.append(lam)
-        return len(calls) > 1 and real(state, lam)
+    def fail_once(p, window):
+        calls.append(window)
+        return len(calls) > 1 and real(p, window)
 
     monkeypatch.setattr(engine, "_post_pivot_ok", fail_once)
     retried = solve_path(p)
@@ -413,11 +422,131 @@ def test_failed_check_is_retried_on_a_fresh_factorization(monkeypatch):
 def test_check_failing_twice_is_numerical_failure(monkeypatch):
     _, _, p = _regression_program(n=20, d=8, seed=4)
     first_breakpoint = solve_path(p).events[0].lambda_star
-    monkeypatch.setattr(engine, "_post_pivot_ok", lambda state, lam: False)
+    sizes = []
+
+    def fail(p, window):
+        sizes.append(len(window))
+        return False
+
+    monkeypatch.setattr(engine, "_post_pivot_ok", fail)
     path = solve_path(p)
     assert path.termination is Termination.NUMERICAL_FAILURE
     assert path.num_pivots == 0
     assert path.terminal_lambda == pytest.approx(first_breakpoint, abs=BP_TOL)
+    # the whole window failed, then the replay checked its first pivot alone
+    assert sizes[0] > 1 and sizes[1:] == [1, 1]
+
+
+def _corrupt_reduced_costs(monkeypatch, at_pivot):
+    """Add 1e-3 to every maintained reduced cost right after the exchange
+    numbered ``at_pivot`` (from 1, retries and replays included); returns
+    the sizes of the windows checked."""
+    real_exchange, real_check = engine._exchange, engine._post_pivot_ok
+    exchanges, sizes = [], []
+
+    def exchange(state, *args):
+        event = real_exchange(state, *args)
+        exchanges.append(event)
+        if len(exchanges) == at_pivot:
+            state.zN_base += 1e-3
+        return event
+
+    def check(p, window):
+        sizes.append(len(window))
+        return real_check(p, window)
+
+    monkeypatch.setattr(engine, "_exchange", exchange)
+    monkeypatch.setattr(engine, "_post_pivot_ok", check)
+    return sizes
+
+
+def _same_path(a, b):
+    assert _pivot_sequence(a) == _pivot_sequence(b)
+    assert a.termination is b.termination
+    assert [s.lambda_lo for s in a.segments] == pytest.approx(
+        [s.lambda_lo for s in b.segments], abs=BP_TOL)
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["one-batch", "batches-of-3"])
+def test_corrupted_window_rolls_back_to_the_clean_path(monkeypatch, batch):
+    _, _, p = _regression_program()
+    clean = solve_path(p)
+    assert clean.num_pivots > linalg.REFRESH_LIMIT
+    if batch:  # a window too large for one batch is certified in several
+        monkeypatch.setattr(engine, "CERT_BATCH_FLOATS", batch * (p.n + p.m))
+        _same_path(solve_path(p), clean)
+    sizes = _corrupt_reduced_costs(monkeypatch, at_pivot=5)
+    path = solve_path(p)
+    _same_path(path, clean)
+    # the first window failed and was replayed one pivot at a time
+    assert sizes[0] > 1 and 1 in sizes
+    theta = recover_dantzig(path).value_at(0.0)
+    np.testing.assert_allclose(theta, recover_dantzig(clean).value_at(0.0), atol=1e-9)
+
+
+def _dantzig_then(A2, b2, b_bar2, c2, c_bar2):
+    """The identity Dantzig program (pivots at lambda = 3 and 1) beside a
+    one-row block that ends the path once lambda falls to 0.5."""
+    p = _identity_dantzig()
+    A = np.block([[p.A.to_dense(), np.zeros((p.m, 1))], [np.zeros((1, p.n)), np.array(A2)]])
+    return ParametricProgram(A=A, b=np.r_[p.b, b2], b_bar=np.r_[p.b_bar, b_bar2],
+                             c=np.r_[p.c, c2], c_bar=np.r_[p.c_bar, c_bar2],
+                             kind=ProgramKind.LESS_EQUAL)
+
+
+@pytest.mark.parametrize("case", ["unbounded", "infeasible", "iteration_cap",
+                                  "target", "lambda_nonpositive"])
+def test_a_window_is_certified_however_the_path_ends(monkeypatch, case):
+    kwargs = {}
+    if case == "unbounded":  # x enters at lambda = 0.5, nothing blocks it
+        p = _dantzig_then([[-1.0]], 1.0, 0.0, 0.5, -1.0)
+    elif case == "infeasible":  # x + s = lambda - 0.5
+        p = _dantzig_then([[1.0]], -0.5, 1.0, -1.0, 0.0)
+    else:
+        p = _regression_program(n=20, d=8, seed=4)[2]
+        kwargs = {"iteration_cap": {"max_pivots": 5}, "lambda_nonpositive": {},
+                  "target": {"lambda_target": solve_path(p).segments[5].lambda_lo}}[case]
+    clean = solve_path(p, **kwargs)
+    assert clean.termination.value == case.replace("target", "reached_target")
+    assert clean.num_pivots >= 2
+    sizes = _corrupt_reduced_costs(monkeypatch, at_pivot=1)
+    path = solve_path(p, **kwargs)
+    _same_path(path, clean)
+    assert path.terminal_lambda == clean.terminal_lambda
+    assert sizes[0] == clean.num_pivots  # the one window, checked at the end
+
+
+def test_stop_callback_sees_the_replayed_segment_again(monkeypatch):
+    _, _, p = _regression_program()
+    stop_at = solve_path(p).segments[10].lambda_lo
+    seen = []
+
+    def stop(seg):
+        seen.append((seg.entering, seg.leaving, seg.lambda_lo))
+        return seg.lambda_lo <= stop_at
+
+    clean = solve_path(p, stop_callback=stop)
+    clean_seen, seen[:] = list(seen), []
+    _corrupt_reduced_costs(monkeypatch, at_pivot=3)
+    path = solve_path(p, stop_callback=stop)
+    _same_path(path, clean)
+    # it fired on a corrupted segment, then again on the replayed clean one
+    assert sum(lam <= stop_at for *_, lam in seen) == 2
+    assert seen[-len(clean_seen):] == clean_seen
+    assert len(seen) > len(clean_seen)
+
+
+def test_trace_writes_a_rolled_back_pivot_once(monkeypatch):
+    _, _, p = _regression_program()
+    _corrupt_reduced_costs(monkeypatch, at_pivot=5)
+    buf = io.StringIO()
+    path = solve_path(p, trace=buf)
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == path.num_pivots
+    assert all(len(ln.split("\t")) == 7 for ln in lines)
+    assert [int(ln.split("\t")[0]) for ln in lines] == list(range(1, path.num_pivots + 1))
+    assert [(int(ln.split("\t")[2]), int(ln.split("\t")[3])) for ln in lines] == \
+        _pivot_sequence(path)
 
 
 def _degenerate_updates(monkeypatch, fail):
@@ -458,12 +587,37 @@ def test_degenerate_update_twice_is_numerical_failure(monkeypatch):
     assert "degenerate update on retry" in path.termination_detail
 
 
+def _dense_equality_program():
+    std, info = to_standard_form(_regression_program()[2])
+    dense = ParametricProgram(A=std.A.to_dense(), b=std.b, b_bar=std.b_bar,
+                              c=std.c, c_bar=std.c_bar)
+    return dense, list(range(info.original_n, std.n))
+
+
 def test_certificates_do_not_change_the_pivots():
     _, _, p = _regression_program(n=20, d=8, seed=4)
     on = solve_path(p, check_certificates=True)
     off = solve_path(p, check_certificates=False)
     assert on.num_pivots > 0
     assert _pivot_sequence(on) == _pivot_sequence(off)
+
+
+@pytest.mark.parametrize("program", [
+    lambda: (_regression_program(n=20, d=40, seed=4)[2], None),
+    lambda: (_diffnet_program(), None),
+    _dense_equality_program,
+], ids=["dantzig-gram", "diffnet-kron", "dense-equality"])
+def test_certificates_leave_every_segment_array_unchanged(program):
+    # certifying reads the dictionaries and never writes them
+    p, basis = program()
+    on = solve_path(p, check_certificates=True, initial_basis=basis)
+    off = solve_path(p, check_certificates=False, initial_basis=basis)
+    assert on.num_pivots > linalg.REFRESH_LIMIT  # more than one window
+    assert _pivot_sequence(on) == _pivot_sequence(off)
+    for a, b in zip(on.segments, off.segments, strict=True):
+        for name in ("lambda_lo", "lambda_hi", "primal_indices", "primal_base",
+                     "primal_slope", "dual_indices", "dual_base", "dual_slope"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_refresh_bounds_the_update_chain(monkeypatch):

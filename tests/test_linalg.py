@@ -243,6 +243,20 @@ def test_singular_core_raises():
         BasisFactorization(np.ones((3, 1)), [0, 0, -1])
 
 
+def test_all_slack_basis_permutes_the_identity():
+    # k = 0: nothing to factor, but the solves and the checks still hold
+    f = BasisFactorization(np.empty((3, 0)), [2, 0, 1])
+    B = np.eye(3)[:, [2, 0, 1]]
+    rhs = np.array([1.0, -2.0, 3.0])
+    np.testing.assert_allclose(f.solve(rhs), np.linalg.solve(B, rhs), atol=SOLVE_TOL)
+    np.testing.assert_allclose(f.solve_transpose(rhs), np.linalg.solve(B.T, rhs), atol=SOLVE_TOL)
+    assert f.norm_inf == 1.0
+    with pytest.raises(SingularBasis):  # one slack column in two slots
+        BasisFactorization(np.empty((3, 0)), [0, 0, 1])
+    with pytest.raises(ValueError):  # a slot with no column
+        BasisFactorization(np.empty((3, 0)), [0, 1, -1])
+
+
 def test_split_replacement_to_singular_raises_degenerate():
     rng = np.random.default_rng(4)
     cols, slack_rows = _mixed_basis(rng, 5, 2)

@@ -89,6 +89,14 @@ def test_operator_matches_its_dense_matrix(op):
     y_sparse[m - 1] = 2.5
     for y in (y_full, y_sparse, np.zeros(m)):
         np.testing.assert_allclose(op.rmatvec(y), A.T @ y, atol=OP_TOL)
+    # a block of vectors, one per column, costs one product
+    xs = rng.standard_normal((len(S), 3))
+    np.testing.assert_allclose(op.times_columns(S, xs), A[:, S] @ xs, atol=OP_TOL)
+    np.testing.assert_allclose(op.times_columns(R, np.r_[xs, xs]), A[:, R] @ np.r_[xs, xs],
+                               atol=OP_TOL)
+    ys = np.column_stack([y_full, y_sparse, np.zeros(m)])
+    for Y in (ys, ys[:, 1:2], np.zeros((m, 2))):
+        np.testing.assert_allclose(op.rmatvec(Y), A.T @ Y, atol=OP_TOL)
 
 
 @pytest.mark.parametrize("op", [op for _, op in _OPS], ids=[k for k, _ in _OPS])
