@@ -17,6 +17,8 @@ lam, repeatedly computes the next breakpoint lambda_star, performs the pivot
 that restores optimality just below it, and emits one affine path segment per
 basis visited. A <= program is solved as its standard form ``[A | I]``, an
 operator that keeps the unit slack columns implicit (``to_standard_form``).
+Segments are certified in windows between refactorizations; numerical
+trouble has one recovery step, described at ``solve_path``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .core import (
 from .errors import (
     InfeasibleAtLargeLambda,
     InfeasibleProblem,
-    NumericalFailure,
+    SingularBasis,
     UnboundedDirection,
     UpdateDegenerate,
 )
@@ -562,7 +564,6 @@ def _pivot_at(state: DictionaryState, tight: TightConstraint, lam_star: float) -
 _FAILURE_STATUS = {
     UnboundedDirection: Termination.UNBOUNDED,
     InfeasibleProblem: Termination.INFEASIBLE,
-    NumericalFailure: Termination.NUMERICAL_FAILURE,
 }
 
 
@@ -580,6 +581,13 @@ def solve_path(
     rebuild are checked in one batch at the next one and where the path
     ends, however it ends (``_post_pivot_ok``).
 
+    Numerical trouble has one recovery step: refactorize at segment k,
+    dropping the segments and pivots from k on, and emit k again from the
+    fresh factorization. A failed window redoes its first segment and
+    replays its pivots each checked alone. A degenerate update (once the
+    window up to it certifies) or a replayed pivot failing its check
+    redoes its own segment; a second failure there ends the path.
+
     Args:
         p: the parametric program. <= programs are solved as their
             standard form (``to_standard_form``), one unit slack column per
@@ -596,17 +604,16 @@ def solve_path(
         SolutionPath with one segment per dictionary visited (highest lambda
         first) and one PivotEvent per basis exchange. A breakpoint within
         FEAS_TOL * (1 + first breakpoint) of zero ends the path with
-        LAMBDA_NONPOSITIVE. A path ended by an unbounded, infeasible or
-        numerically failed pivot keeps that error's message in
+        LAMBDA_NONPOSITIVE. NUMERICAL_FAILURE means a pivot failed again
+        after refactorization, or a later refactorization found its basis
+        singular; the path ends with its last certified segment. A path
+        ended by a failed pivot or refactorization keeps the reason in
         ``termination_detail``.
 
     Raises:
         ValueError: lambda_target is NaN or max_pivots is negative.
         InfeasibleAtLargeLambda: the starting basis is never optimal.
         SingularBasis: the starting basis cannot be factorized.
-        NumericalFailure is *not* raised: it is reported as a termination
-        status after a failed batch is replayed one checked pivot at a
-        time and the refactorize-and-retry protocol fails.
     """
     opts = options or SolveOptions()
     if kwargs:
@@ -633,13 +640,18 @@ def solve_path(
     zero_tol = FEAS_TOL * (1.0 + (abs(first) if np.isfinite(first) else 0.0))
     entering: Optional[int] = None
     leaving: Optional[int] = None
-    # The window: path.segments[start:], from a fresh factorization on. A
-    # failed one rolls back to its start and replays checking every pivot.
+    # The window: path.segments[start:], from a fresh factorization on.
     start, duals, per_pivot, traced = 0, [], False, 0
+    # The segment last redone for its own failed pivot, and its old lambda*.
+    retried, was = -1, 0.0
 
     while True:
         windowed = opts.check_certificates and not per_pivot
+        k = len(path.segments)
         lam_star, tight = compute_lambda_star(state)
+        vanished = tight is None and k == retried
+        if vanished:  # the path ends at the breakpoint as first found
+            lam_star = was
         seg = state.segment(lam_star, lam_hi, entering, leaving)
         path.segments.append(seg)
         nonpositive = lam_star <= zero_tol
@@ -648,7 +660,12 @@ def solve_path(
             opts.lambda_target > 0.0 or not nonpositive
         )
         end: Optional[Tuple[Termination, float, str]] = None
-        if tight is None or reached:  # tight is None: optimal all the way down
+        # Set when pivot k failed: the reason, should it fail again.
+        failed = ""
+        if vanished:
+            end = (Termination.NUMERICAL_FAILURE, lam_star, "breakpoint vanished "
+                   f"after refactorization (was lambda*={was:.6g})")
+        elif tight is None or reached:  # tight is None: optimal all the way down
             end = (Termination.REACHED_TARGET, opts.lambda_target, "")
         elif nonpositive:
             end = (Termination.LAMBDA_NONPOSITIVE, max(lam_star, 0.0) + 0.0, "")  # drop -0.0
@@ -658,7 +675,9 @@ def solve_path(
             end = (Termination.ITERATION_CAP, lam_star, "")
         else:
             try:
-                event = _checked_pivot(state, tight, lam_star, opts.check_certificates and per_pivot)
+                event = _pivot_at(state, tight, lam_star)
+            except UpdateDegenerate as exc:
+                failed = f"degenerate update on retry: {exc}"
             except tuple(_FAILURE_STATUS) as exc:
                 end = (_FAILURE_STATUS[type(exc)], lam_star, str(exc))
             else:
@@ -666,24 +685,50 @@ def solve_path(
                 entering, leaving, lam_hi = event.entering, event.leaving, lam_star
                 if windowed:
                     duals.append(state.y_base + lam_star * state.y_pert)
-        refresh = end is None and state.fact.updates_since_refactor >= linalg.REFRESH_LIMIT
+                elif opts.check_certificates and not _post_pivot_ok(
+                        state.program, [state.entry(lam_star)]):
+                    failed = ("certificate still failing after refactorization "
+                              f"at lambda*={lam_star:.6g}")
+        if failed and k == retried:
+            del path.events[k:]
+            end, failed = (Termination.NUMERICAL_FAILURE, lam_star, failed), ""
+        refresh = not (end or failed) and (
+            state.fact.updates_since_refactor >= linalg.REFRESH_LIMIT)
+        redo: Optional[int] = None  # the segment to refactorize at
 
-        if windowed and (end or refresh):
+        if windowed and (end or refresh or failed):
             # the segment of the last pivot is not emitted before a refresh
             window = list(zip(path.segments[start + 1:], duals))
             if refresh:
                 window.append(state.entry(lam_star))
             if window and not _post_pivot_ok(state.program, window):
-                head = path.segments[start]
                 logger.info("window certificate failed; replaying from lambda=%.9g",
-                            head.lambda_hi)
-                del path.segments[start:], path.events[start:]
-                state.partition = BasisPartition(
-                    std.n, head.primal_indices.copy(), head.dual_indices.copy())
+                            path.segments[start].lambda_hi)
+                redo, refresh, per_pivot, failed = start, False, True, ""
+        if failed:
+            logger.info("pivot at lambda*=%.9g failed; refactorizing there", lam_star)
+            redo, retried, was = k, k, lam_star
+        if redo is not None:
+            head = path.segments[redo]
+            del path.segments[redo + 1:], path.events[redo:]
+            state.partition = BasisPartition(
+                std.n, head.primal_indices.copy(), head.dual_indices.copy())
+            lam_hi, entering, leaving = head.lambda_hi, head.entering, head.leaving
+        if redo is not None or refresh:
+            try:
                 state.refresh()
-                lam_hi, entering, leaving = head.lambda_hi, head.entering, head.leaving
-                duals, per_pivot = [], True
-                continue
+            except SingularBasis as exc:
+                # the path ends with its last segment, without the pivot out of it
+                del path.events[len(path.segments) - 1:]
+                lam = path.segments[-1].lambda_lo
+                end = (Termination.NUMERICAL_FAILURE, lam,
+                       f"refactorization failed at lambda*={lam:.6g}: {exc}")
+            else:
+                if redo is not None:
+                    path.segments.pop()  # emitted again from the fresh factorization
+                    start, duals = redo, []
+                    continue
+                start, duals, per_pivot = k + 1, [], False
         if opts.trace is not None and (end or refresh or not windowed):
             for pivot, ev in enumerate(path.events[traced:], start=traced + 1):
                 opts.trace.write(
@@ -693,51 +738,5 @@ def solve_path(
         if end:
             path.termination, path.terminal_lambda, path.termination_detail = end
             break
-        if refresh:
-            state.refresh()
-            start, duals, per_pivot = len(path.segments), [], False
 
     return path
-
-
-def _checked_pivot(
-    state: DictionaryState,
-    tight: TightConstraint,
-    lam_star: float,
-    check: bool,
-) -> PivotEvent:
-    """One pivot with the retry protocol, certified on its own if ``check``.
-
-    On a degenerate update, or a failed post-pivot check (the exchange is
-    then undone in the partition), everything is refactorized from scratch,
-    the breakpoint is recomputed, and the pivot is retried once. A second
-    failure is a NumericalFailure.
-    """
-    for retry in (False, True):
-        try:
-            event = _pivot_at(state, tight, lam_star)
-        except UpdateDegenerate as exc:
-            if retry:
-                raise NumericalFailure(f"degenerate update on retry: {exc}") from exc
-        else:
-            if not check or _post_pivot_ok(state.program, [state.entry(lam_star)]):
-                return event
-            if retry:
-                raise NumericalFailure(
-                    f"certificate still failing after refactorization at "
-                    f"lambda*={lam_star:.6g}"
-                )
-            part = state.partition
-            part.swap(part.position(event.entering), part.position(event.leaving))
-        state.refresh()
-        lam2, tight = compute_lambda_star(state)
-        if tight is None:
-            raise NumericalFailure(
-                "breakpoint vanished after refactorization (was "
-                f"lambda*={lam_star:.6g})"
-            )
-        logger.info(
-            "retrying pivot after refactorization: lambda*=%.9g -> %.9g",
-            lam_star, lam2,
-        )
-        lam_star = lam2

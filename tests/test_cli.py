@@ -239,6 +239,36 @@ def test_dantzig_full_path_to_zero_exits_0(tmp_path, capsys):
     assert "termination=lambda_nonpositive" in capsys.readouterr().out
 
 
+def test_dantzig_singular_refactorization_still_writes_the_path(tmp_path, capsys, monkeypatch):
+    from parasimplex import linalg
+    from parasimplex.errors import SingularBasis
+    from parasimplex.experiments import DantzigGenConfig, gen_dantzig
+
+    X, y, _ = gen_dantzig(DantzigGenConfig(n=60, d=30, rng_seed=1))
+    pio.save_matrix_csv(tmp_path / "X.csv", X)
+    pio.save_matrix_csv(tmp_path / "y.csv", y.reshape(-1, 1))
+    real, calls = linalg.BasisFactorization, []
+
+    def factor(*args):  # the start factorizes; the first refresh finds B singular
+        calls.append(args)
+        if len(calls) == 2:
+            raise SingularBasis("forced singular basis")
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "BasisFactorization", factor)
+    out = tmp_path / "theta_path.csv"
+    rc = cli.main(["dantzig", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "y.csv"),
+                   "--stop-rule", "value:0", "--out", str(out)])
+    assert rc == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "termination=numerical_failure" in captured.out
+    assert f"segments={linalg.REFRESH_LIMIT}" in captured.out
+    assert "forced singular basis" in captured.err
+    with open(out, newline="") as f:
+        sids = {int(row["segment_id"]) for row in csv.DictReader(f)}
+    assert sids <= set(range(linalg.REFRESH_LIMIT)) and max(sids) == linalg.REFRESH_LIMIT - 1
+
+
 def test_dantzig_named_stop_rule_runs(tmp_path, capsys):
     rng = np.random.default_rng(11)
     X = rng.normal(size=(20, 6))

@@ -25,7 +25,7 @@ from parasimplex.engine import (
     solve_path,
     verify_certificate,
 )
-from parasimplex.errors import InfeasibleAtLargeLambda, UpdateDegenerate
+from parasimplex.errors import InfeasibleAtLargeLambda, SingularBasis, UpdateDegenerate
 from parasimplex.experiments import (
     DantzigGenConfig,
     DiffNetGenConfig,
@@ -585,6 +585,93 @@ def test_degenerate_update_twice_is_numerical_failure(monkeypatch):
     assert path.termination is Termination.NUMERICAL_FAILURE
     assert path.num_pivots == 0
     assert "degenerate update on retry" in path.termination_detail
+
+
+def test_degenerate_update_mid_window_closes_it_and_redoes_its_segment(monkeypatch):
+    _, _, p = _regression_program()
+    clean = solve_path(p)
+    fail_at = 20  # inside the first window, which the refresh closes at 50
+    assert clean.num_pivots > linalg.REFRESH_LIMIT > fail_at
+    calls = _degenerate_updates(monkeypatch, lambda call: call == fail_at)
+    real_check, checks = engine._post_pivot_ok, []
+
+    def check(p, window):
+        checks.append((len(window), real_check(p, window)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(engine, "_post_pivot_ok", check)
+    buf = io.StringIO()
+    path = solve_path(p, trace=buf)
+    _same_path(path, clean)
+    assert len(calls) == clean.num_pivots + 1
+    # the segments before the failed pivot were certified as one window
+    assert checks[0] == (fail_at - 1, True)
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == path.num_pivots
+    assert [int(ln.split("\t")[0]) for ln in lines] == list(range(1, path.num_pivots + 1))
+
+
+def test_breakpoint_vanishing_on_retry_is_numerical_failure(monkeypatch):
+    _, _, p = _regression_program(n=20, d=8, seed=4)
+    first_breakpoint = solve_path(p).events[0].lambda_star
+    _degenerate_updates(monkeypatch, lambda call: call == 1)
+    real, calls = engine.compute_lambda_star, []
+
+    def lambda_star(state):  # initialize, the first pivot, then the retry
+        calls.append(state)
+        return real(state) if len(calls) < 3 else (float("-inf"), None)
+
+    monkeypatch.setattr(engine, "compute_lambda_star", lambda_star)
+    path = solve_path(p)
+    assert path.termination is Termination.NUMERICAL_FAILURE
+    assert "breakpoint vanished" in path.termination_detail
+    assert path.num_pivots == 0 and len(path.segments) == 1
+    assert path.terminal_lambda == path.segments[0].lambda_lo == pytest.approx(
+        first_breakpoint, abs=BP_TOL)
+
+
+def _singular_factorization(monkeypatch, call):
+    """Make the factorization numbered ``call`` (from 1) raise SingularBasis."""
+    real = linalg.BasisFactorization
+    calls = []
+
+    def factor(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == call:
+            raise SingularBasis("forced singular basis")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "BasisFactorization", factor)
+    return calls
+
+
+@pytest.mark.parametrize("where", ["refresh", "retry"])
+def test_singular_refactorization_ends_the_path(monkeypatch, where):
+    _, _, p = _regression_program()
+    clean = solve_path(p)
+    assert clean.num_pivots > linalg.REFRESH_LIMIT
+    if where == "retry":  # the first pivot's update fails, then its refactorization
+        _degenerate_updates(monkeypatch, lambda call: call == 1)
+    _singular_factorization(monkeypatch, call=2)
+    path = solve_path(p)
+    assert path.termination is Termination.NUMERICAL_FAILURE
+    assert "forced singular basis" in path.termination_detail
+    assert len(path.segments) == path.num_pivots + 1
+    # the path is the clean one up to the last segment kept
+    kept = linalg.REFRESH_LIMIT - 1 if where == "refresh" else 0
+    assert path.num_pivots == kept
+    assert _pivot_sequence(path) == _pivot_sequence(clean)[:kept]
+    assert path.terminal_lambda == path.segments[-1].lambda_lo
+    assert path.terminal_lambda == pytest.approx(clean.segments[kept].lambda_lo, abs=BP_TOL)
+
+
+def test_singular_starting_basis_raises():
+    # columns 0 and 1 are parallel
+    p = ParametricProgram(A=[[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]], b=[1.0, 1.0],
+                          b_bar=[1.0, 1.0], c=[-1.0, -1.0, -1.0],
+                          c_bar=[0.0, 0.0, 0.0], kind=ProgramKind.EQUALITY)
+    with pytest.raises(SingularBasis):
+        solve_path(p, initial_basis=[0, 1])
 
 
 def _dense_equality_program():

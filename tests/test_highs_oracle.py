@@ -2,8 +2,8 @@
 
 At one lambda inside every segment, ``c(lambda)' x(lambda)`` of the traced
 path must match an independent ``scipy.optimize.linprog(method="highs")``
-solve of the same <= program to relative ``OBJ_RTOL``, and x(lambda) must
-be feasible. For Dantzig and diffnet the recovered estimate is checked too:
+solve of the same program (<= or equality kind) to relative ``OBJ_RTOL``,
+and x(lambda) must be feasible. For Dantzig and diffnet the recovered estimate is checked too:
 its l1 norm must match the HiGHS optimum and it must meet its sup-norm
 bound. This reaches programs far beyond the 24 columns the
 basis-enumeration oracle can handle.
@@ -54,9 +54,9 @@ def _sample(seg, floor):
 def _check_against_highs(p, path, floor, estimate=None):
     """``estimate(lam)``, if given, returns the recovered estimate u and
     its sup-norm residual, which must be at most lam."""
-    assert p.kind is ProgramKind.LESS_EQUAL
     n = p.n
     A = p.A.to_dense()
+    equality = p.kind is ProgramKind.EQUALITY
     checked = 0
     for k, seg in enumerate(path.segments):
         lam = _sample(seg, floor)
@@ -64,9 +64,11 @@ def _check_against_highs(p, path, floor, estimate=None):
         x = evaluate_primal(seg, lam)[:n]
         tol = FEAS_RTOL * (1.0 + float(np.abs(rhs).max()))
         assert x.min() >= -tol, f"segment {k}: negative x at lambda={lam:.6g}"
-        assert float((A @ x - rhs).max()) <= tol, (
-            f"segment {k}: A x > b(lambda) at lambda={lam:.6g}")
-        res = linprog(-cost, A_ub=A, b_ub=rhs, bounds=(0, None), method="highs")
+        excess = A @ x - rhs
+        assert float((np.abs(excess) if equality else excess).max()) <= tol, (
+            f"segment {k}: A x violates b(lambda) at lambda={lam:.6g}")
+        rows = {"A_eq": A, "b_eq": rhs} if equality else {"A_ub": A, "b_ub": rhs}
+        res = linprog(-cost, **rows, bounds=(0, None), method="highs")
         assert res.status == 0, f"segment {k}: HiGHS says {res.message}"
         want, got = -res.fun, float(cost @ x)
         assert abs(got - want) <= OBJ_RTOL * (1.0 + abs(want)), (
@@ -116,6 +118,31 @@ def test_diffnet_path_matches_highs():
         return D, float(np.abs(S_X @ D @ S_Y - (S_X - S_Y)).max())
 
     assert _check_against_highs(p, path, target, estimate) == len(path.segments)
+
+
+def test_lad_lasso_path_matches_highs():
+    # LAD-Lasso, min ||y - X beta||_1 + lambda ||beta||_1, as the equality
+    # program [X, -X, I, -I] (beta+, beta-, r+, r-) = y with c_bar = -1 on
+    # beta and b_bar = 0: the lambda is in the cost, not the rhs.
+    rng = np.random.default_rng(20261018)
+    n, d = 60, 20
+    X = rng.standard_normal((n, d))
+    beta = np.zeros(d)
+    beta[:3] = (3.0, -2.0, 1.5)
+    y = X @ beta + rng.standard_t(2, size=n)
+    p = ParametricProgram(
+        A=np.hstack([X, -X, np.eye(n), -np.eye(n)]),
+        b=y, b_bar=np.zeros(n),
+        c=np.r_[np.zeros(2 * d), -np.ones(2 * n)],
+        c_bar=np.r_[-np.ones(2 * d), np.zeros(2 * n)],
+        kind=ProgramKind.EQUALITY,
+    )
+    # beta = 0 and the residual y held by r+ or r-, whichever is nonnegative
+    residual_basis = np.where(y >= 0, 2 * d, 2 * d + n) + np.arange(n)
+    path = solve_path(p, initial_basis=residual_basis)
+    assert path.termination is Termination.LAMBDA_NONPOSITIVE
+    assert path.num_pivots > 50
+    assert _check_against_highs(p, path, path.terminal_lambda) == len(path.segments)
 
 
 def _random_program(rng):
