@@ -41,7 +41,6 @@ from .errors import (
     ComplementarityViolation,
     InfeasibleAtLargeLambda,
     InfeasibleProblem,
-    NumericalFailure,
     ParasimplexError,
     SingularBasis,
     SizeGuard,
@@ -75,7 +74,6 @@ __all__ = [
     "DiffNetInstance",
     "InfeasibleAtLargeLambda",
     "InfeasibleProblem",
-    "NumericalFailure",
     "OriginalSegment",
     "ParametricProgram",
     "ParasimplexError",

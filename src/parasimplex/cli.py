@@ -25,7 +25,6 @@ from .engine import SolveOptions, solve_path
 from .errors import (
     InfeasibleAtLargeLambda,
     InfeasibleProblem,
-    NumericalFailure,
     ParasimplexError,
     SingularBasis,
     UnboundedDirection,
@@ -320,7 +319,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InfeasibleAtLargeLambda, InfeasibleProblem, UnboundedDirection) as exc:
         print(f"no path: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    except (NumericalFailure, SingularBasis, UpdateDegenerate) as exc:
+    except (SingularBasis, UpdateDegenerate) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ParasimplexError as exc:

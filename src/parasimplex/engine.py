@@ -17,8 +17,8 @@ lam, repeatedly computes the next breakpoint lambda_star, performs the pivot
 that restores optimality just below it, and emits one affine path segment per
 basis visited. A <= program is solved as its standard form ``[A | I]``, an
 operator that keeps the unit slack columns implicit (``to_standard_form``).
-Segments are certified in windows between refactorizations; numerical
-trouble has one recovery step, described at ``solve_path``.
+Segments are certified in windows between refactorizations only, and all
+numerical trouble has one recovery step, described at ``solve_path``.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class SolveOptions:
             batch per refactorization window (see ``solve_path``).
         stop_callback: called with each newly emitted segment; returning
             True ends the path early (ReachedTarget). Must be pure: it can
-            see a segment that a rollback replaces, then the replayed one.
+            see segments that a recovery replaces, then the redone ones.
         trace: writable text stream receiving one tab-separated line per
             pivot: pivot#, kind, entering, leaving, lambda_star, t, s,
             written once the pivot's window certifies.
@@ -583,10 +583,11 @@ def solve_path(
 
     Numerical trouble has one recovery step: refactorize at segment k,
     dropping the segments and pivots from k on, and emit k again from the
-    fresh factorization. A failed window redoes its first segment and
-    replays its pivots each checked alone. A degenerate update (once the
-    window up to it certifies) or a replayed pivot failing its check
-    redoes its own segment; a second failure there ends the path.
+    fresh factorization. A failed window checks its dictionaries alone up
+    to the first one failing and redoes the segment before it, the last
+    one certified (none failing alone: the window passes). A degenerate
+    update, once the window up to it certifies, redoes its own segment. A
+    second failure at the same segment ends the path.
 
     Args:
         p: the parametric program. <= programs are solved as their
@@ -641,12 +642,11 @@ def solve_path(
     entering: Optional[int] = None
     leaving: Optional[int] = None
     # The window: path.segments[start:], from a fresh factorization on.
-    start, duals, per_pivot, traced = 0, [], False, 0
-    # The segment last redone for its own failed pivot, and its old lambda*.
+    start, duals, traced = 0, [], 0
+    # The segment last redone, and its breakpoint before the redo.
     retried, was = -1, 0.0
 
     while True:
-        windowed = opts.check_certificates and not per_pivot
         k = len(path.segments)
         lam_star, tight = compute_lambda_star(state)
         vanished = tight is None and k == retried
@@ -660,8 +660,9 @@ def solve_path(
             opts.lambda_target > 0.0 or not nonpositive
         )
         end: Optional[Tuple[Termination, float, str]] = None
-        # Set when pivot k failed: the reason, should it fail again.
-        failed = ""
+        # Set when the pivot out of segment ``redo`` failed: the segment to
+        # refactorize at, and the reason should it fail there again.
+        redo, failed = None, ""
         if vanished:
             end = (Termination.NUMERICAL_FAILURE, lam_star, "breakpoint vanished "
                    f"after refactorization (was lambda*={was:.6g})")
@@ -677,43 +678,41 @@ def solve_path(
             try:
                 event = _pivot_at(state, tight, lam_star)
             except UpdateDegenerate as exc:
-                failed = f"degenerate update on retry: {exc}"
+                redo, failed = k, f"degenerate update on retry: {exc}"
             except tuple(_FAILURE_STATUS) as exc:
                 end = (_FAILURE_STATUS[type(exc)], lam_star, str(exc))
             else:
                 path.events.append(event)
                 entering, leaving, lam_hi = event.entering, event.leaving, lam_star
-                if windowed:
+                if opts.check_certificates:
                     duals.append(state.y_base + lam_star * state.y_pert)
-                elif opts.check_certificates and not _post_pivot_ok(
-                        state.program, [state.entry(lam_star)]):
-                    failed = ("certificate still failing after refactorization "
-                              f"at lambda*={lam_star:.6g}")
-        if failed and k == retried:
-            del path.events[k:]
-            end, failed = (Termination.NUMERICAL_FAILURE, lam_star, failed), ""
         refresh = not (end or failed) and (
             state.fact.updates_since_refactor >= linalg.REFRESH_LIMIT)
-        redo: Optional[int] = None  # the segment to refactorize at
 
-        if windowed and (end or refresh or failed):
+        if opts.check_certificates and (end or refresh or failed):
             # the segment of the last pivot is not emitted before a refresh
             window = list(zip(path.segments[start + 1:], duals))
             if refresh:
                 window.append(state.entry(lam_star))
             if window and not _post_pivot_ok(state.program, window):
-                logger.info("window certificate failed; replaying from lambda=%.9g",
-                            path.segments[start].lambda_hi)
-                redo, refresh, per_pivot, failed = start, False, True, ""
-        if failed:
-            logger.info("pivot at lambda*=%.9g failed; refactorizing there", lam_star)
-            redo, retried, was = k, k, lam_star
+                # each entry alone up to the first failing one (None: all pass)
+                w = next((w for w, entry in enumerate(window) if len(window) == 1
+                          or not _post_pivot_ok(state.program, [entry])), None)
+                if w is not None:
+                    redo, refresh = start + w, False
+                    failed = ("certificate still failing after refactorization "
+                              f"at lambda*={path.segments[redo].lambda_lo:.6g}")
         if redo is not None:
             head = path.segments[redo]
             del path.segments[redo + 1:], path.events[redo:]
-            state.partition = BasisPartition(
-                std.n, head.primal_indices.copy(), head.dual_indices.copy())
-            lam_hi, entering, leaving = head.lambda_hi, head.entering, head.leaving
+            if redo == retried:
+                end, redo = (Termination.NUMERICAL_FAILURE, head.lambda_lo, failed), None
+            else:
+                logger.info("pivot at lambda*=%.9g failed; refactorizing there", head.lambda_lo)
+                retried, was = redo, head.lambda_lo
+                state.partition = BasisPartition(
+                    std.n, head.primal_indices.copy(), head.dual_indices.copy())
+                lam_hi, entering, leaving = head.lambda_hi, head.entering, head.leaving
         if redo is not None or refresh:
             try:
                 state.refresh()
@@ -728,8 +727,8 @@ def solve_path(
                     path.segments.pop()  # emitted again from the fresh factorization
                     start, duals = redo, []
                     continue
-                start, duals, per_pivot = k + 1, [], False
-        if opts.trace is not None and (end or refresh or not windowed):
+                start, duals = k + 1, []
+        if opts.trace is not None and (end or refresh or not opts.check_certificates):
             for pivot, ev in enumerate(path.events[traced:], start=traced + 1):
                 opts.trace.write(
                     f"{pivot}\t{ev.kind.value}\t{ev.entering}\t{ev.leaving}"

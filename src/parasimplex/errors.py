@@ -37,9 +37,5 @@ class ComplementarityViolation(ParasimplexError):
     nonzero at a breakpoint — indicates an engine bug, not bad data."""
 
 
-class NumericalFailure(ParasimplexError):
-    """Certificate checks kept failing after a forced refactorization."""
-
-
 class SizeGuard(ParasimplexError):
     """The instance is too large for exhaustive basis enumeration."""

@@ -31,12 +31,16 @@ from .reductions import (
 )
 
 
+AMPLITUDE = 1.0  # least |theta0_j| on the support (gen_dantzig)
+MAGNITUDE = 1.0  # scale of the precision perturbation's entries (gen_diffnet)
+
+
 @dataclass
 class DantzigGenConfig:
     """Sparse linear model y = X theta0 + sigma * noise.
 
     Columns of X are rescaled to length sqrt(n). The s active coefficients
-    get magnitude amplitude + |N(0,1)| with random signs, so none of them
+    get magnitude AMPLITUDE + |N(0,1)| with random signs, so none of them
     is vanishingly small.
     """
 
@@ -44,7 +48,6 @@ class DantzigGenConfig:
     d: int = 250
     s: int = 5
     sigma: float = 1.0
-    amplitude: float = 1.0
     rng_seed: Optional[int] = None
 
 
@@ -54,8 +57,10 @@ def gen_dantzig(
     """Returns (X, y, theta0) for one regression instance."""
     if min(cfg.n, cfg.d) < 1:
         raise ValueError(f"n and d must be >= 1, got n={cfg.n}, d={cfg.d}")
-    if cfg.s > cfg.d:
-        raise ValueError("sparsity s cannot exceed dimension d")
+    if not 0 <= cfg.s <= cfg.d:
+        raise ValueError(f"sparsity s must be in [0, d], got s={cfg.s}, d={cfg.d}")
+    if not 0.0 <= cfg.sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {cfg.sigma}")
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     X = rng.standard_normal((cfg.n, cfg.d))
@@ -65,7 +70,7 @@ def gen_dantzig(
     theta0 = np.zeros(cfg.d)
     support = rng.choice(cfg.d, size=cfg.s, replace=False)
     signs = rng.choice((-1.0, 1.0), size=cfg.s)
-    theta0[support] = signs * (cfg.amplitude + np.abs(rng.standard_normal(cfg.s)))
+    theta0[support] = signs * (AMPLITUDE + np.abs(rng.standard_normal(cfg.s)))
     y = X @ theta0 + cfg.sigma * rng.standard_normal(cfg.n)
     return X, y, theta0
 
@@ -77,7 +82,7 @@ class DiffNetGenConfig:
     Sigma_X = U' diag(lam) U with a square standard-normal U and lam uniform
     on [1, 2]; the second precision matrix adds a sparse symmetric
     perturbation D1 (``sparsity`` nonzero upper-triangle entries, mirrored,
-    each magnitude * N(0,1)) shifted by 2|lambda_min(D1)| I to keep the sum
+    each MAGNITUDE * N(0,1)) shifted by 2|lambda_min(D1)| I to keep the sum
     positive definite. The target difference of precisions is Delta0 = -D.
     Empirical covariances use n samples each and the 1/n centered estimator.
     """
@@ -85,7 +90,6 @@ class DiffNetGenConfig:
     d: int = 25
     n: int = 100
     sparsity: int = 4
-    magnitude: float = 1.0
     rng_seed: Optional[int] = None
 
 
@@ -97,8 +101,9 @@ def gen_diffnet(
         raise ValueError(f"n and d must be >= 1, got n={cfg.n}, d={cfg.d}")
     d = cfg.d
     max_offdiag = d * (d - 1) // 2
-    if cfg.sparsity > max_offdiag:
-        raise ValueError("sparsity exceeds number of upper-triangle entries")
+    if not 0 <= cfg.sparsity <= max_offdiag:
+        raise ValueError(f"sparsity must be in [0, {max_offdiag}], the number of "
+                         f"upper-triangle entries, got {cfg.sparsity}")
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     U = rng.standard_normal((d, d))
@@ -111,7 +116,7 @@ def gen_diffnet(
     if cfg.sparsity > 0:
         iu, ju = np.triu_indices(d, k=1)
         pick = rng.choice(len(iu), size=cfg.sparsity, replace=False)
-        vals = cfg.magnitude * rng.standard_normal(cfg.sparsity)
+        vals = MAGNITUDE * rng.standard_normal(cfg.sparsity)
         D1[iu[pick], ju[pick]] = vals
         D1[ju[pick], iu[pick]] = vals
     shift = 2.0 * abs(float(np.linalg.eigvalsh(D1).min())) if cfg.sparsity else 0.0
@@ -136,6 +141,8 @@ def stop_lambda(rule: str, n: int, d: int, sigma: float) -> float:
     sqrt(n)-length columns); ``benchmark`` doubles it to keep the traced
     prefix short and well-conditioned.
     """
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     base = sigma * math.sqrt(n * math.log(d))
     if rule == "path-demo":
         return base

@@ -43,6 +43,7 @@ RESID_RTOL = 1e-8
 RAY_TOL = 1e-9
 VALUE_RTOL = 1e-7
 _INV_CACHE_FLOATS = 30_000_000
+RANDOM_MAX_ROWS, RANDOM_MAX_COLS = 6, 12  # sizes drawn by random_less_equal
 
 
 class OracleStatus(Enum):
@@ -263,9 +264,7 @@ def check_path_against_oracle(
     )
 
 
-def random_less_equal(
-    rng: np.random.Generator, max_rows: int = 6, max_cols: int = 12
-) -> ParametricProgram:
+def random_less_equal(rng: np.random.Generator) -> ParametricProgram:
     """Random small inequality-form instance for corpus testing.
 
     Entries are uniform on [-2, 2] with b_bar = 1 and c_bar = 0; the static
@@ -273,8 +272,8 @@ def random_less_equal(
     basis optimal for all large lambda (so the path starts there without a
     phase-1).
     """
-    m = int(rng.integers(1, max_rows + 1))
-    n = int(rng.integers(1, max_cols + 1))
+    m = int(rng.integers(1, RANDOM_MAX_ROWS + 1))
+    n = int(rng.integers(1, RANDOM_MAX_COLS + 1))
     A = rng.uniform(-2.0, 2.0, size=(m, n))
     b = rng.uniform(-2.0, 2.0, size=m)
     c = rng.uniform(-2.0, 2.0, size=n)

@@ -431,8 +431,13 @@ def test_bench_diffnet_runs(tmp_path, capsys):
     ["bench", "diffnet", "--n", "40", "--d", "3", "--s", "1", "--reps", "0"],
     ["gen", "dantzig", "--n", "0", "--out-dir", "{out}"],
     ["diffnet", "--sx", "{SX}", "--sy", "{SY}", "--stop-rule", "sparsity:-2"],
+    ["gen", "diffnet", "--s", "-1", "--out-dir", "{out}"],
+    ["bench", "diffnet", "--n", "40", "--d", "3", "--s", "-2", "--reps", "1"],
+    ["gen", "dantzig", "--sigma", "nan", "--out-dir", "{out}"],
+    ["dantzig", "--x", "{X}", "--y", "{y}", "--sigma", "-1"],
 ], ids=["value-nan", "target-nan", "max-pivots-negative", "reps-negative",
-        "reps-zero", "gen-n-zero", "sparsity-negative"])
+        "reps-zero", "gen-n-zero", "sparsity-negative", "gen-s-negative",
+        "bench-s-negative", "gen-sigma-nan", "sigma-negative"])
 def test_malformed_numeric_input_exits_64(tmp_path, capsys, argv):
     pio.save_matrix_csv(tmp_path / "X.csv", np.eye(2))
     pio.save_matrix_csv(tmp_path / "y.csv", np.array([[1.0], [2.0]]))

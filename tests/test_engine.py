@@ -421,7 +421,8 @@ def test_failed_check_is_retried_on_a_fresh_factorization(monkeypatch):
 
 def test_check_failing_twice_is_numerical_failure(monkeypatch):
     _, _, p = _regression_program(n=20, d=8, seed=4)
-    first_breakpoint = solve_path(p).events[0].lambda_star
+    clean = solve_path(p)
+    first_breakpoint = clean.events[0].lambda_star
     sizes = []
 
     def fail(p, window):
@@ -433,14 +434,16 @@ def test_check_failing_twice_is_numerical_failure(monkeypatch):
     assert path.termination is Termination.NUMERICAL_FAILURE
     assert path.num_pivots == 0
     assert path.terminal_lambda == pytest.approx(first_breakpoint, abs=BP_TOL)
-    # the whole window failed, then the replay checked its first pivot alone
-    assert sizes[0] > 1 and sizes[1:] == [1, 1]
+    # the window of the whole path failed, then its first entry alone; the
+    # same again after the redo of the first segment
+    W = clean.num_pivots
+    assert W > 1 and sizes == [W, 1, W, 1]
 
 
 def _corrupt_reduced_costs(monkeypatch, at_pivot):
     """Add 1e-3 to every maintained reduced cost right after the exchange
-    numbered ``at_pivot`` (from 1, retries and replays included); returns
-    the sizes of the windows checked."""
+    numbered ``at_pivot`` (from 1, redone pivots included); returns the
+    sizes of the windows checked."""
     real_exchange, real_check = engine._exchange, engine._post_pivot_ok
     exchanges, sizes = [], []
 
@@ -478,7 +481,7 @@ def test_corrupted_window_rolls_back_to_the_clean_path(monkeypatch, batch):
     sizes = _corrupt_reduced_costs(monkeypatch, at_pivot=5)
     path = solve_path(p)
     _same_path(path, clean)
-    # the first window failed and was replayed one pivot at a time
+    # the first window failed and was localized one entry at a time
     assert sizes[0] > 1 and 1 in sizes
     theta = recover_dantzig(path).value_at(0.0)
     np.testing.assert_allclose(theta, recover_dantzig(clean).value_at(0.0), atol=1e-9)
@@ -530,9 +533,12 @@ def test_stop_callback_sees_the_replayed_segment_again(monkeypatch):
     _corrupt_reduced_costs(monkeypatch, at_pivot=3)
     path = solve_path(p, stop_callback=stop)
     _same_path(path, clean)
-    # it fired on a corrupted segment, then again on the replayed clean one
+    # it fired on a corrupted segment, then again on the clean ones from the
+    # redone segment 2 (the last one before the corrupted pivot 3) on
     assert sum(lam <= stop_at for *_, lam in seen) == 2
-    assert seen[-len(clean_seen):] == clean_seen
+    redone, again = seen[-len(clean_seen[2:]):], clean_seen[2:]
+    assert [s[:2] for s in redone] == [s[:2] for s in again]
+    assert [s[2] for s in redone] == pytest.approx([s[2] for s in again], abs=BP_TOL)
     assert len(seen) > len(clean_seen)
 
 
@@ -547,6 +553,47 @@ def test_trace_writes_a_rolled_back_pivot_once(monkeypatch):
     assert [int(ln.split("\t")[0]) for ln in lines] == list(range(1, path.num_pivots + 1))
     assert [(int(ln.split("\t")[2]), int(ln.split("\t")[3])) for ln in lines] == \
         _pivot_sequence(path)
+
+
+def test_a_failed_window_redoes_the_segment_before_its_first_bad_dictionary(monkeypatch):
+    _, _, p = _regression_program()
+    clean = solve_path(p)
+    bad = 45  # inside the first window, which the refresh closes at 50
+    assert clean.num_pivots > linalg.REFRESH_LIMIT > bad
+    sizes = _corrupt_reduced_costs(monkeypatch, at_pivot=bad)
+    exchanges = _degenerate_updates(monkeypatch, lambda call: False)  # counts them
+    _same_path(solve_path(p), clean)
+    # the window failed, then its entries alone up to the corrupted one
+    assert sizes[:bad + 1] == [linalg.REFRESH_LIMIT] + [1] * bad
+    # pivots 1-50, then again from segment 44 on: 45-50 are done twice
+    assert len(exchanges) == clean.num_pivots + linalg.REFRESH_LIMIT - bad + 1
+
+
+def test_a_window_whose_entries_pass_alone_is_certified(monkeypatch):
+    _, _, p = _regression_program()
+    clean = solve_path(p)
+    real = engine._post_pivot_ok
+    monkeypatch.setattr(engine, "_post_pivot_ok",
+                        lambda p, window: len(window) == 1 and real(p, window))
+    exchanges = _degenerate_updates(monkeypatch, lambda call: False)  # counts them
+    _same_path(solve_path(p), clean)
+    assert len(exchanges) == clean.num_pivots  # nothing was redone
+
+
+def test_corruption_after_a_random_pivot_recovers_the_clean_path(monkeypatch):
+    # each path is one window, and some end infeasible
+    endings = set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        p = random_less_equal(rng)
+        clean = solve_path(p)
+        if clean.num_pivots < 2:
+            continue
+        with monkeypatch.context() as patch:
+            _corrupt_reduced_costs(patch, at_pivot=int(rng.integers(1, clean.num_pivots + 1)))
+            _same_path(solve_path(p), clean)
+        endings.add(clean.termination)
+    assert Termination.INFEASIBLE in endings
 
 
 def _degenerate_updates(monkeypatch, fail):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from parasimplex.experiments import (
+    AMPLITUDE,
     BenchRecord,
     DantzigGenConfig,
     DiffNetGenConfig,
@@ -29,7 +30,7 @@ def test_gen_dantzig_shapes_and_scaling():
                                math.sqrt(40) * np.ones(15), rtol=1e-12)
     assert np.count_nonzero(theta0) == 4
     # active magnitudes never collapse toward zero
-    assert np.abs(theta0[theta0 != 0]).min() >= cfg.amplitude
+    assert np.abs(theta0[theta0 != 0]).min() >= AMPLITUDE
 
 
 def test_gen_dantzig_deterministic_and_noiseless():
