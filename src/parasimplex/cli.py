@@ -17,19 +17,12 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from . import io as pio
 from .core import SolutionPath, Termination, segment_breakpoint
 from .engine import SolveOptions, solve_path
-from .errors import (
-    InfeasibleAtLargeLambda,
-    InfeasibleProblem,
-    ParasimplexError,
-    SingularBasis,
-    UnboundedDirection,
-    UpdateDegenerate,
-)
+from .errors import InfeasibleAtLargeLambda, ParasimplexError, SingularBasis
 from .experiments import (
     DantzigGenConfig,
     DiffNetGenConfig,
@@ -38,7 +31,7 @@ from .experiments import (
     gen_diffnet,
     run_dantzig_bench,
     run_diffnet_bench,
-    stop_lambda,
+    stop_options,
     summarize,
 )
 from .reductions import (
@@ -48,7 +41,6 @@ from .reductions import (
     build_dantzig,
     build_diffnet,
     build_svm,
-    diffnet_sparsity_stop,
     recover_dantzig,
     recover_diffnet,
     recover_svm,
@@ -92,22 +84,6 @@ def _setup_logging() -> Optional[object]:
     return sys.stderr if mode == "trace" else None
 
 
-def _parse_stop_rule(text: str) -> Tuple[str, Optional[float]]:
-    if text in ("path-demo", "benchmark"):
-        return text, None
-    if text.startswith("value:"):
-        return "value", float(text.split(":", 1)[1])
-    if text.startswith("sparsity:"):
-        k = int(text.split(":", 1)[1])
-        if k < 0:
-            raise ValueError(f"sparsity:<k> needs k >= 0, got {k}")
-        return "sparsity", float(k)
-    raise ValueError(
-        f"bad stop rule {text!r}: expected path-demo, benchmark, "
-        "value:<lambda>, or sparsity:<k>"
-    )
-
-
 def _report(path: SolutionPath, orig=None) -> int:
     """Print orig's terminal support size, if given, and the outcome."""
     if orig is not None and orig.supports:
@@ -146,14 +122,9 @@ def cmd_dantzig(args: argparse.Namespace) -> int:
     X = pio.load_matrix_csv(args.x)
     y = pio.load_vector_csv(args.y)
     inst = DantzigInstance(X, y)
-    rule, value = _parse_stop_rule(args.stop_rule)
-    if rule == "sparsity":
-        raise ValueError("sparsity stop rule is only for diffnet")
-    target = value if rule == "value" else stop_lambda(
-        rule, X.shape[0], X.shape[1], args.sigma
-    )
-    program = build_dantzig(inst)
-    path = solve_path(program, SolveOptions(lambda_target=target, trace=args.trace))
+    opts = stop_options(args.stop_rule, inst, args.sigma)
+    opts.trace = args.trace
+    path = solve_path(build_dantzig(inst), opts)
     orig = recover_dantzig(path)
     if args.out:
         violations = []
@@ -183,16 +154,9 @@ def cmd_diffnet(args: argparse.Namespace) -> int:
     S_X = pio.load_matrix_csv(args.sx)
     S_Y = pio.load_matrix_csv(args.sy)
     inst = DiffNetInstance.from_covariances(S_X, S_Y)
-    program = build_diffnet(inst)
-    rule, value = _parse_stop_rule(args.stop_rule)
-    opts = SolveOptions(trace=args.trace)
-    if rule == "value":
-        opts.lambda_target = value
-    elif rule == "sparsity":
-        opts.stop_callback = diffnet_sparsity_stop(inst, int(value))
-    else:
-        raise ValueError("diffnet stop rule must be value:<lambda> or sparsity:<k>")
-    path = solve_path(program, opts)
+    opts = stop_options(args.stop_rule, inst)
+    opts.trace = args.trace
+    path = solve_path(build_diffnet(inst), opts)
     orig = recover_diffnet(path, inst)
     if args.out:
         pio.save_original_path_csv(args.out, orig)
@@ -202,9 +166,12 @@ def cmd_diffnet(args: argparse.Namespace) -> int:
 def _gen_config(args: argparse.Namespace):
     """The generator config that ``gen`` and ``bench`` read from the flags."""
     if args.family == "dantzig":
+        sigma = 1.0 if args.sigma is None else args.sigma
         return DantzigGenConfig(
-            n=args.n, d=args.d, s=args.s, sigma=args.sigma, rng_seed=args.seed
+            n=args.n, d=args.d, s=args.s, sigma=sigma, rng_seed=args.seed
         )
+    if args.sigma is not None:
+        raise ValueError("--sigma is dantzig-only")
     return DiffNetGenConfig(d=args.d, n=args.n, sparsity=args.s, rng_seed=args.seed)
 
 
@@ -228,9 +195,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _gen_config(args)
     if args.family == "dantzig":
-        records = run_dantzig_bench(
-            cfg, stop_rule=args.stop_rule, repetitions=args.reps
-        )
+        rule = "benchmark" if args.stop_rule is None else args.stop_rule
+        records = run_dantzig_bench(cfg, stop_rule=rule, repetitions=args.reps)
+    elif args.stop_rule is not None:
+        raise ValueError("--stop-rule is dantzig-only: bench diffnet stops at "
+                         "the true sparsity")
     else:
         records = run_diffnet_bench(cfg, repetitions=args.reps)
     if args.out_csv:
@@ -291,7 +260,8 @@ def build_parser() -> _Parser:
     gen_flags.add_argument("--s", type=int, default=5,
                            help="true support size (dantzig) or off-diagonal "
                                 "perturbations (diffnet)")
-    gen_flags.add_argument("--sigma", type=float, default=1.0)
+    gen_flags.add_argument("--sigma", type=float, default=None,
+                           help="noise scale (dantzig only; default 1)")
     gen_flags.add_argument("--seed", type=int, default=None)
 
     p_gen = sub.add_parser("gen", parents=[gen_flags],
@@ -302,7 +272,9 @@ def build_parser() -> _Parser:
     p_bench = sub.add_parser("bench", parents=[gen_flags],
                              help="replicated runs with summary stats")
     p_bench.add_argument("--reps", type=int, default=10)
-    p_bench.add_argument("--stop-rule", default="benchmark")
+    p_bench.add_argument("--stop-rule", default=None,
+                         help="dantzig only: path-demo, benchmark (default) "
+                              "or value:<lambda>")
     p_bench.add_argument("--out-csv", default=None)
     p_bench.add_argument("--out-summary", default=None)
     p_bench.set_defaults(func=cmd_bench)
@@ -316,10 +288,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.trace = _setup_logging()
     try:
         return args.func(args)
-    except (InfeasibleAtLargeLambda, InfeasibleProblem, UnboundedDirection) as exc:
+    except InfeasibleAtLargeLambda as exc:
         print(f"no path: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    except (SingularBasis, UpdateDegenerate) as exc:
+    except SingularBasis as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ParasimplexError as exc:

@@ -5,6 +5,8 @@ designs with renormalized columns and a sparse ground truth for regression,
 and a pair of covariance models differing by a sparse perturbation of the
 precision matrix for the matrix estimator. All randomness flows through
 numpy Generators seeded from the config, so runs are reproducible.
+``stop_options`` turns a stop-rule string into solve options for the
+command line and the benchmark drivers alike.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import segment_breakpoint
+from .core import SolutionPath, segment_breakpoint
 from .engine import SolveOptions, solve_path
 from .errors import ParasimplexError
 from .reductions import (
@@ -151,6 +153,37 @@ def stop_lambda(rule: str, n: int, d: int, sigma: float) -> float:
     raise ValueError(f"unknown stop rule {rule!r}")
 
 
+def stop_options(
+    rule: str, inst: Union[DantzigInstance, DiffNetInstance], sigma: float = 1.0
+) -> SolveOptions:
+    """Solve options that end ``inst``'s path where ``rule`` says.
+
+    ``value:<lambda>`` stops at a given level. ``path-demo`` and
+    ``benchmark`` stop at ``stop_lambda``'s noise-scaled level for a
+    ``DantzigInstance`` with noise scale sigma. ``sparsity:<k>`` stops once
+    a ``DiffNetInstance``'s estimate has k nonzeros.
+    """
+    if rule in ("path-demo", "benchmark"):
+        if not isinstance(inst, DantzigInstance):
+            raise ValueError("diffnet stop rule must be value:<lambda> or sparsity:<k>")
+        n, d = inst.X.shape
+        return SolveOptions(lambda_target=stop_lambda(rule, n, d, sigma))
+    kind, sep, arg = rule.partition(":")
+    if sep and kind == "value":
+        return SolveOptions(lambda_target=float(arg))
+    if sep and kind == "sparsity":
+        k = int(arg)
+        if k < 0:
+            raise ValueError(f"sparsity:<k> needs k >= 0, got {k}")
+        if not isinstance(inst, DiffNetInstance):
+            raise ValueError("sparsity stop rule is only for diffnet")
+        return SolveOptions(stop_callback=diffnet_sparsity_stop(inst, k))
+    raise ValueError(
+        f"bad stop rule {rule!r}: expected path-demo, benchmark, "
+        "value:<lambda>, or sparsity:<k>"
+    )
+
+
 def feasibility_violation(
     X: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float
 ) -> float:
@@ -171,15 +204,36 @@ class BenchRecord:
     termination: str = "reached_target"
 
 
-def _failure_record(
-    rep: int, cfg_d: int, cfg_n: int, t0: float, exc: Exception
-) -> BenchRecord:
-    return BenchRecord(
-        instance_id=rep, d=cfg_d, n=cfg_n, pivot_count=-1,
-        wall_time=time.perf_counter() - t0,
-        max_feas_violation=float("nan"), support_recovered=False,
-        terminal_lambda=float("nan"), termination=type(exc).__name__,
-    )
+def _run_bench(
+    cfg: Union[DantzigGenConfig, DiffNetGenConfig],
+    repetitions: int,
+    draw: Callable[[np.random.Generator], tuple],
+) -> List[BenchRecord]:
+    """One record per instance drawn from a child of cfg's seed.
+
+    ``draw(rng)`` returns the instance's program, its SolveOptions, and a
+    ``score(path) -> (max_feas_violation, support_recovered)``. Only the
+    solve is timed; a ParasimplexError becomes a failed record (pivot_count
+    -1, termination the error's class name).
+    """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    root = np.random.SeedSequence(cfg.rng_seed)
+    records: List[BenchRecord] = []
+    for rep, child in enumerate(root.spawn(repetitions)):
+        program, opts, score = draw(np.random.default_rng(child))
+        t0 = time.perf_counter()
+        try:
+            path = solve_path(program, opts)
+        except ParasimplexError as exc:
+            nan = float("nan")
+            records.append(BenchRecord(rep, cfg.d, cfg.n, -1, time.perf_counter() - t0,
+                                       nan, False, nan, type(exc).__name__))
+            continue
+        elapsed = time.perf_counter() - t0
+        records.append(BenchRecord(rep, cfg.d, cfg.n, path.num_pivots, elapsed, *score(path),
+                                   path.terminal_lambda, path.termination.value))
+    return records
 
 
 def run_dantzig_bench(
@@ -190,41 +244,26 @@ def run_dantzig_bench(
     """Solve ``repetitions`` independent regression instances down to the
     stop level, recording pivots, timing, worst constraint violation over
     the breakpoints, and whether the terminal support covers theta0's."""
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    root = np.random.SeedSequence(cfg.rng_seed)
-    target = stop_lambda(stop_rule, cfg.n, cfg.d, cfg.sigma)
-    records: List[BenchRecord] = []
-    for rep, child in enumerate(root.spawn(repetitions)):
-        X, y, theta0 = gen_dantzig(cfg, rng=np.random.default_rng(child))
-        program = build_dantzig(DantzigInstance(X, y))
-        t0 = time.perf_counter()
-        try:
-            path = solve_path(program, SolveOptions(lambda_target=target))
-        except ParasimplexError as exc:
-            records.append(_failure_record(rep, cfg.d, cfg.n, t0, exc))
-            continue
-        elapsed = time.perf_counter() - t0
-        orig = recover_dantzig(path)
-        worst = -np.inf
-        for seg in path.segments:
-            lam = max(segment_breakpoint(seg), path.terminal_lambda)
-            theta = orig.value_at(lam)
-            worst = max(worst, feasibility_violation(X, y, theta, lam))
-        theta_end = orig.value_at(path.terminal_lambda)
-        estimated = set(np.flatnonzero(np.abs(theta_end) > SUPPORT_TOL))
-        truth = set(np.flatnonzero(theta0))
-        records.append(
-            BenchRecord(
-                instance_id=rep, d=cfg.d, n=cfg.n,
-                pivot_count=path.num_pivots, wall_time=elapsed,
-                max_feas_violation=float(worst) if np.isfinite(worst) else 0.0,
-                support_recovered=truth.issubset(estimated),
-                terminal_lambda=path.terminal_lambda,
-                termination=path.termination.value,
-            )
-        )
-    return records
+
+    def draw(rng: np.random.Generator) -> tuple:
+        X, y, theta0 = gen_dantzig(cfg, rng=rng)
+        inst = DantzigInstance(X, y)
+
+        def score(path: SolutionPath) -> Tuple[float, bool]:
+            orig = recover_dantzig(path)
+            worst = -np.inf
+            for seg in path.segments:
+                lam = max(segment_breakpoint(seg), path.terminal_lambda)
+                worst = max(worst, feasibility_violation(X, y, orig.value_at(lam), lam))
+            theta_end = orig.value_at(path.terminal_lambda)
+            estimated = set(np.flatnonzero(np.abs(theta_end) > SUPPORT_TOL))
+            truth = set(np.flatnonzero(theta0))
+            return (float(worst) if np.isfinite(worst) else 0.0,
+                    truth.issubset(estimated))
+
+        return build_dantzig(inst), stop_options(stop_rule, inst, cfg.sigma), score
+
+    return _run_bench(cfg, repetitions, draw)
 
 
 def run_diffnet_bench(
@@ -235,44 +274,24 @@ def run_diffnet_bench(
     """Trace the matrix-estimator path until the estimate has target_nnz
     nonzeros (default: the true sparsity of Delta0), then check that the
     recovered support is contained in the truth's."""
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    root = np.random.SeedSequence(cfg.rng_seed)
-    records: List[BenchRecord] = []
-    for rep, child in enumerate(root.spawn(repetitions)):
-        S_X, S_Y, Delta0 = gen_diffnet(cfg, rng=np.random.default_rng(child))
+
+    def draw(rng: np.random.Generator) -> tuple:
+        S_X, S_Y, Delta0 = gen_diffnet(cfg, rng=rng)
         inst = DiffNetInstance.from_covariances(S_X, S_Y)
-        program = build_diffnet(inst)
-        want = target_nnz if target_nnz is not None else int(
-            np.count_nonzero(np.abs(Delta0) > SUPPORT_TOL)
-        )
-        t0 = time.perf_counter()
-        try:
-            path = solve_path(
-                program,
-                SolveOptions(stop_callback=diffnet_sparsity_stop(inst, want)),
-            )
-        except ParasimplexError as exc:
-            records.append(_failure_record(rep, cfg.d, cfg.n, t0, exc))
-            continue
-        elapsed = time.perf_counter() - t0
-        orig = recover_diffnet(path, inst)
-        lam_end = path.terminal_lambda
-        delta_end = orig.value_at(lam_end)
-        est = set(map(tuple, np.argwhere(np.abs(delta_end) > SUPPORT_TOL)))
-        truth = set(map(tuple, np.argwhere(np.abs(Delta0) > SUPPORT_TOL)))
-        resid = float(np.abs(S_X @ delta_end @ S_Y - (S_X - S_Y)).max(initial=0.0))
-        records.append(
-            BenchRecord(
-                instance_id=rep, d=cfg.d, n=cfg.n,
-                pivot_count=path.num_pivots, wall_time=elapsed,
-                max_feas_violation=resid - lam_end,
-                support_recovered=est.issubset(truth),
-                terminal_lambda=lam_end,
-                termination=path.termination.value,
-            )
-        )
-    return records
+        truth = np.abs(Delta0) > SUPPORT_TOL
+        want = target_nnz if target_nnz is not None else int(np.count_nonzero(truth))
+
+        def score(path: SolutionPath) -> Tuple[float, bool]:
+            lam_end = path.terminal_lambda
+            delta_end = recover_diffnet(path, inst).value_at(lam_end)
+            est = set(map(tuple, np.argwhere(np.abs(delta_end) > SUPPORT_TOL)))
+            resid = float(np.abs(S_X @ delta_end @ S_Y - (S_X - S_Y)).max(initial=0.0))
+            return resid - lam_end, est.issubset(set(map(tuple, np.argwhere(truth))))
+
+        opts = SolveOptions(stop_callback=diffnet_sparsity_stop(inst, want))
+        return build_diffnet(inst), opts, score
+
+    return _run_bench(cfg, repetitions, draw)
 
 
 def summarize(records: List[BenchRecord]) -> Dict[str, float]:

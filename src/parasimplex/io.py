@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -44,10 +45,15 @@ def _enc_float(x: float) -> Union[float, str]:
 
 def load_matrix_csv(path: PathLike) -> np.ndarray:
     """Comma-separated numeric matrix; one optional header line tolerated."""
-    try:
-        out = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError:
-        out = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+    with warnings.catch_warnings():
+        # an empty file is reported below, as an input error
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            out = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError:
+            out = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+    if out.size == 0:
+        raise ValueError(f"{path} has no numeric rows")
     return out
 
 

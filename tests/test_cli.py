@@ -79,6 +79,17 @@ def test_sparsity_rule_rejected_for_regression(tmp_path, capsys):
     assert rc == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("text", ["", "a,b\n"], ids=["empty", "header-only"])
+def test_csv_without_rows_exits_64(tmp_path, capsys, text):
+    (tmp_path / "X.csv").write_text(text)
+    pio.save_matrix_csv(tmp_path / "y.csv", np.array([[1.0], [2.0]]))
+    rc = cli.main(["dantzig", "--x", str(tmp_path / "X.csv"),
+                   "--y", str(tmp_path / "y.csv")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert err.splitlines() == [f"input error: {tmp_path / 'X.csv'} has no numeric rows"]
+
+
 # ---------------------------------------------------------------- solve
 
 
@@ -449,6 +460,22 @@ def test_malformed_numeric_input_exits_64(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert rc == cli.EXIT_USAGE
     assert "input error" in captured.err and captured.out == ""
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "diffnet", "--sigma", "5", "--out-dir", "{out}"], "--sigma"),
+    (["bench", "diffnet", "--n", "40", "--d", "3", "--s", "1", "--reps", "1",
+      "--sigma", "nan"], "--sigma"),
+    (["bench", "diffnet", "--n", "40", "--d", "3", "--s", "1", "--reps", "1",
+      "--stop-rule", "garbage"], "--stop-rule"),
+], ids=["gen-sigma", "bench-sigma", "bench-stop-rule"])
+def test_dantzig_only_flag_on_diffnet_exits_64(tmp_path, capsys, argv, flag):
+    rc = cli.main([a.format(out=tmp_path / "gen") for a in argv])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.err.startswith(f"input error: {flag} is dantzig-only")
+    assert captured.out == ""
     assert not (tmp_path / "gen").exists()
 
 

@@ -1,10 +1,14 @@
 """Instance generators, stop rules, and the benchmark drivers."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from parasimplex import experiments
+from parasimplex.engine import solve_path
+from parasimplex.errors import SingularBasis
 from parasimplex.experiments import (
     AMPLITUDE,
     BenchRecord,
@@ -115,6 +119,32 @@ def test_diffnet_bench_records():
         # stopping rule: the residual never exceeds the terminal lambda by
         # more than roundoff
         assert r.max_feas_violation <= VIOLATION_TOL
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_dantzig_bench(DantzigGenConfig(n=30, d=12, s=2, sigma=0.5, rng_seed=123),
+                              stop_rule="path-demo", repetitions=3),
+    lambda: run_diffnet_bench(DiffNetGenConfig(d=4, n=120, sparsity=2, rng_seed=77),
+                              repetitions=3),
+], ids=["dantzig", "diffnet"])
+def test_bench_records_a_failed_solve(monkeypatch, run):
+    clean, calls = run(), []
+
+    def solve(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise SingularBasis("forced singular basis")
+        return solve_path(*args)
+
+    monkeypatch.setattr(experiments, "solve_path", solve)
+    records = run()
+    failed = records[1]
+    assert failed.pivot_count == -1 and failed.termination == "SingularBasis"
+    assert math.isnan(failed.max_feas_violation) and not failed.support_recovered
+    for r, c in zip(records, clean):
+        if r is not failed:
+            assert dataclasses.replace(r, wall_time=0.0) == dataclasses.replace(c, wall_time=0.0)
+    assert summarize(records)["completed"] == len(clean) - 1 == 2
 
 
 def test_summarize_math():
