@@ -20,13 +20,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import io as pio
-from .core import SolutionPath, Termination, segment_breakpoint
+from .core import SolutionPath, Termination
 from .engine import SolveOptions, solve_path
 from .errors import InfeasibleAtLargeLambda, ParasimplexError, SingularBasis
 from .experiments import (
     DantzigGenConfig,
     DiffNetGenConfig,
-    feasibility_violation,
+    breakpoint_violations,
     gen_dantzig,
     gen_diffnet,
     run_dantzig_bench,
@@ -85,9 +85,9 @@ def _setup_logging() -> Optional[object]:
 
 
 def _report(path: SolutionPath, orig=None) -> int:
-    """Print orig's terminal support size, if given, and the outcome."""
-    if orig is not None and orig.supports:
-        print(f"terminal_support_size={len(orig.supports[-1])}")
+    """Print orig's support size at the terminal lambda, if given, and the outcome."""
+    if orig is not None and orig.segments:
+        print(f"terminal_support_size={len(orig.support_at(path.terminal_lambda))}")
     print(
         f"termination={path.termination.value} pivots={path.num_pivots} "
         f"segments={len(path.segments)} terminal_lambda={path.terminal_lambda:.10g}"
@@ -119,19 +119,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_dantzig(args: argparse.Namespace) -> int:
+    if args.sigma is not None and args.stop_rule.startswith("value:"):
+        raise ValueError("--sigma applies only to the path-demo and benchmark stop rules")
     X = pio.load_matrix_csv(args.x)
     y = pio.load_vector_csv(args.y)
     inst = DantzigInstance(X, y)
-    opts = stop_options(args.stop_rule, inst, args.sigma)
+    opts = stop_options(args.stop_rule, inst, 1.0 if args.sigma is None else args.sigma)
     opts.trace = args.trace
     path = solve_path(build_dantzig(inst), opts)
     orig = recover_dantzig(path)
     if args.out:
-        violations = []
-        for seg in orig.segments:
-            bp = segment_breakpoint(seg)
-            violations.append(feasibility_violation(X, y, seg.value(bp), bp))
-        pio.save_original_path_csv(args.out, orig, violations)
+        pio.save_original_path_csv(args.out, orig, breakpoint_violations(X, y, orig))
     return _report(path, orig)
 
 
@@ -231,8 +229,8 @@ def build_parser() -> _Parser:
     p_dz.add_argument("--x", required=True)
     p_dz.add_argument("--y", required=True)
     p_dz.add_argument("--stop-rule", default="path-demo")
-    p_dz.add_argument("--sigma", type=float, default=1.0,
-                      help="noise scale used by named stop rules")
+    p_dz.add_argument("--sigma", type=float, default=None,
+                      help="noise scale of path-demo and benchmark (default 1)")
     p_dz.add_argument("--out", default=None, help="path CSV in theta coordinates")
     p_dz.set_defaults(func=cmd_dantzig)
 

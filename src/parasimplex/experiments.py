@@ -25,6 +25,7 @@ from .reductions import (
     SUPPORT_TOL,
     DantzigInstance,
     DiffNetInstance,
+    PathInOriginalCoords,
     build_dantzig,
     build_diffnet,
     diffnet_sparsity_stop,
@@ -191,6 +192,16 @@ def feasibility_violation(
     return float(np.abs(X.T @ (y - X @ theta)).max(initial=0.0)) - lam
 
 
+def breakpoint_violations(
+    X: np.ndarray, y: np.ndarray, orig: PathInOriginalCoords
+) -> List[float]:
+    """``feasibility_violation`` of each recovered Dantzig segment at its
+    own ``segment_breakpoint``, highest lambda first."""
+    lams = [segment_breakpoint(seg) for seg in orig.segments]
+    return [feasibility_violation(X, y, seg.value(lam), lam)
+            for seg, lam in zip(orig.segments, lams)]
+
+
 @dataclass
 class BenchRecord:
     instance_id: int
@@ -251,15 +262,9 @@ def run_dantzig_bench(
 
         def score(path: SolutionPath) -> Tuple[float, bool]:
             orig = recover_dantzig(path)
-            worst = -np.inf
-            for seg in path.segments:
-                lam = max(segment_breakpoint(seg), path.terminal_lambda)
-                worst = max(worst, feasibility_violation(X, y, orig.value_at(lam), lam))
-            theta_end = orig.value_at(path.terminal_lambda)
-            estimated = set(np.flatnonzero(np.abs(theta_end) > SUPPORT_TOL))
-            truth = set(np.flatnonzero(theta0))
-            return (float(worst) if np.isfinite(worst) else 0.0,
-                    truth.issubset(estimated))
+            truth = frozenset(np.flatnonzero(theta0).tolist())
+            return (max(breakpoint_violations(X, y, orig), default=0.0),
+                    truth <= orig.support_at(path.terminal_lambda))
 
         return build_dantzig(inst), stop_options(stop_rule, inst, cfg.sigma), score
 
@@ -278,15 +283,15 @@ def run_diffnet_bench(
     def draw(rng: np.random.Generator) -> tuple:
         S_X, S_Y, Delta0 = gen_diffnet(cfg, rng=rng)
         inst = DiffNetInstance.from_covariances(S_X, S_Y)
-        truth = np.abs(Delta0) > SUPPORT_TOL
-        want = target_nnz if target_nnz is not None else int(np.count_nonzero(truth))
+        truth = frozenset(np.flatnonzero(np.abs(Delta0).ravel(order="F") > SUPPORT_TOL).tolist())
+        want = target_nnz if target_nnz is not None else len(truth)
 
         def score(path: SolutionPath) -> Tuple[float, bool]:
             lam_end = path.terminal_lambda
-            delta_end = recover_diffnet(path, inst).value_at(lam_end)
-            est = set(map(tuple, np.argwhere(np.abs(delta_end) > SUPPORT_TOL)))
+            orig = recover_diffnet(path, inst)
+            delta_end = orig.value_at(lam_end)
             resid = float(np.abs(S_X @ delta_end @ S_Y - (S_X - S_Y)).max(initial=0.0))
-            return resid - lam_end, est.issubset(set(map(tuple, np.argwhere(truth))))
+            return resid - lam_end, orig.support_at(lam_end) <= truth
 
         opts = SolveOptions(stop_callback=diffnet_sparsity_stop(inst, want))
         return build_diffnet(inst), opts, score

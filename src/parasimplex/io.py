@@ -8,11 +8,15 @@ the strings "inf" / "-inf" (and NaN as "nan"); loaders reverse this.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import re
 import warnings
+from enum import Enum
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_type_hints,
+)
 
 import numpy as np
 
@@ -20,7 +24,6 @@ from .core import (
     ParametricProgram,
     PathSegment,
     PivotEvent,
-    PivotKind,
     SlackInfo,
     SolutionPath,
     Termination,
@@ -185,32 +188,34 @@ def _segment_doc(seg: PathSegment) -> Dict:
     }
 
 
+def _fields_doc(obj) -> Dict:
+    """A dataclass's fields in declaration order: an Enum as its value, a
+    float through ``_enc_float``."""
+    doc = {}
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        doc[f.name] = v.value if isinstance(v, Enum) else (
+            _enc_float(v) if isinstance(v, float) else v)
+    return doc
+
+
+def _fields_reader(cls) -> Callable[[Dict], object]:
+    """The inverse of ``_fields_doc`` for the dataclass cls: each field
+    converted by its annotated type, resolved once."""
+    hints = get_type_hints(cls)
+    types = [(f.name, hints[f.name]) for f in dataclasses.fields(cls)]
+    return lambda doc: cls(**{name: t(doc[name]) for name, t in types})
+
+
 def save_path_json(path: PathLike, sol: SolutionPath) -> None:
     doc = {
         "num_cols": sol.num_cols,
         "termination": sol.termination.value,
         "terminal_lambda": _enc_float(sol.terminal_lambda),
         "termination_detail": sol.termination_detail,
-        "slack_info": (
-            None if sol.slack_info is None else {
-                "original_n": sol.slack_info.original_n,
-                "num_rows": sol.slack_info.num_rows,
-            }
-        ),
+        "slack_info": None if sol.slack_info is None else _fields_doc(sol.slack_info),
         "segments": [_segment_doc(s) for s in sol.segments],
-        "events": [
-            {
-                "kind": e.kind.value,
-                "entering": e.entering,
-                "leaving": e.leaving,
-                "lambda_star": _enc_float(e.lambda_star),
-                "t": _enc_float(e.t),
-                "t_bar": _enc_float(e.t_bar),
-                "s": _enc_float(e.s),
-                "s_bar": _enc_float(e.s_bar),
-            }
-            for e in sol.events
-        ],
+        "events": [_fields_doc(e) for e in sol.events],
     }
     Path(path).write_text(json.dumps(doc, indent=1))
 
@@ -225,29 +230,14 @@ def load_path_json(path: PathLike) -> SolutionPath:
                     entering=s.get("entering"), leaving=s.get("leaving"))
         for s in doc["segments"]
     ]
-    events = [
-        PivotEvent(
-            kind=PivotKind(e["kind"]),
-            entering=int(e["entering"]),
-            leaving=int(e["leaving"]),
-            lambda_star=float(e["lambda_star"]),
-            t=float(e["t"]),
-            t_bar=float(e["t_bar"]),
-            s=float(e["s"]),
-            s_bar=float(e["s_bar"]),
-        )
-        for e in doc.get("events", [])
-    ]
     si = doc.get("slack_info")
     return SolutionPath(
         segments=segments,
-        events=events,
+        events=list(map(_fields_reader(PivotEvent), doc.get("events", []))),
         termination=Termination(doc["termination"]),
         terminal_lambda=float(doc["terminal_lambda"]),
         num_cols=n_cols,
-        slack_info=None if si is None else SlackInfo(
-            original_n=int(si["original_n"]), num_rows=int(si["num_rows"])
-        ),
+        slack_info=None if si is None else _fields_reader(SlackInfo)(si),
         termination_detail=doc.get("termination_detail", ""),
     )
 

@@ -173,11 +173,10 @@ class Kron(Operator):
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         m1, m2 = self.X.shape[0], self.Z.shape[1]
-        if y.ndim == 2:  # one m1 x m2 matrix W per column of y, stacked first
-            W = np.moveaxis(y.reshape((m1, m2, -1), order="F"), -1, 0)
-            return np.moveaxis(self.X.T @ W @ self.Z.T, 0, -1).reshape((-1, y.shape[1]), order="F")
-        W = y.reshape((m1, m2), order="F")
-        return (self.X.T @ W @ self.Z.T).ravel(order="F")
+        # one m1 x m2 matrix W per column of y (a vector is one column), stacked first
+        W = y.reshape((m1, m2, -1), order="F").transpose(2, 0, 1)
+        return (self.X.T @ W @ self.Z.T).transpose(1, 2, 0).reshape(
+            (self.shape[1],) + y.shape[1:], order="F")
 
     def to_dense(self) -> np.ndarray:
         return np.kron(self.Z.T, self.X)

@@ -152,6 +152,11 @@ class PathInOriginalCoords:
     def value_at(self, lam: float) -> np.ndarray:
         return self.segment_at(lam).value(lam)
 
+    def support_at(self, lam: float) -> FrozenSet[int]:
+        """The estimate's support at lam, as in ``supports``: the flat
+        (column-major, for a matrix) indices of its nonzero entries."""
+        return _support_of(self.value_at(lam).ravel(order="F"))
+
 
 def build_dantzig(inst: DantzigInstance) -> ParametricProgram:
     """LP for l1 minimization subject to ||X'(y - X theta)||_inf <= lambda.

@@ -17,7 +17,9 @@ import pytest
 from parasimplex import cli
 from parasimplex import io as pio
 from parasimplex.core import ParametricProgram, ProgramKind
-from parasimplex.reductions import DantzigInstance, build_dantzig
+from parasimplex.engine import solve_path
+from parasimplex.experiments import breakpoint_violations, stop_options
+from parasimplex.reductions import DantzigInstance, build_dantzig, recover_dantzig
 
 VIOLATION_TOL = 1e-9
 
@@ -198,6 +200,10 @@ def test_solve_out_of_range_basis_exits_64(tmp_path, capsys, basis):
 @pytest.mark.parametrize("name, text", [
     ("prog.coo", "psm-coo m=2 n=2 kind=less_equal\nA -1 0 1.0\n"),
     ("prog.coo", "psm-coo m=2 n=2 kind=less_equal\nA 5 1 1.0\n"),
+    ("prog.coo", ""),
+    ("prog.coo", "psm-coo m=1 n=1 kind=less_equal\nA 0 0\n"),
+    ("prog.coo", "psm-coo m=1 n=1 kind=less_equal\nq 0 1\n"),
+    ("prog.coo", "psm-coo m=1 n=1 kind=less_equal\nb 0\n"),
     ("prog.json", json.dumps({"A": [[1.0]], "b": [1.0], "c": [-1.0],
                               "c_bar": [0.0], "kind": "less_equal"})),
     ("prog.json", "3"),
@@ -207,6 +213,24 @@ def test_solve_malformed_program_exits_64(tmp_path, capsys, name, text):
     src.write_text(text)
     assert cli.main(["solve", str(src)]) == cli.EXIT_USAGE
     assert "input error" in capsys.readouterr().err
+
+
+def test_solve_empty_optimality_window_exits_2(tmp_path, capsys):
+    # the basis {0, 1} is optimal only for lambda in [2, 1]
+    src = tmp_path / "prog.json"
+    src.write_text(json.dumps({"A": [[1, 0], [0, 1]], "b": [-2, 1], "b_bar": [1, -1],
+                               "c": [0, 0], "c_bar": [0, 0], "kind": "equality"}))
+    assert cli.main(["solve", str(src), "--basis", "0,1"]) == cli.EXIT_NO_SOLUTION
+    assert "empty optimality window" in capsys.readouterr().err
+
+
+def test_solve_singular_starting_basis_exits_3(tmp_path, capsys):
+    # columns 0 and 1 are equal, so the starting basis cannot be factored
+    src = tmp_path / "prog.json"
+    src.write_text(json.dumps({"A": [[1, 1, 0], [2, 2, 1]], "b": [1, 1], "b_bar": [1, 1],
+                               "c": [-1, -1, -1], "c_bar": [0, 0, 0], "kind": "equality"}))
+    assert cli.main(["solve", str(src), "--basis", "0,1"]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 # ------------------------------------------------------------- dantzig
@@ -233,6 +257,49 @@ def test_dantzig_full_path_with_violation_column(tmp_path, capsys):
     # every recorded breakpoint satisfies the residual-vs-lambda constraint
     for row in rows:
         assert float(row["violation_at_lo"]) <= VIOLATION_TOL
+
+
+def _gen_dantzig_files(tmp_path, seed):
+    assert cli.main(["gen", "dantzig", "--n", "60", "--d", "120", "--s", "4",
+                     "--seed", str(seed), "--out-dir", str(tmp_path / "data")]) == cli.EXIT_OK
+    return tmp_path / "data" / "X.csv", tmp_path / "data" / "y.csv"
+
+
+def test_dantzig_reports_the_support_at_the_terminal_lambda(tmp_path, capsys):
+    # The last segment's lower breakpoint lies below the path-demo target,
+    # where the estimate has 9 nonzeros; at the target it has 10.
+    x_csv, y_csv = _gen_dantzig_files(tmp_path, seed=14)
+    assert cli.main(["dantzig", "--x", str(x_csv), "--y", str(y_csv)]) == cli.EXIT_OK
+    assert "terminal_support_size=10" in capsys.readouterr().out.splitlines()
+
+
+def test_dantzig_violation_column_is_breakpoint_violations(tmp_path, capsys):
+    x_csv, y_csv = _gen_dantzig_files(tmp_path, seed=14)
+    out = tmp_path / "theta_path.csv"
+    rc = cli.main(["dantzig", "--x", str(x_csv), "--y", str(y_csv), "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    X, y = pio.load_matrix_csv(x_csv), pio.load_vector_csv(y_csv)
+    inst = DantzigInstance(X, y)
+    orig = recover_dantzig(solve_path(build_dantzig(inst), stop_options("path-demo", inst)))
+    want = breakpoint_violations(X, y, orig)
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    # a segment whose estimate is all zero has no rows
+    assert len({r["segment_id"] for r in rows}) > len(want) // 2
+    for r in rows:
+        assert float(r["violation_at_lo"]) == want[int(r["segment_id"])]
+
+
+@pytest.mark.parametrize("sigma", ["-1", "2"])
+def test_dantzig_sigma_under_value_rule_exits_64(tmp_path, capsys, sigma):
+    pio.save_matrix_csv(tmp_path / "X.csv", np.eye(2))
+    pio.save_matrix_csv(tmp_path / "y.csv", np.array([[1.0], [2.0]]))
+    rc = cli.main(["dantzig", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "y.csv"),
+                   "--stop-rule", "value:0", "--sigma", sigma])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.err.startswith("input error: --sigma applies only to")
+    assert captured.out == ""
 
 
 def test_dantzig_full_path_to_zero_exits_0(tmp_path, capsys):

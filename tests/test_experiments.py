@@ -14,14 +14,17 @@ from parasimplex.experiments import (
     BenchRecord,
     DantzigGenConfig,
     DiffNetGenConfig,
+    breakpoint_violations,
     feasibility_violation,
     gen_dantzig,
     gen_diffnet,
     run_dantzig_bench,
     run_diffnet_bench,
     stop_lambda,
+    stop_options,
     summarize,
 )
+from parasimplex.reductions import DantzigInstance, build_dantzig, recover_dantzig
 
 VIOLATION_TOL = 1e-9
 
@@ -107,6 +110,18 @@ def test_dantzig_bench_records():
     # reruns with the same root seed are identical
     again = run_dantzig_bench(cfg, stop_rule="path-demo", repetitions=3)
     assert [r.pivot_count for r in again] == [r.pivot_count for r in records]
+
+
+def test_dantzig_bench_max_violation_is_the_largest_breakpoint_violation():
+    # instance 1's largest violation is at its last segment's breakpoint,
+    # which lies below the terminal lambda
+    cfg = DantzigGenConfig(n=60, d=120, s=4, rng_seed=11)
+    records = run_dantzig_bench(cfg, stop_rule="path-demo", repetitions=2)
+    for r, child in zip(records, np.random.SeedSequence(cfg.rng_seed).spawn(2)):
+        X, y, _ = gen_dantzig(cfg, rng=np.random.default_rng(child))
+        inst = DantzigInstance(X, y)
+        path = solve_path(build_dantzig(inst), stop_options("path-demo", inst, cfg.sigma))
+        assert r.max_feas_violation == max(breakpoint_violations(X, y, recover_dantzig(path)))
 
 
 def test_diffnet_bench_records():

@@ -223,9 +223,14 @@ def test_sparsity_stop_agrees_with_recovered_supports():
     path = solve_path(build_diffnet(inst),
                       stop_callback=diffnet_sparsity_stop(inst, want))
     assert path.termination is Termination.REACHED_TARGET
-    sizes = [len(s) for s in recover_diffnet(path, inst).supports]
+    orig = recover_diffnet(path, inst)
+    sizes = [len(s) for s in orig.supports]
     assert len(sizes) > 2
     assert max(sizes[:-1]) < want <= sizes[-1]
+    # the path stops at a breakpoint; support_at uses the same column-major indices
+    D = orig.value_at(path.terminal_lambda)
+    flat = np.flatnonzero(np.abs(D).ravel(order="F") > SUPPORT_TOL)
+    assert orig.support_at(path.terminal_lambda) == frozenset(flat.tolist()) == orig.supports[-1]
 
 
 def test_diffnet_blocks_encode_the_linear_map():
@@ -348,3 +353,5 @@ def test_supports_follow_the_soft_threshold():
     assert orig.supports[0] == frozenset()
     assert orig.supports[1] == frozenset({0})
     assert orig.supports[2] == frozenset({0, 1})
+    # between the breakpoints 3 and 1, and below 1
+    assert [orig.support_at(lam) for lam in (3.5, 2.0, 0.5)] == [set(), {0}, {0, 1}]
