@@ -133,9 +133,9 @@ class BasisPartition:
         self.basic = np.asarray(basic, dtype=np.intp)
         self.nonbasic = np.asarray(nonbasic, dtype=np.intp)
         for idx in (self.basic, self.nonbasic):
-            bad = idx[(idx < 0) | (idx >= n)]
-            if bad.size:
-                raise ValueError(f"column {int(bad[0])} is out of range for {n} columns")
+            if idx.size and not 0 <= idx.min() <= idx.max() < n:
+                bad = idx[(idx < 0) | (idx >= n)][0]
+                raise ValueError(f"column {int(bad)} is out of range for {n} columns")
         if len(self.basic) + len(self.nonbasic) != n:
             raise ValueError("partition does not cover all columns")
         self._pos = np.full(n, -1, dtype=np.intp)
@@ -146,9 +146,10 @@ class BasisPartition:
 
     @classmethod
     def from_basic(cls, n: int, basic) -> "BasisPartition":
-        basic = np.asarray(sorted(basic), dtype=np.intp)
+        basic = np.sort(np.asarray(basic, dtype=np.intp))
         mask = np.ones(n, dtype=bool)
-        mask[basic[(basic >= 0) & (basic < n)]] = False  # __init__ rejects the rest
+        lo, hi = np.searchsorted(basic, (0, n))
+        mask[basic[lo:hi]] = False  # the columns in range; __init__ rejects the rest
         return cls(n, basic, np.flatnonzero(mask))
 
     def position(self, j: int) -> int:

@@ -145,65 +145,53 @@ class DictionaryState:
     into its standard form first. The engine reads the constraint operator
     ``program.A`` only through ``column``, ``columns``, ``times_columns``,
     ``rmatvec`` and ``unit_rows``, so structure such as implicit slack
-    columns is the operator's alone.
+    columns is the operator's alone. ``initialize`` leaves the breakpoint it
+    priced in ``lambda_lo`` and ``tight``.
     """
 
     def __init__(self, program: ParametricProgram, partition: BasisPartition):
         self.program = program
         if len(partition.basic) != program.m:
-            raise ValueError(
-                f"basis size {len(partition.basic)} != row count {program.m}"
-            )
+            raise ValueError(f"basis size {len(partition.basic)} != row count {program.m}")
         self.partition = partition
         # refresh() sets fact, xB_base/pert, zN_base/pert and y_base/pert
-        self.lambda_lo = float("-inf")
-        self.lambda_hi = float("inf")
+        self.lambda_lo, self.lambda_hi = float("-inf"), float("inf")
+        self.tight: Optional[TightConstraint] = None
         self.refresh()
 
     def refresh(self) -> None:
         """Rebuild the factorization and all dictionary vectors from scratch."""
-        p = self.program
-        B = self.partition.basic
-        N = self.partition.nonbasic
+        p, B = self.program, self.partition.basic
         unit_rows = p.A.unit_rows(B)
+        S = B[unit_rows < 0]  # none in a slack basis
         self.fact = linalg.BasisFactorization(
-            p.A.columns(B[unit_rows < 0]), unit_rows)
+            p.A.columns(S) if len(S) else np.empty((p.m, 0)), unit_rows)
         self.xB_base = self.fact.solve(p.b)
         self.xB_pert = self.fact.solve(p.b_bar)
-        self.y_base = self.fact.solve_transpose(p.c[B])
-        self.zN_base = p.A.rmatvec(self.y_base)[N] - p.c[N]
-        if np.any(p.c_bar):
-            self.y_pert = self.fact.solve_transpose(p.c_bar[B])
-            self.zN_pert = p.A.rmatvec(self.y_pert)[N] - p.c_bar[N]
-        else:
-            self.y_pert = np.zeros(p.m)
-            self.zN_pert = np.zeros(len(N))
+        self.y_base, self.zN_base = self._duals(p.c)
+        self.y_pert, self.zN_pert = self._duals(p.c_bar)
+
+    def _duals(self, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """y = B^{-T} c_B and the reduced costs A_N' y - c_N; a cost that is
+        zero on the basis (c_bar, or c at a slack start) needs neither."""
+        B, N = self.partition.basic, self.partition.nonbasic
+        if not c[B].any():
+            return np.zeros(self.program.m), 0.0 - c[N]
+        y = self.fact.solve_transpose(c[B])
+        return y, self.program.A.rmatvec(y)[N] - c[N]
 
     def entry(self, lam: float) -> Tuple[PathSegment, np.ndarray]:
         """This dictionary as a window entry certified at ``lam``: a segment
         ending there, and the duals y(lam)."""
         return self.segment(lam, lam), self.y_base + lam * self.y_pert
 
-    def segment(
-        self,
-        lambda_lo: float,
-        lambda_hi: float,
-        entering: Optional[int] = None,
-        leaving: Optional[int] = None,
-    ) -> PathSegment:
-        return PathSegment(
-            lambda_lo=lambda_lo,
-            lambda_hi=lambda_hi,
-            n_cols=self.program.n,
-            primal_indices=self.partition.basic.copy(),
-            primal_base=self.xB_base.copy(),
-            primal_slope=self.xB_pert.copy(),
-            dual_indices=self.partition.nonbasic.copy(),
-            dual_base=self.zN_base.copy(),
-            dual_slope=self.zN_pert.copy(),
-            entering=entering,
-            leaving=leaving,
-        )
+    def segment(self, lambda_lo: float, lambda_hi: float, entering: Optional[int] = None,
+                leaving: Optional[int] = None) -> PathSegment:
+        part = self.partition
+        return PathSegment(  # PathSegment's fields in order: interval, n_cols, primal, dual
+            lambda_lo, lambda_hi, self.program.n,
+            part.basic.copy(), self.xB_base.copy(), self.xB_pert.copy(),
+            part.nonbasic.copy(), self.zN_base.copy(), self.zN_pert.copy(), entering, leaving)
 
 
 def initialize(p: ParametricProgram, basic: Sequence[int]) -> DictionaryState:
@@ -218,9 +206,9 @@ def initialize(p: ParametricProgram, basic: Sequence[int]) -> DictionaryState:
             some entry has a (near-)zero perturbation with a negative base,
             or the window [lambda_star, lambda_max] is empty.
     """
-    p, _ = to_standard_form(p)
-    partition = BasisPartition.from_basic(p.n, basic)
-    state = DictionaryState(p, partition)
+    if p.kind is not ProgramKind.EQUALITY:
+        p, _ = to_standard_form(p)
+    state = DictionaryState(p, BasisPartition.from_basic(p.n, basic))
 
     for base, pert, what in (
         (state.xB_base, state.xB_pert, "basic value"),
@@ -229,20 +217,15 @@ def initialize(p: ParametricProgram, basic: Sequence[int]) -> DictionaryState:
         dead = (np.abs(pert) <= RATIO_TOL) & (base < -FEAS_TOL)
         if np.any(dead):
             k = int(np.flatnonzero(dead)[0])
-            raise InfeasibleAtLargeLambda(
-                f"{what} at slot {k} is negative ({base[k]:.3e}) with no "
-                "perturbation to repair it"
-            )
+            raise InfeasibleAtLargeLambda(f"{what} at slot {k} is negative ({base[k]:.3e}) "
+                                          "with no perturbation to repair it")
 
-    lam_star, _ = compute_lambda_star(state)
+    lam_star, state.tight = compute_lambda_star(state)
     lam_max = compute_lambda_max(state)
     if lam_star > lam_max + FEAS_TOL * (1.0 + abs(lam_max)):
-        raise InfeasibleAtLargeLambda(
-            f"empty optimality window: lambda_star={lam_star:.6g} exceeds "
-            f"lambda_max={lam_max:.6g}"
-        )
-    state.lambda_lo = lam_star
-    state.lambda_hi = lam_max
+        raise InfeasibleAtLargeLambda(f"empty optimality window: lambda_star={lam_star:.6g} "
+                                      f"exceeds lambda_max={lam_max:.6g}")
+    state.lambda_lo, state.lambda_hi = lam_star, lam_max
     return state
 
 
@@ -465,52 +448,58 @@ def verify_certificate(
         y = np.linalg.solve(A[:, B].T, cost[B])
     else:
         y, *_ = np.linalg.lstsq(A.T, z + cost, rcond=None)
-    # a window of one, with x and z given on every column
-    res, passed, *_ = _residuals(
-        dense, np.array([lam]), np.arange(p.n)[None], x[None], z[None], y[None])
-    return CertificateReport(lam, *res[0].tolist(), CERT_TOL, bool(passed[0]))
+    # a window of one, with x given on every column
+    res, scale, _ = _residuals(dense, np.array([lam]), np.arange(p.n)[None], x[None], y[None])
+    res[0, 2] = np.abs(x * z).max(initial=0.0)
+    scale[0, 2] = np.abs(x).max(initial=0.0) * np.abs(z).max(initial=0.0)
+    passed = bool(np.all(res[0] <= CERT_TOL * (1.0 + scale[0])))
+    return CertificateReport(lam, *res[0].tolist(), CERT_TOL, passed)
 
 
 def _residuals(p: ParametricProgram, lams: np.ndarray, S: np.ndarray, xS: np.ndarray,
-               zS: np.ndarray, Y: np.ndarray) -> Tuple[np.ndarray, ...]:
+               Y: np.ndarray) -> Tuple[np.ndarray, ...]:
     """The residuals of ``verify_certificate`` for W certificates at once.
 
-    Row w is the certificate at ``lams[w]``: x is ``xS[w]`` on the columns
-    ``S[w]`` (zero elsewhere), z is ``zS[w]`` there and y is ``Y[w]``. One
-    product of A with the union of the S, and one of A' with Y. Returns the
-    residual rows (primal, dual, complementarity, gap), the pass flags, the
-    rows ``zhat = A' y - c(lam)`` and each ``max |c(lam)|``.
+    Row w is the certificate at ``lams[w]``: x is ``xS[w]`` on the distinct
+    columns ``S[w]`` (zero elsewhere) and y is ``Y[w]``. One product of A'
+    with Y, and one of A with the structural columns of the S; a unit column
+    adds its x to its row. Returns, one row per certificate, the residuals
+    (primal, dual, complementarity, gap) and the scales they are measured
+    against, and ``zhat = A' y - c(lam)``. Complementarity is left at zero,
+    as for z zero on S (a basis); ``verify_certificate`` fills it in.
     """
-    U = np.flatnonzero(np.bincount(S.ravel(), minlength=p.n))
-    pos = np.empty(p.n, dtype=np.intp)
-    pos[U] = np.arange(len(U))
-    xU = np.zeros((len(U), len(lams)))  # x of certificate w in column w
-    xU.ravel()[pos[S] * len(lams) + np.arange(len(lams))[:, None]] = xS
-    lam_col = lams[:, None]
-    cost = p.c + lam_col * p.c_bar if p.c_bar.any() else p.c[None]
-    rhs = p.b + lam_col * p.b_bar
+    (W, s), m = S.shape, p.m
+    cost = p.c + lams[:, None] * p.c_bar if p.c_bar.any() else p.c[None]
+    rhs = np.multiply.outer(lams, p.b_bar)
+    rhs += p.b
     zhat = np.subtract(p.A.rmatvec(Y.T).T, cost, order="C")
-    cost_max = np.abs(cost).max(axis=1, initial=0.0)
-    rp = np.maximum(np.abs(p.A.times_columns(U, xU).T - rhs).max(axis=1, initial=0.0),
-                    -xS.min(axis=1, initial=0.0))
-    rd = -zhat.min(axis=1, initial=0.0) + 0.0  # drop -0.0
-    rc = np.abs(xS * zS).max(axis=1, initial=0.0)
-    x_max, z_max = (np.abs(v).max(axis=1, initial=0.0) for v in (xS, zS))
-    primal_obj = p.c[U] @ xU + lams * (p.c_bar[U] @ xU)
+    flat, x = S.ravel(), xS.ravel()
+    rows = p.A.unit_rows(flat)
+    f = np.flatnonzero(rows < 0)
+    U = np.flatnonzero(np.bincount(flat[f], minlength=p.n))
+    xU = np.zeros((len(U), W))  # x of certificate w in column w
+    xU[np.searchsorted(U, flat[f]), f // s] = x[f]
+    rows[f] = m  # structural entries go to a spare row m, unit ones to their own row
+    rows.reshape(W, s)[...] += np.arange(0, W * (m + 1), m + 1)[:, None]  # m + 1 bins each
+    ax = np.bincount(rows, x, W * (m + 1)).reshape(W, m + 1)[:, :m]
+    ax += p.A.times_columns(U, xU).T
+    ax -= rhs
+    res, scale = np.zeros((2, W, 4))
+    res[:, 0] = np.maximum(np.abs(ax, out=ax).max(axis=1, initial=0.0),
+                           -xS.min(axis=1, initial=0.0))
+    res[:, 1] = 0.0 - zhat.min(axis=1, initial=0.0)  # 0.0, not -0.0
+    primal_obj = np.einsum("ij,ij->i", p.c[S], xS)
+    if p.c_bar.any():
+        primal_obj += lams * np.einsum("ij,ij->i", p.c_bar[S], xS)
     dual_obj = np.einsum("ij,ij->i", rhs, Y)
-    gap = np.abs(primal_obj - dual_obj)
-    passed = (
-        (rp <= CERT_TOL * (1.0 + np.abs(rhs).max(axis=1, initial=0.0)))
-        & (rd <= CERT_TOL * (1.0 + cost_max))
-        & (rc <= CERT_TOL * (1.0 + x_max * z_max))
-        & (gap <= CERT_TOL * (1.0 + np.abs(primal_obj) + np.abs(dual_obj)))
-    )
-    return np.stack([rp, rd, rc, gap], axis=1), passed, zhat, cost_max
+    res[:, 3] = np.abs(primal_obj - dual_obj)
+    scale[:, 0] = np.abs(rhs, out=rhs).max(axis=1, initial=0.0)
+    scale[:, 1] = np.abs(cost).max(axis=1, initial=0.0)
+    scale[:, 3] = np.abs(primal_obj) + np.abs(dual_obj)
+    return res, scale, zhat
 
 
-def _post_pivot_ok(
-    p: ParametricProgram, window: Sequence[Tuple[PathSegment, np.ndarray]]
-) -> bool:
+def _post_pivot_ok(p: ParametricProgram, window: Sequence[Tuple[PathSegment, np.ndarray]]) -> bool:
     """A posteriori optimality check of a window of dictionaries.
 
     Each entry is a segment, checked at its ``lambda_hi``, and the duals y
@@ -518,40 +507,66 @@ def _post_pivot_ok(
     CERT_TOL, (x, z, y) must pass the residuals of ``verify_certificate``,
     and the segment's reduced costs must agree with ``A_N' y - c_N(lam)``
     (complementarity is structural for dictionary solutions, so this is the
-    check that catches accumulated update error in z).
+    check that catches accumulated update error in z). An entry's verdict
+    depends on it alone, so a window passes when each of its entries passes
+    alone (up to roundoff at a tolerance's edge). The window's segments are
+    stacked once, basic entries then nonbasic ones, for one product with A'
+    and one with the structural basic columns.
     """
     step = max(1, CERT_BATCH_FLOATS // p.n)
     if len(window) > step:
         return all(_post_pivot_ok(p, window[i:i + step]) for i in range(0, len(window), step))
+    m, W = p.m, len(window)
     segs = [seg for seg, _ in window]
     lams = np.array([seg.lambda_hi for seg in segs])
-    lam_col, rows = lams[:, None], np.arange(len(segs))[:, None]
-
-    def stack(field):  # one row per entry
-        return np.array([getattr(seg, field) for seg in segs])
-
-    B, N = stack("primal_indices"), stack("dual_indices")
-    xB = stack("primal_base") + lam_col * stack("primal_slope")
-    # z is zero on each entry's basis, where its x lives
-    res, passed, zhat, cost_max = _residuals(
-        p, lams, B, xB, np.zeros_like(xB), np.array([y for _, y in window]))
-    at = rows * p.n  # row offsets into the flat zhat
-    basis_residual = np.abs(np.take(zhat, B + at)).max(axis=1, initial=0.0)
-    zhat_n = np.take(zhat, N + at)
-    zN = stack("dual_base") + lam_col * stack("dual_slope")
-    drift = np.abs(zhat_n - zN).max(axis=1, initial=0.0)
-    scale = 1.0 + np.abs(zhat_n).max(axis=1, initial=0.0)
-    bad_basis = basis_residual > CERT_TOL * (1.0 + cost_max)
-    bad_drift = drift > CERT_TOL * scale
-    failed = np.flatnonzero(bad_basis | bad_drift | ~passed)
+    idx = np.concatenate([s.primal_indices for s in segs] + [s.dual_indices for s in segs])
+    base = np.concatenate([s.primal_base for s in segs] + [s.dual_base for s in segs])
+    xz = np.concatenate([s.primal_slope for s in segs] + [s.dual_slope for s in segs])
+    B, N = idx[:W * m].reshape(W, m), idx[W * m:].reshape(W, -1)  # one row per entry
+    x, z = xz[:W * m].reshape(W, m), xz[W * m:].reshape(W, -1)
+    x *= lams[:, None]
+    z *= lams[:, None]
+    xz += base
+    res, scale, zhat = _residuals(p, lams, B, x, np.array([y for _, y in window]))
+    at = np.arange(0, zhat.size, p.n)[:, None]  # idx, through its views B and N, into zhat
+    B += at
+    N += at
+    zhat = zhat.take(idx)  # A_B' y - c_B(lam), then A_N' y - c_N(lam)
+    zB, zN = zhat[:W * m].reshape(W, m), zhat[W * m:].reshape(W, -1)
+    basis = np.abs(zB).max(axis=1, initial=0.0)
+    drift = np.abs(np.subtract(zN, z, out=z), out=z).max(axis=1, initial=0.0)
+    bad_basis = ~(basis <= CERT_TOL * (1.0 + scale[:, 1]))
+    bad_cert = ~(res <= CERT_TOL * (1.0 + scale)).all(axis=1)
+    if not (bad_basis.any() or bad_cert.any()) and drift.max() <= CERT_TOL:
+        return True  # the drift's scale, 1 + max |zhat_N|, is at least 1
+    bad_drift = ~(drift <= CERT_TOL * (1.0 + np.abs(zN).max(axis=1, initial=0.0)))
+    failed = np.flatnonzero(bad_basis | bad_cert | bad_drift)
     for w in failed:
         if bad_basis[w]:
-            logger.debug("A_B' y - c_B residual %.3e at lambda=%g", basis_residual[w], lams[w])
-        elif not passed[w]:
+            logger.debug("A_B' y - c_B residual %.3e at lambda=%g", basis[w], lams[w])
+        elif bad_cert[w]:
             logger.debug("certificate failed at lambda=%g: residuals %s", lams[w], res[w])
         else:
             logger.debug("dictionary drift %.3e at lambda=%g", drift[w], lams[w])
     return failed.size == 0
+
+
+def _first_failure(p: ParametricProgram,
+                   window: Sequence[Tuple[PathSegment, np.ndarray]]) -> Optional[int]:
+    """The first entry of ``window`` that fails its certificate alone (None:
+    the window passes), found in about log2(W) batched checks of prefixes and
+    one of the entry alone. An entry passing alone, its batch failing at a
+    tolerance's edge, is certified, and the search goes on after it."""
+    lo = 0  # window[:lo] is certified
+    while lo < len(window) and not _post_pivot_ok(p, window[lo:]):
+        good, bad = lo, len(window)  # window[lo:good] passes, window[lo:bad] fails
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            good, bad = (mid, bad) if _post_pivot_ok(p, window[lo:mid]) else (good, mid)
+        if bad - lo == 1 or not _post_pivot_ok(p, window[bad - 1:bad]):
+            return bad - 1
+        lo = bad
+    return None
 
 
 def _pivot_at(state: DictionaryState, tight: TightConstraint, lam_star: float) -> PivotEvent:
@@ -583,9 +598,9 @@ def solve_path(
 
     Numerical trouble has one recovery step: refactorize at segment k,
     dropping the segments and pivots from k on, and emit k again from the
-    fresh factorization. A failed window checks its dictionaries alone up
-    to the first one failing and redoes the segment before it, the last
-    one certified (none failing alone: the window passes). A degenerate
+    fresh factorization. A failed window is bisected to its first
+    dictionary failing alone (``_first_failure``; none: the window passes)
+    and redoes the segment before it, the last one certified. A degenerate
     update, once the window up to it certifies, redoes its own segment. A
     second failure at the same segment ends the path.
 
@@ -624,31 +639,29 @@ def solve_path(
     if opts.max_pivots is not None and opts.max_pivots < 0:
         raise ValueError(f"max_pivots must be >= 0, got {opts.max_pivots}")
 
-    std, slack_info = to_standard_form(p)
-    if initial_basis is not None:
-        basic = list(initial_basis)
-    elif p.kind is ProgramKind.LESS_EQUAL:
-        basic = list(range(p.n, std.n))
-    else:
+    if initial_basis is None and p.kind is ProgramKind.EQUALITY:
         raise ValueError("equality programs need an initial_basis")
-
-    state = initialize(std, basic)
+    std, slack_info = to_standard_form(p)
+    # the slack basis unless told otherwise
+    state = initialize(std, np.arange(p.n, std.n) if initial_basis is None else initial_basis)
     max_pivots = opts.max_pivots if opts.max_pivots is not None else 10 * std.n
     path = SolutionPath(num_cols=std.n, slack_info=slack_info)
     lam_hi = state.lambda_hi
     # For Dantzig the first breakpoint is ||X'y||_inf, the scale of lambda.
     first = state.lambda_lo
     zero_tol = FEAS_TOL * (1.0 + (abs(first) if np.isfinite(first) else 0.0))
-    entering: Optional[int] = None
+    entering: Optional[int] = None  # the pivot into the current segment
     leaving: Optional[int] = None
     # The window: path.segments[start:], from a fresh factorization on.
     start, duals, traced = 0, [], 0
     # The segment last redone, and its breakpoint before the redo.
     retried, was = -1, 0.0
+    priced = state.lambda_lo, state.tight  # the first dictionary's breakpoint
 
     while True:
         k = len(path.segments)
-        lam_star, tight = compute_lambda_star(state)
+        lam_star, tight = priced or compute_lambda_star(state)
+        priced = None
         vanished = tight is None and k == retried
         if vanished:  # the path ends at the breakpoint as first found
             lam_star = was
@@ -694,14 +707,11 @@ def solve_path(
             window = list(zip(path.segments[start + 1:], duals))
             if refresh:
                 window.append(state.entry(lam_star))
-            if window and not _post_pivot_ok(state.program, window):
-                # each entry alone up to the first failing one (None: all pass)
-                w = next((w for w, entry in enumerate(window) if len(window) == 1
-                          or not _post_pivot_ok(state.program, [entry])), None)
-                if w is not None:
-                    redo, refresh = start + w, False
-                    failed = ("certificate still failing after refactorization "
-                              f"at lambda*={path.segments[redo].lambda_lo:.6g}")
+            w = _first_failure(state.program, window)
+            if w is not None:
+                redo, refresh = start + w, False
+                failed = ("certificate still failing after refactorization "
+                          f"at lambda*={path.segments[redo].lambda_lo:.6g}")
         if redo is not None:
             head = path.segments[redo]
             del path.segments[redo + 1:], path.events[redo:]

@@ -68,17 +68,13 @@ def save_matrix_csv(path: PathLike, M: np.ndarray) -> None:
     np.savetxt(path, np.atleast_2d(M), delimiter=",", fmt="%.17g")
 
 
+# A program's vectors, named as its fields and its JSON keys.
+_VECTORS = ("b", "b_bar", "c", "c_bar")
+
+
 def save_program_json(path: PathLike, p: ParametricProgram) -> None:
-    doc = {
-        "m": p.m,
-        "n": p.n,
-        "kind": p.kind.value,
-        "A": p.A.to_dense().tolist(),
-        "b": p.b.tolist(),
-        "b_bar": p.b_bar.tolist(),
-        "c": p.c.tolist(),
-        "c_bar": p.c_bar.tolist(),
-    }
+    doc = {"m": p.m, "n": p.n, "kind": p.kind.value, "A": p.A.to_dense().tolist(),
+           **{k: getattr(p, k).tolist() for k in _VECTORS}}
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
@@ -86,17 +82,12 @@ def load_program_json(path: PathLike) -> ParametricProgram:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError("program JSON must be an object")
-    missing = [k for k in ("A", "b", "b_bar", "c", "c_bar") if k not in doc]
+    missing = [k for k in ("A",) + _VECTORS if k not in doc]
     if missing:
         raise ValueError(f"program JSON has no {', '.join(missing)} key")
-    p = ParametricProgram(
-        A=np.asarray(doc["A"], dtype=float),
-        b=np.asarray(doc["b"], dtype=float),
-        b_bar=np.asarray(doc["b_bar"], dtype=float),
-        c=np.asarray(doc["c"], dtype=float),
-        c_bar=np.asarray(doc["c_bar"], dtype=float),
-        kind=doc.get("kind", "equality"),
-    )
+    # ParametricProgram converts each entry to a float array and checks it
+    p = ParametricProgram(**{k: doc[k] for k in ("A",) + _VECTORS},
+                          kind=doc.get("kind", "equality"))
     if "m" in doc and int(doc["m"]) != p.m:
         raise ValueError(f"declared m={doc['m']} but A has {p.m} rows")
     if "n" in doc and int(doc["n"]) != p.n:
@@ -146,11 +137,7 @@ def load_program_coo(path: PathLike) -> ParametricProgram:
         raise ValueError("empty file")
     m, n, kind = int(header.group(1)), int(header.group(2)), header.group(3)
     A = np.zeros((m, n))
-    b = np.zeros(m)
-    b_bar = np.zeros(m)
-    c = np.zeros(n)
-    c_bar = np.zeros(n)
-    vec = {"b": b, "bbar": b_bar, "c": c, "cbar": c_bar}
+    vec = {"b": np.zeros(m), "bbar": np.zeros(m), "c": np.zeros(n), "cbar": np.zeros(n)}
     for rec in records:
         tag = rec[0]
         if tag == "A":
@@ -163,7 +150,7 @@ def load_program_coo(path: PathLike) -> ParametricProgram:
             vec[tag][_coo_index(rec, 1, len(vec[tag]))] = float(rec[2])
         else:
             raise ValueError(f"unknown record tag {tag!r}")
-    return ParametricProgram(A=A, b=b, b_bar=b_bar, c=c, c_bar=c_bar, kind=kind)
+    return ParametricProgram(A, *vec.values(), kind=kind)  # vec is in field order
 
 
 def _affine_doc(indices: np.ndarray, base: np.ndarray, slope: np.ndarray) -> Dict:
@@ -217,7 +204,7 @@ def save_path_json(path: PathLike, sol: SolutionPath) -> None:
         "segments": [_segment_doc(s) for s in sol.segments],
         "events": [_fields_doc(e) for e in sol.events],
     }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    Path(path).write_text(json.dumps(doc, separators=(",", ":")))  # no whitespace
 
 
 def load_path_json(path: PathLike) -> SolutionPath:

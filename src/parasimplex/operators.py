@@ -271,6 +271,8 @@ class WithSlacks(Operator):
         n = self.A.shape[1]
         S = _in_range(S, self.shape[1])
         unit = S >= n
+        if not unit.any():
+            return self.A.times_columns(S, x)
         ax = self.A.times_columns(S[~unit], x[~unit])
         W = x.shape[1] if x.ndim == 2 else 1
         flat = ((S[unit] - n)[:, None] * W + np.arange(W)).ravel()

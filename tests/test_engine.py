@@ -1,5 +1,6 @@
 """Path engine: breakpoint selection, pivoting, terminations, certificates."""
 
+import dataclasses
 import io
 import logging
 import platform
@@ -434,10 +435,11 @@ def test_check_failing_twice_is_numerical_failure(monkeypatch):
     assert path.termination is Termination.NUMERICAL_FAILURE
     assert path.num_pivots == 0
     assert path.terminal_lambda == pytest.approx(first_breakpoint, abs=BP_TOL)
-    # the window of the whole path failed, then its first entry alone; the
-    # same again after the redo of the first segment
+    # the window of the whole path failed, then its halving prefixes down to
+    # its first entry alone; the same again after the redo of the first segment
     W = clean.num_pivots
-    assert W > 1 and sizes == [W, 1, W, 1]
+    halving = [W >> i for i in range(W.bit_length())]
+    assert W > 1 and sizes == halving + halving
 
 
 def _corrupt_reduced_costs(monkeypatch, at_pivot):
@@ -563,8 +565,9 @@ def test_a_failed_window_redoes_the_segment_before_its_first_bad_dictionary(monk
     sizes = _corrupt_reduced_costs(monkeypatch, at_pivot=bad)
     exchanges = _degenerate_updates(monkeypatch, lambda call: False)  # counts them
     _same_path(solve_path(p), clean)
-    # the window failed, then its entries alone up to the corrupted one
-    assert sizes[:bad + 1] == [linalg.REFRESH_LIMIT] + [1] * bad
+    # the window failed, prefixes bisected it down to its first corrupted
+    # dictionary (entry bad - 1), and that one was checked alone
+    assert sizes[:8] == [linalg.REFRESH_LIMIT, 25, 37, 43, 46, 44, 45, 1]
     # pivots 1-50, then again from segment 44 on: 45-50 are done twice
     assert len(exchanges) == clean.num_pivots + linalg.REFRESH_LIMIT - bad + 1
 
@@ -578,6 +581,65 @@ def test_a_window_whose_entries_pass_alone_is_certified(monkeypatch):
     exchanges = _degenerate_updates(monkeypatch, lambda call: False)  # counts them
     _same_path(solve_path(p), clean)
     assert len(exchanges) == clean.num_pivots  # nothing was redone
+
+
+def test_bisection_goes_on_after_an_entry_that_passes_alone(monkeypatch):
+    # entry 2 fails only in a batch (a tolerance's edge), entry 5 alone too
+    monkeypatch.setattr(engine, "_post_pivot_ok", lambda p, window: not (
+        5 in window or (2 in window and len(window) > 1)))
+    assert engine._first_failure(None, list(range(8))) == 5
+    assert engine._first_failure(None, list(range(5))) is None
+    assert engine._first_failure(None, []) is None
+
+
+def _certified_windows(monkeypatch, p):
+    """The (standard-form program, window) pairs ``solve_path`` certifies on p."""
+    real, windows = engine._post_pivot_ok, []
+
+    def check(std, window):
+        windows.append((std, list(window)))
+        return real(std, window)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_post_pivot_ok", check)
+        solve_path(p, max_pivots=3 * linalg.REFRESH_LIMIT)
+    return windows
+
+
+def _corrupted(window, w, field):
+    """``window`` with entry w's first basic value, first reduced cost or
+    first dual moved by 1e-3; the other entries are shared."""
+    seg, y = window[w]
+    if field == "y":
+        y = y + np.eye(len(y))[0] * 1e-3
+    else:
+        values = getattr(seg, field).copy()
+        values[0] += 1e-3
+        seg = dataclasses.replace(seg, **{field: values})
+    return window[:w] + [(seg, y)] + window[w + 1:]
+
+
+@pytest.mark.parametrize("kind", ["gram", "kron", "dense"])
+def test_a_batched_verdict_is_that_of_the_entries_alone(monkeypatch, kind):
+    if kind == "gram":  # d > n: G = X'X is held as X
+        X, y, _ = gen_dantzig(DantzigGenConfig(n=20, d=40, s=3, rng_seed=5))
+        p = build_dantzig(DantzigInstance(X, y))
+    elif kind == "kron":
+        p = _diffnet_program(d=5)
+    else:
+        p = next(q for q in map(random_less_equal, map(np.random.default_rng, range(50)))
+                 if solve_path(q).num_pivots >= 4)
+    windows = _certified_windows(monkeypatch, p)
+    inner = windows[0][0].A.A  # the program's own operator, inside WithSlacks
+    assert type(getattr(inner, "G", inner)).__name__ == {
+        "gram": "Gram", "kron": "Kron", "dense": "DenseMatrix"}[kind]
+    for std, window in windows:
+        assert engine._post_pivot_ok(std, window)
+        for field in ("primal_base", "dual_base", "y"):
+            bad = _corrupted(window, len(window) // 2, field)
+            alone = [engine._post_pivot_ok(std, [entry]) for entry in bad]
+            assert alone.count(False) == 1
+            assert engine._post_pivot_ok(std, bad) == all(alone)
 
 
 def test_corruption_after_a_random_pivot_recovers_the_clean_path(monkeypatch):
@@ -664,9 +726,9 @@ def test_breakpoint_vanishing_on_retry_is_numerical_failure(monkeypatch):
     _degenerate_updates(monkeypatch, lambda call: call == 1)
     real, calls = engine.compute_lambda_star, []
 
-    def lambda_star(state):  # initialize, the first pivot, then the retry
+    def lambda_star(state):  # initialize (it prices the first pivot), then the retry
         calls.append(state)
-        return real(state) if len(calls) < 3 else (float("-inf"), None)
+        return real(state) if len(calls) < 2 else (float("-inf"), None)
 
     monkeypatch.setattr(engine, "compute_lambda_star", lambda_star)
     path = solve_path(p)

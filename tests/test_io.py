@@ -151,6 +151,18 @@ def test_path_json_roundtrip(tmp_path):
     assert "Infinity" not in f.read_text()
 
 
+def test_path_json_save_load_save_is_byte_identical(tmp_path):
+    X, y, _ = gen_dantzig(DantzigGenConfig(n=15, d=10, s=3), rng=np.random.default_rng(2))
+    path = solve_path(build_dantzig(DantzigInstance(X, y)))
+    assert path.num_pivots > 3
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    pio.save_path_json(first, path)
+    pio.save_path_json(second, pio.load_path_json(first))
+    assert second.read_bytes() == first.read_bytes()
+    text = first.read_text()
+    assert '"inf"' in text and not any(c in text for c in " \n")
+
+
 def test_path_json_keeps_termination_detail(tmp_path):
     unbounded = ParametricProgram(A=[[-1.0]], b=[1.0], b_bar=[0.0], c=[1.0],
                                   c_bar=[-1.0], kind=ProgramKind.LESS_EQUAL)
