@@ -96,10 +96,9 @@ class ParametricProgram:
 @dataclass(frozen=True)
 class SlackInfo:
     """Bookkeeping for a <=-to-= conversion: columns ``original_n ..
-    original_n + m - 1`` are the appended slacks, in row order."""
+    num_cols - 1`` of the path are the appended slacks, in row order."""
 
     original_n: int
-    num_rows: int
 
 
 def to_standard_form(p: ParametricProgram) -> Tuple[ParametricProgram, Optional[SlackInfo]]:
@@ -117,7 +116,7 @@ def to_standard_form(p: ParametricProgram) -> Tuple[ParametricProgram, Optional[
     vars(std).update(A=WithSlacks(p.A), b=p.b.copy(), b_bar=p.b_bar.copy(),
                      c=np.concatenate([p.c, pad]), c_bar=np.concatenate([p.c_bar, pad]),
                      kind=ProgramKind.EQUALITY)
-    return std, SlackInfo(original_n=p.n, num_rows=p.m)
+    return std, SlackInfo(original_n=p.n)
 
 
 class BasisPartition:
@@ -176,7 +175,8 @@ class PathSegment:
 
     Primal support entries evaluate as ``base + lam * slope`` at the listed
     column indices (all other coordinates are zero); dual entries likewise
-    give reduced costs on the nonbasic columns.
+    give reduced costs on the nonbasic columns. The pivot into segment k > 0
+    is ``SolutionPath.events[k - 1]``.
     """
 
     lambda_lo: float
@@ -188,8 +188,6 @@ class PathSegment:
     dual_indices: np.ndarray
     dual_base: np.ndarray
     dual_slope: np.ndarray
-    entering: Optional[int] = None
-    leaving: Optional[int] = None
 
     def contains(self, lam: float) -> bool:
         return segment_contains(self, lam)
@@ -200,6 +198,15 @@ def segment_contains(segment, lam: float) -> bool:
     (relative); works for either kind of segment, like ``segment_breakpoint``."""
     tol = INTERVAL_TOL * (1.0 + abs(lam))
     return segment.lambda_lo - tol <= lam <= segment.lambda_hi + tol
+
+
+def segment_at(segments, lam: float):
+    """The first of ``segments`` that contains lam (``segment_contains``);
+    raises ValueError when none does."""
+    for seg in segments:
+        if segment_contains(seg, lam):
+            return seg
+    raise ValueError(f"lambda={lam} not covered by any segment")
 
 
 def segment_breakpoint(segment) -> float:
@@ -264,7 +271,8 @@ class PivotEvent:
 
 @dataclass
 class SolutionPath:
-    """The full piecewise-linear path, highest lambda first."""
+    """The full piecewise-linear path, highest lambda first; ``events[k - 1]``
+    is the pivot from segment k - 1 into segment k."""
 
     segments: List[PathSegment] = field(default_factory=list)
     events: List[PivotEvent] = field(default_factory=list)
@@ -280,10 +288,7 @@ class SolutionPath:
         return len(self.events)
 
     def segment_at(self, lam: float) -> PathSegment:
-        for seg in self.segments:
-            if seg.contains(lam):
-                return seg
-        raise ValueError(f"lambda={lam} not covered by any segment")
+        return segment_at(self.segments, lam)
 
     def breakpoints(self) -> List[float]:
         """Lambda values where the basis changed (each segment's lower end)."""

@@ -154,6 +154,7 @@ class DictionaryState:
         if len(partition.basic) != program.m:
             raise ValueError(f"basis size {len(partition.basic)} != row count {program.m}")
         self.partition = partition
+        self.fixed_duals = not program.c_bar.any()  # y_pert then stays zero
         # refresh() sets fact, xB_base/pert, zN_base/pert and y_base/pert
         self.lambda_lo, self.lambda_hi = float("-inf"), float("inf")
         self.tight: Optional[TightConstraint] = None
@@ -180,18 +181,22 @@ class DictionaryState:
         y = self.fact.solve_transpose(c[B])
         return y, self.program.A.rmatvec(y)[N] - c[N]
 
+    def duals(self, lam: float) -> np.ndarray:
+        """The duals y(lam) = y_base + lam * y_pert, as a new array: a copy of
+        y_base when the program's c_bar is zero."""
+        return self.y_base.copy() if self.fixed_duals else self.y_base + lam * self.y_pert
+
     def entry(self, lam: float) -> Tuple[PathSegment, np.ndarray]:
         """This dictionary as a window entry certified at ``lam``: a segment
         ending there, and the duals y(lam)."""
-        return self.segment(lam, lam), self.y_base + lam * self.y_pert
+        return self.segment(lam, lam), self.duals(lam)
 
-    def segment(self, lambda_lo: float, lambda_hi: float, entering: Optional[int] = None,
-                leaving: Optional[int] = None) -> PathSegment:
+    def segment(self, lambda_lo: float, lambda_hi: float) -> PathSegment:
         part = self.partition
         return PathSegment(  # PathSegment's fields in order: interval, n_cols, primal, dual
             lambda_lo, lambda_hi, self.program.n,
             part.basic.copy(), self.xB_base.copy(), self.xB_pert.copy(),
-            part.nonbasic.copy(), self.zN_base.copy(), self.zN_pert.copy(), entering, leaving)
+            part.nonbasic.copy(), self.zN_base.copy(), self.zN_pert.copy())
 
 
 def initialize(p: ParametricProgram, basic: Sequence[int]) -> DictionaryState:
@@ -646,12 +651,9 @@ def solve_path(
     state = initialize(std, np.arange(p.n, std.n) if initial_basis is None else initial_basis)
     max_pivots = opts.max_pivots if opts.max_pivots is not None else 10 * std.n
     path = SolutionPath(num_cols=std.n, slack_info=slack_info)
-    lam_hi = state.lambda_hi
     # For Dantzig the first breakpoint is ||X'y||_inf, the scale of lambda.
     first = state.lambda_lo
     zero_tol = FEAS_TOL * (1.0 + (abs(first) if np.isfinite(first) else 0.0))
-    entering: Optional[int] = None  # the pivot into the current segment
-    leaving: Optional[int] = None
     # The window: path.segments[start:], from a fresh factorization on.
     start, duals, traced = 0, [], 0
     # The segment last redone, and its breakpoint before the redo.
@@ -665,7 +667,8 @@ def solve_path(
         vanished = tight is None and k == retried
         if vanished:  # the path ends at the breakpoint as first found
             lam_star = was
-        seg = state.segment(lam_star, lam_hi, entering, leaving)
+        # segment k's upper end is segment k - 1's lower end
+        seg = state.segment(lam_star, path.segments[-1].lambda_lo if k else state.lambda_hi)
         path.segments.append(seg)
         nonpositive = lam_star <= zero_tol
 
@@ -696,9 +699,8 @@ def solve_path(
                 end = (_FAILURE_STATUS[type(exc)], lam_star, str(exc))
             else:
                 path.events.append(event)
-                entering, leaving, lam_hi = event.entering, event.leaving, lam_star
                 if opts.check_certificates:
-                    duals.append(state.y_base + lam_star * state.y_pert)
+                    duals.append(state.duals(lam_star))
         refresh = not (end or failed) and (
             state.fact.updates_since_refactor >= linalg.REFRESH_LIMIT)
 
@@ -722,7 +724,6 @@ def solve_path(
                 retried, was = redo, head.lambda_lo
                 state.partition = BasisPartition(
                     std.n, head.primal_indices.copy(), head.dual_indices.copy())
-                lam_hi, entering, leaving = head.lambda_hi, head.entering, head.leaving
         if redo is not None or refresh:
             try:
                 state.refresh()

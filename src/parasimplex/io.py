@@ -170,8 +170,6 @@ def _segment_doc(seg: PathSegment) -> Dict:
         "lambda_hi": _enc_float(seg.lambda_hi),
         "primal": _affine_doc(seg.primal_indices, seg.primal_base, seg.primal_slope),
         "dual": _affine_doc(seg.dual_indices, seg.dual_base, seg.dual_slope),
-        "entering": seg.entering,
-        "leaving": seg.leaving,
     }
 
 
@@ -208,13 +206,15 @@ def save_path_json(path: PathLike, sol: SolutionPath) -> None:
 
 
 def load_path_json(path: PathLike) -> SolutionPath:
+    """Read a ``save_path_json`` file. Keys it does not read, such as the
+    per-segment "entering"/"leaving" and slack_info's "num_rows" of older
+    files, are ignored."""
     doc = json.loads(Path(path).read_text())
     n_cols = int(doc["num_cols"])
     segments = [
         # PathSegment's fields in order: the interval, n_cols, primal, dual
         PathSegment(float(s["lambda_lo"]), float(s["lambda_hi"]), n_cols,
-                    *_affine_arrays(s["primal"]), *_affine_arrays(s["dual"]),
-                    entering=s.get("entering"), leaving=s.get("leaving"))
+                    *_affine_arrays(s["primal"]), *_affine_arrays(s["dual"]))
         for s in doc["segments"]
     ]
     si = doc.get("slack_info")

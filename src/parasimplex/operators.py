@@ -10,10 +10,12 @@ operations, and every operator here implements them:
     unit_rows(S)          per j in S, i where A[:, j] = e_i, else -1
 
 where x and y may also be blocks with one column per vector, so a batch
-costs one product; plus ``shape``, ``nbytes`` (the bytes the operator holds) and
-``to_dense()``, which forms the matrix for code that needs it on small
-programs (the oracle, file output and ``verify_certificate``). Negative
-column indices count from the end; any outside [-n, n) raises IndexError.
+costs one product, and the two gathers take no unit column (the engine
+places those entries by their ``unit_rows``); plus ``shape``, ``nbytes``
+(the bytes the operator holds) and ``to_dense()``, which forms the matrix
+for code that needs it on small programs (the oracle, file output and
+``verify_certificate``). Negative column indices count from the end; any
+outside [-n, n), or a unit column given to a gather, raises IndexError.
 Each constructor checks its factors for non-finite entries and names the
 factor in its error.
 
@@ -257,27 +259,10 @@ class WithSlacks(Operator):
         return e
 
     def columns(self, S: np.ndarray) -> np.ndarray:
-        n = self.A.shape[1]
-        S = _in_range(S, self.shape[1])
-        unit = S >= n
-        if not unit.any():  # the structural gather refresh factors
-            return self.A.columns(S)
-        out = np.zeros((self.shape[0], len(S)))
-        out[:, ~unit] = self.A.columns(S[~unit])
-        out[S[unit] - n, np.flatnonzero(unit)] = 1.0
-        return out
+        return self.A.columns(_in_range(S, self.shape[1]))
 
     def times_columns(self, S: np.ndarray, x: np.ndarray) -> np.ndarray:
-        n = self.A.shape[1]
-        S = _in_range(S, self.shape[1])
-        unit = S >= n
-        if not unit.any():
-            return self.A.times_columns(S, x)
-        ax = self.A.times_columns(S[~unit], x[~unit])
-        W = x.shape[1] if x.ndim == 2 else 1
-        flat = ((S[unit] - n)[:, None] * W + np.arange(W)).ravel()
-        ax += np.bincount(flat, x[unit].ravel(), ax.size).reshape(ax.shape)  # repeats add up
-        return ax
+        return self.A.times_columns(_in_range(S, self.shape[1]), x)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         return np.concatenate([self.A.rmatvec(y), y])

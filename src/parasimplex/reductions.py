@@ -25,9 +25,8 @@ from .core import (
     PathSegment,
     ProgramKind,
     SolutionPath,
-    Termination,
+    segment_at,
     segment_breakpoint,
-    segment_contains,
 )
 from .errors import ComplementarityViolation
 from .operators import Gram, Kron, SupNorm, as_operator
@@ -136,26 +135,23 @@ class OriginalSegment:
 
 @dataclass
 class PathInOriginalCoords:
-    """A recovered solution path plus per-breakpoint support sets."""
+    """A recovered solution path: one OriginalSegment per segment of the
+    ``SolutionPath`` it came from, which keeps how and where it ended."""
 
     segments: List[OriginalSegment] = field(default_factory=list)
-    supports: List[FrozenSet[int]] = field(default_factory=list)
-    termination: Termination = Termination.REACHED_TARGET
-    terminal_lambda: float = float("nan")
 
     def segment_at(self, lam: float) -> OriginalSegment:
-        for seg in self.segments:
-            if segment_contains(seg, lam):
-                return seg
-        raise ValueError(f"lambda={lam} not covered by any segment")
+        return segment_at(self.segments, lam)
 
     def value_at(self, lam: float) -> np.ndarray:
         return self.segment_at(lam).value(lam)
 
     def support_at(self, lam: float) -> FrozenSet[int]:
-        """The estimate's support at lam, as in ``supports``: the flat
-        (column-major, for a matrix) indices of its nonzero entries."""
-        return _support_of(self.value_at(lam).ravel(order="F"))
+        """The estimate's support at lam: the flat (column-major, for a
+        matrix) indices of its nonzero entries. A segment's support is
+        ``support_at(segment_breakpoint(segment))``."""
+        u = self.value_at(lam).ravel(order="F")
+        return frozenset(np.flatnonzero(np.abs(u) > SUPPORT_TOL).tolist())
 
 
 def build_dantzig(inst: DantzigInstance) -> ParametricProgram:
@@ -265,12 +261,10 @@ def _split_halves(seg: PathSegment, lo: int, w: int) -> Tuple[np.ndarray, np.nda
     return base[lo:].reshape(2, w), slope[lo:].reshape(2, w)
 
 
-def _split_affine(
-    seg: PathSegment, lo: int, w: int, what: str
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u's dense (base, slope) and its value at the segment's breakpoint,
-    for the split in columns lo : lo + 2w; raises ComplementarityViolation
-    if both halves of an entry are on there."""
+def _split_affine(seg: PathSegment, lo: int, w: int, what: str) -> Tuple[np.ndarray, np.ndarray]:
+    """u's dense (base, slope) for the split in columns lo : lo + 2w; raises
+    ComplementarityViolation if both halves of an entry are on at the
+    segment's breakpoint."""
     base, slope = _split_halves(seg, lo, w)
     lam = segment_breakpoint(seg)
     x = base + lam * slope
@@ -280,13 +274,7 @@ def _split_affine(
             f"{what} split has overlapping halves at lambda={lam:.6g} "
             f"(max product {worst:.3e})"
         )
-    u_base = base[0] - base[1]
-    u_slope = slope[0] - slope[1]
-    return u_base, u_slope, u_base + lam * u_slope
-
-
-def _support_of(values: np.ndarray) -> FrozenSet[int]:
-    return frozenset(np.flatnonzero(np.abs(values) > SUPPORT_TOL).tolist())
+    return base[0] - base[1], slope[0] - slope[1]
 
 
 def diffnet_sparsity_stop(
@@ -310,8 +298,8 @@ def diffnet_sparsity_stop(
 
 def recover_dantzig(path: SolutionPath, d: Optional[int] = None) -> PathInOriginalCoords:
     """Map a Dantzig path back to theta = theta_plus - theta_minus, checking
-    split complementarity and recording the support at every breakpoint.
-    ``d`` defaults to the width implied by the path's slack bookkeeping.
+    split complementarity at every breakpoint. ``d`` defaults to the width
+    implied by the path's slack bookkeeping.
     """
     if d is None:
         if path.slack_info is None:
@@ -324,26 +312,21 @@ def recover_svm(path: SolutionPath, inst: SvmInstance) -> PathInOriginalCoords:
     """Map an SVM path back to (theta, theta_0); predictions are
     sign(theta_0 + theta' z)."""
     n, d = inst.X.shape
-    out = PathInOriginalCoords(
-        termination=path.termination, terminal_lambda=path.terminal_lambda
-    )
+    out = PathInOriginalCoords()
     for seg in path.segments:
         _split_affine(seg, 0, n, "hinge")  # checked only
-        theta_base, theta_slope, theta = _split_affine(seg, 2 * n, d, "theta")
-        t0_base, t0_slope, _ = _split_affine(seg, 2 * n + 2 * d, 1, "theta0")
+        theta_base, theta_slope = _split_affine(seg, 2 * n, d, "theta")
+        t0_base, t0_slope = _split_affine(seg, 2 * n + 2 * d, 1, "theta0")
         out.segments.append(OriginalSegment(
             seg.lambda_lo, seg.lambda_hi, theta_base, theta_slope,
             intercept_base=t0_base[0], intercept_slope=t0_slope[0],
         ))
-        out.supports.append(_support_of(theta))
     return out
 
 
 def recover_diffnet(path: SolutionPath, inst: DiffNetInstance) -> PathInOriginalCoords:
-    """Map a matrix-problem path back to D = D_plus - D_minus (d1 x d2).
-
-    Support sets use column-major flat indices into D.
-    """
+    """Map a matrix-problem path back to D = D_plus - D_minus (d1 x d2);
+    ``support_at`` gives column-major flat indices into D."""
     m1, d1, d2, m2 = inst.dims
     return _recover_sup_norm(path, d1 * d2, "D", (d1, d2))
 
@@ -353,17 +336,14 @@ def _recover_sup_norm(
 ) -> PathInOriginalCoords:
     """Map a ``_sup_norm_program`` path back to u = u_plus - u_minus.
 
-    Checks split complementarity at every breakpoint, reshapes u
-    column-major to ``shape`` and records its support (flat indices) there.
+    Checks split complementarity at every breakpoint and reshapes u
+    column-major to ``shape``.
     """
-    out = PathInOriginalCoords(
-        termination=path.termination, terminal_lambda=path.terminal_lambda
-    )
+    out = PathInOriginalCoords()
     for seg in path.segments:
-        u_base, u_slope, u = _split_affine(seg, 0, d, name)
+        u_base, u_slope = _split_affine(seg, 0, d, name)
         out.segments.append(OriginalSegment(
             seg.lambda_lo, seg.lambda_hi,
             u_base.reshape(shape, order="F"), u_slope.reshape(shape, order="F"),
         ))
-        out.supports.append(_support_of(u))
     return out

@@ -72,8 +72,8 @@ def test_to_standard_form_appends_identity_slacks():
     np.testing.assert_allclose(std.A.to_dense()[:, p.n:], np.eye(p.m))
     np.testing.assert_allclose(std.A.to_dense()[:, :p.n], p.A.to_dense())
     assert np.all(std.c[p.n:] == 0.0) and np.all(std.c_bar[p.n:] == 0.0)
-    assert info.original_n == p.n and info.num_rows == p.m
-    assert std.n == info.original_n + info.num_rows
+    assert info.original_n == p.n
+    assert std.n - info.original_n == p.m  # the slack count
 
 
 def test_standard_form_skips_rechecks_but_user_programs_keep_them():

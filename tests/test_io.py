@@ -142,9 +142,9 @@ def test_path_json_roundtrip(tmp_path):
         np.testing.assert_array_equal(a.primal_indices, b.primal_indices)
         np.testing.assert_array_equal(a.primal_base, b.primal_base)
         np.testing.assert_array_equal(a.dual_slope, b.dual_slope)
-        assert a.entering == b.entering and a.leaving == b.leaving
     assert len(back.events) == len(path.events)
     for ea, eb in zip(path.events, back.events):
+        assert ea.entering == eb.entering and ea.leaving == eb.leaving
         assert ea.kind is eb.kind and ea.lambda_star == eb.lambda_star
         assert ea.t == eb.t and ea.s_bar == eb.s_bar
     # infinities encoded as strings, not Infinity literals
@@ -161,6 +161,56 @@ def test_path_json_save_load_save_is_byte_identical(tmp_path):
     assert second.read_bytes() == first.read_bytes()
     text = first.read_text()
     assert '"inf"' in text and not any(c in text for c in " \n")
+
+
+# A path JSON as written while each segment kept the pivot into it
+# ("entering", "leaving") and slack_info kept its row count ("num_rows"):
+# the solved _program().
+_OLD_PATH_JSON = (
+    '{"num_cols":8,"termination":"lambda_nonpositive","terminal_lambda":0.0,'
+    '"termination_detail":"","slack_info":{"original_n":4,"num_rows":4},"segments":['
+    '{"lambda_lo":3.0,"lambda_hi":"inf",'
+    '"primal":{"indices":[4,5,6,7],"base":[3.0,1.0,-3.0,-1.0],"slope":[1.0,1.0,1.0,1.0]},'
+    '"dual":{"indices":[0,1,2,3],"base":[1.0,1.0,1.0,1.0],"slope":[0.0,0.0,0.0,0.0]},'
+    '"entering":null,"leaving":null},'
+    '{"lambda_lo":1.0,"lambda_hi":3.0,'
+    '"primal":{"indices":[4,5,0,7],"base":[0.0,1.0,3.0,-1.0],"slope":[2.0,1.0,-1.0,1.0]},'
+    '"dual":{"indices":[6,1,2,3],"base":[1.0,1.0,2.0,1.0],"slope":[0.0,0.0,0.0,0.0]},'
+    '"entering":0,"leaving":6},'
+    '{"lambda_lo":-0.0,"lambda_hi":1.0,'
+    '"primal":{"indices":[4,5,0,1],"base":[0.0,0.0,3.0,1.0],"slope":[2.0,2.0,-1.0,-1.0]},'
+    '"dual":{"indices":[6,7,2,3],"base":[1.0,1.0,2.0,2.0],"slope":[0.0,0.0,0.0,0.0]},'
+    '"entering":1,"leaving":7}],"events":['
+    '{"kind":"dual","entering":0,"leaving":6,"lambda_star":3.0,"t":3.0,"t_bar":-1.0,'
+    '"s":1.0,"s_bar":0.0},'
+    '{"kind":"dual","entering":1,"leaving":7,"lambda_star":1.0,"t":1.0,"t_bar":-1.0,'
+    '"s":1.0,"s_bar":0.0}]}'
+)
+
+
+def test_path_json_with_per_segment_pivots_and_row_count_loads(tmp_path):
+    f = tmp_path / "old.json"
+    f.write_text(_OLD_PATH_JSON)
+    back = pio.load_path_json(f)
+    assert back.num_cols == 8 and back.slack_info.original_n == 4
+    assert back.termination is Termination.LAMBDA_NONPOSITIVE and back.terminal_lambda == 0.0
+    assert [(s.lambda_lo, s.lambda_hi) for s in back.segments] == [
+        (3.0, float("inf")), (1.0, 3.0), (0.0, 1.0)]
+    assert [s.primal_indices.tolist() for s in back.segments] == [
+        [4, 5, 6, 7], [4, 5, 0, 7], [4, 5, 0, 1]]
+    np.testing.assert_array_equal(back.segments[2].primal_slope, [2.0, 2.0, -1.0, -1.0])
+    np.testing.assert_array_equal(back.segments[1].dual_base, [1.0, 1.0, 2.0, 1.0])
+    # the pivots into segments 1 and 2 are read from the events alone
+    assert [(e.kind.value, e.entering, e.leaving, e.lambda_star) for e in back.events] == [
+        ("dual", 0, 6, 3.0), ("dual", 1, 7, 1.0)]
+    # it is the path solved now, and is written back without the dropped keys
+    new = tmp_path / "new.json"
+    pio.save_path_json(new, solve_path(_program()))
+    pio.save_path_json(f, back)
+    assert f.read_bytes() == new.read_bytes()
+    doc = json.loads(f.read_text())
+    assert doc["slack_info"] == {"original_n": 4}
+    assert all(set(s) == {"lambda_lo", "lambda_hi", "primal", "dual"} for s in doc["segments"])
 
 
 def test_path_json_keeps_termination_detail(tmp_path):

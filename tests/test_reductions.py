@@ -182,8 +182,9 @@ def test_recover_svm_matches_dense_reference():
         (0.0, 1.0, [2, tm + 3, i0 + 2], [1.0, 0.6, 0.5], [-0.5, 0.2, 0.3]),
     ])
     orig = recover_svm(path, SvmInstance(np.ones((n, d)), np.ones(n)))
-    assert orig.terminal_lambda == 0.0 and len(orig.segments) == 3
-    for seg, got, support in zip(path.segments, orig.segments, orig.supports):
+    assert path.terminal_lambda == 0.0 and len(orig.segments) == 3
+    supports = [orig.support_at(segment_breakpoint(s)) for s in orig.segments]
+    for seg, got, support in zip(path.segments, orig.segments, supports):
         assert (got.lambda_lo, got.lambda_hi) == (seg.lambda_lo, seg.lambda_hi)
         bp = segment_breakpoint(seg)
         for lam in (bp, bp + 0.5):
@@ -195,7 +196,7 @@ def test_recover_svm_matches_dense_reference():
         x = evaluate_primal(seg, bp)
         want = np.flatnonzero(np.abs(x[tp:tm] - x[tm:i0]) > SUPPORT_TOL)
         assert support == frozenset(want.tolist())
-    assert [sorted(s) for s in orig.supports] == [[0, 2], [0, 3], [3]]
+    assert [sorted(s) for s in supports] == [[0, 2], [0, 3], [3]]
     assert orig.segments[1].intercept(1.5) == pytest.approx(-(0.3 + 1.5 * 0.4))
     assert orig.segments[2].intercept_base == orig.segments[2].intercept_slope == 0
 
@@ -224,13 +225,14 @@ def test_sparsity_stop_agrees_with_recovered_supports():
                       stop_callback=diffnet_sparsity_stop(inst, want))
     assert path.termination is Termination.REACHED_TARGET
     orig = recover_diffnet(path, inst)
-    sizes = [len(s) for s in orig.supports]
+    supports = [orig.support_at(segment_breakpoint(s)) for s in orig.segments]
+    sizes = [len(s) for s in supports]
     assert len(sizes) > 2
     assert max(sizes[:-1]) < want <= sizes[-1]
     # the path stops at a breakpoint; support_at uses the same column-major indices
     D = orig.value_at(path.terminal_lambda)
     flat = np.flatnonzero(np.abs(D).ravel(order="F") > SUPPORT_TOL)
-    assert orig.support_at(path.terminal_lambda) == frozenset(flat.tolist()) == orig.supports[-1]
+    assert orig.support_at(path.terminal_lambda) == frozenset(flat.tolist()) == supports[-1]
 
 
 def test_diffnet_blocks_encode_the_linear_map():
@@ -276,14 +278,15 @@ def test_diffnet_rectangular_path_recovers_d1_by_d2():
                                 Termination.REACHED_TARGET)
     orig = recover_diffnet(path, inst)
     assert path.num_pivots > 0
-    for seg, support in zip(orig.segments, orig.supports):
+    supports = [orig.support_at(segment_breakpoint(s)) for s in orig.segments]
+    for seg, support in zip(orig.segments, supports):
         assert seg.base.shape == seg.slope.shape == (3, 4)
         lam = max(segment_breakpoint(seg), 0.0)
         D = seg.value(lam)
         assert np.abs(X @ D @ Z - Y).max() <= lam + 1e-9 * (1.0 + lam)
         want = np.flatnonzero(np.abs(D.flatten(order="F")) > SUPPORT_TOL)
         assert support == frozenset(want.tolist())
-    assert len(orig.supports[-1]) > 0
+    assert len(supports[-1]) > 0
 
 
 def test_diffnet_scalar_closed_form():
@@ -350,8 +353,9 @@ def test_original_segment_affine_eval():
 def test_supports_follow_the_soft_threshold():
     p = build_dantzig(DantzigInstance(np.eye(2), np.array([3.0, 1.0])))
     orig = recover_dantzig(solve_path(p))
-    assert orig.supports[0] == frozenset()
-    assert orig.supports[1] == frozenset({0})
-    assert orig.supports[2] == frozenset({0, 1})
+    supports = [orig.support_at(segment_breakpoint(s)) for s in orig.segments]
+    assert supports[0] == frozenset()
+    assert supports[1] == frozenset({0})
+    assert supports[2] == frozenset({0, 1})
     # between the breakpoints 3 and 1, and below 1
     assert [orig.support_at(lam) for lam in (3.5, 2.0, 0.5)] == [set(), {0}, {0, 1}]
