@@ -154,7 +154,6 @@ class DictionaryState:
         if len(partition.basic) != program.m:
             raise ValueError(f"basis size {len(partition.basic)} != row count {program.m}")
         self.partition = partition
-        self.fixed_duals = not program.c_bar.any()  # y_pert then stays zero
         # refresh() sets fact, xB_base/pert, zN_base/pert and y_base/pert
         self.lambda_lo, self.lambda_hi = float("-inf"), float("inf")
         self.tight: Optional[TightConstraint] = None
@@ -182,9 +181,8 @@ class DictionaryState:
         return y, self.program.A.rmatvec(y)[N] - c[N]
 
     def duals(self, lam: float) -> np.ndarray:
-        """The duals y(lam) = y_base + lam * y_pert, as a new array: a copy of
-        y_base when the program's c_bar is zero."""
-        return self.y_base.copy() if self.fixed_duals else self.y_base + lam * self.y_pert
+        """The duals y(lam) = y_base + lam * y_pert, as a new array."""
+        return self.y_base + lam * self.y_pert
 
     def entry(self, lam: float) -> Tuple[PathSegment, np.ndarray]:
         """This dictionary as a window entry certified at ``lam``: a segment

@@ -206,9 +206,8 @@ def save_path_json(path: PathLike, sol: SolutionPath) -> None:
 
 
 def load_path_json(path: PathLike) -> SolutionPath:
-    """Read a ``save_path_json`` file. Keys it does not read, such as the
-    per-segment "entering"/"leaving" and slack_info's "num_rows" of older
-    files, are ignored."""
+    """Read a ``save_path_json`` file. Keys it does not read, such as those
+    that older files wrote and this reader no longer knows, are ignored."""
     doc = json.loads(Path(path).read_text())
     n_cols = int(doc["num_cols"])
     segments = [

@@ -148,8 +148,10 @@ class PathInOriginalCoords:
 
     def support_at(self, lam: float) -> FrozenSet[int]:
         """The estimate's support at lam: the flat (column-major, for a
-        matrix) indices of its nonzero entries. A segment's support is
-        ``support_at(segment_breakpoint(segment))``."""
+        matrix) indices of its nonzero entries. A segment's own support is
+        that of ``segment.value(segment_breakpoint(segment))``; this lookup
+        equals it where the path is continuous and breakpoints are distinct,
+        since at a shared end it reads the first segment holding lam."""
         u = self.value_at(lam).ravel(order="F")
         return frozenset(np.flatnonzero(np.abs(u) > SUPPORT_TOL).tolist())
 
