@@ -502,23 +502,26 @@ def _residuals(p: ParametricProgram, lams: np.ndarray, S: np.ndarray, xS: np.nda
     return res, scale, zhat
 
 
-def _post_pivot_ok(p: ParametricProgram, window: Sequence[Tuple[PathSegment, np.ndarray]]) -> bool:
-    """A posteriori optimality check of a window of dictionaries.
+def _window_verdicts(p: ParametricProgram,
+                     window: Sequence[Tuple[PathSegment, np.ndarray]]) -> np.ndarray:
+    """A posteriori optimality check of a window of dictionaries: one bool
+    per entry, True where the entry passes.
 
     Each entry is a segment, checked at its ``lambda_hi``, and the duals y
     kept there. Nothing here trusts them: ``A_B' y = c_B(lam)`` must hold to
     CERT_TOL, (x, z, y) must pass the residuals of ``verify_certificate``,
     and the segment's reduced costs must agree with ``A_N' y - c_N(lam)``
     (complementarity is structural for dictionary solutions, so this is the
-    check that catches accumulated update error in z). An entry's verdict
-    depends on it alone, so a window passes when each of its entries passes
-    alone (up to roundoff at a tolerance's edge). The window's segments are
-    stacked once, basic entries then nonbasic ones, for one product with A'
-    and one with the structural basic columns.
+    check that catches accumulated update error in z). An entry's verdict is
+    its row of the batch, so it depends on that entry alone (up to roundoff
+    at a tolerance's edge); a NaN fails. The window's segments are stacked
+    once, basic entries then nonbasic ones, for one product with A' and one
+    with the structural basic columns.
     """
     step = max(1, CERT_BATCH_FLOATS // p.n)
     if len(window) > step:
-        return all(_post_pivot_ok(p, window[i:i + step]) for i in range(0, len(window), step))
+        return np.concatenate([_window_verdicts(p, window[i:i + step])
+                               for i in range(0, len(window), step)])
     m, W = p.m, len(window)
     segs = [seg for seg, _ in window]
     lams = np.array([seg.lambda_hi for seg in segs])
@@ -541,35 +544,22 @@ def _post_pivot_ok(p: ParametricProgram, window: Sequence[Tuple[PathSegment, np.
     bad_basis = ~(basis <= CERT_TOL * (1.0 + scale[:, 1]))
     bad_cert = ~(res <= CERT_TOL * (1.0 + scale)).all(axis=1)
     if not (bad_basis.any() or bad_cert.any()) and drift.max() <= CERT_TOL:
-        return True  # the drift's scale, 1 + max |zhat_N|, is at least 1
+        return np.ones(W, dtype=bool)  # the drift's scale, 1 + max |zhat_N|, is at least 1
     bad_drift = ~(drift <= CERT_TOL * (1.0 + np.abs(zN).max(axis=1, initial=0.0)))
-    failed = np.flatnonzero(bad_basis | bad_cert | bad_drift)
-    for w in failed:
+    bad = bad_basis | bad_cert | bad_drift
+    for w in np.flatnonzero(bad):
         if bad_basis[w]:
             logger.debug("A_B' y - c_B residual %.3e at lambda=%g", basis[w], lams[w])
         elif bad_cert[w]:
             logger.debug("certificate failed at lambda=%g: residuals %s", lams[w], res[w])
         else:
             logger.debug("dictionary drift %.3e at lambda=%g", drift[w], lams[w])
-    return failed.size == 0
+    return ~bad
 
 
-def _first_failure(p: ParametricProgram,
-                   window: Sequence[Tuple[PathSegment, np.ndarray]]) -> Optional[int]:
-    """The first entry of ``window`` that fails its certificate alone (None:
-    the window passes), found in about log2(W) batched checks of prefixes and
-    one of the entry alone. An entry passing alone, its batch failing at a
-    tolerance's edge, is certified, and the search goes on after it."""
-    lo = 0  # window[:lo] is certified
-    while lo < len(window) and not _post_pivot_ok(p, window[lo:]):
-        good, bad = lo, len(window)  # window[lo:good] passes, window[lo:bad] fails
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            good, bad = (mid, bad) if _post_pivot_ok(p, window[lo:mid]) else (good, mid)
-        if bad - lo == 1 or not _post_pivot_ok(p, window[bad - 1:bad]):
-            return bad - 1
-        lo = bad
-    return None
+def _post_pivot_ok(p: ParametricProgram, window: Sequence[Tuple[PathSegment, np.ndarray]]) -> bool:
+    """Whether every entry of a window passes (``_window_verdicts``)."""
+    return bool(_window_verdicts(p, window).all())
 
 
 def _pivot_at(state: DictionaryState, tight: TightConstraint, lam_star: float) -> PivotEvent:
@@ -601,11 +591,11 @@ def solve_path(
 
     Numerical trouble has one recovery step: refactorize at segment k,
     dropping the segments and pivots from k on, and emit k again from the
-    fresh factorization. A failed window is bisected to its first
-    dictionary failing alone (``_first_failure``; none: the window passes)
-    and redoes the segment before it, the last one certified. A degenerate
-    update, once the window up to it certifies, redoes its own segment. A
-    second failure at the same segment ends the path.
+    fresh factorization. A failed window redoes the segment before its
+    first failing dictionary, the last one certified; the window's
+    ``_window_verdicts`` name that dictionary. A degenerate update, once the
+    window up to it certifies, redoes its own segment. A second failure at
+    the same segment ends the path.
 
     Args:
         p: the parametric program. <= programs are solved as their
@@ -707,8 +697,8 @@ def solve_path(
             window = list(zip(path.segments[start + 1:], duals))
             if refresh:
                 window.append(state.entry(lam_star))
-            w = _first_failure(state.program, window)
-            if w is not None:
+            if window and not _post_pivot_ok(state.program, window):
+                w = int(np.argmin(_window_verdicts(state.program, window)))  # the first bad one
                 redo, refresh = start + w, False
                 failed = ("certificate still failing after refactorization "
                           f"at lambda*={path.segments[redo].lambda_lo:.6g}")

@@ -87,17 +87,12 @@ class BasisFactorization:
                 raise ValueError("basis matrix must be square")
             slack_rows = np.full(m, -1, dtype=np.intp)
         slack_rows = np.asarray(slack_rows, dtype=np.intp)
-        if k == 0 and slack_rows.shape == (m,) and slack_rows.min(initial=0) >= 0:
-            # all slack, so B permutes I: nothing to split or factor
-            self._slack_pos, self._struct_pos = np.arange(m), np.arange(0)
-            self._rows = slack_rows
-        else:
-            is_slack = slack_rows >= 0
-            if slack_rows.shape != (m,) or m - int(is_slack.sum()) != k:
-                raise ValueError(f"{k} structural columns do not fill {m} basis slots")
-            self._slack_pos = np.flatnonzero(is_slack)
-            self._struct_pos = np.flatnonzero(~is_slack)
-            self._rows = slack_rows[is_slack]
+        is_slack = slack_rows >= 0
+        if slack_rows.shape != (m,) or m - int(is_slack.sum()) != k:
+            raise ValueError(f"{k} structural columns do not fill {m} basis slots")
+        self._slack_pos = np.flatnonzero(is_slack)
+        self._struct_pos = np.flatnonzero(~is_slack)
+        self._rows = slack_rows[is_slack]
         self.m = m
         covered = np.zeros(m, dtype=bool)
         covered[self._rows] = True

@@ -270,15 +270,19 @@ def random_less_equal(rng: np.random.Generator) -> ParametricProgram:
     Entries are uniform on [-2, 2] with b_bar = 1 and c_bar = 0; the static
     cost is redrawn until every entry is nonpositive, which makes the slack
     basis optimal for all large lambda (so the path starts there without a
-    phase-1).
+    phase-1). The draws come in blocks of rows, about 2^n of them in all,
+    and ``rng`` is left where drawing one row at a time would leave it.
     """
     m = int(rng.integers(1, RANDOM_MAX_ROWS + 1))
     n = int(rng.integers(1, RANDOM_MAX_COLS + 1))
     A = rng.uniform(-2.0, 2.0, size=(m, n))
     b = rng.uniform(-2.0, 2.0, size=m)
-    c = rng.uniform(-2.0, 2.0, size=n)
-    while np.any(c > 0.0):
-        c = rng.uniform(-2.0, 2.0, size=n)
+    hit = np.empty(0, dtype=np.intp)
+    while not hit.size:
+        state = rng.bit_generator.state
+        hit = np.flatnonzero((rng.uniform(-2.0, 2.0, size=(4096, n)) <= 0.0).all(axis=1))
+    rng.bit_generator.state = state  # the block again, up to its first nonpositive row
+    c = rng.uniform(-2.0, 2.0, size=(hit[0] + 1, n))[-1]
     return ParametricProgram(
         A=A,
         b=b,

@@ -207,12 +207,23 @@ def test_solve_out_of_range_basis_exits_64(tmp_path, capsys, basis):
     ("prog.json", json.dumps({"A": [[1.0]], "b": [1.0], "c": [-1.0],
                               "c_bar": [0.0], "kind": "less_equal"})),
     ("prog.json", "3"),
+    ("prog.json", json.dumps({"m": 5, "A": [[1.0], [2.0]], "b": [1.0, 1.0],
+                              "b_bar": [1.0, 1.0], "c": [-1.0], "c_bar": [0.0],
+                              "kind": "less_equal"})),
 ])
 def test_solve_malformed_program_exits_64(tmp_path, capsys, name, text):
     src = tmp_path / name
     src.write_text(text)
     assert cli.main(["solve", str(src)]) == cli.EXIT_USAGE
     assert "input error" in capsys.readouterr().err
+
+
+def test_solve_basis_of_the_wrong_size_exits_64(tmp_path, capsys):
+    src = tmp_path / "prog.json"
+    src.write_text(json.dumps({"A": [[1, 0, 1], [0, 1, 1]], "b": [1, 1], "b_bar": [1, 1],
+                               "c": [-1, -1, -1], "c_bar": [0, 0, 0], "kind": "equality"}))
+    assert cli.main(["solve", str(src), "--basis", "0"]) == cli.EXIT_USAGE
+    assert "basis size 1 != row count 2" in capsys.readouterr().err
 
 
 def test_solve_empty_optimality_window_exits_2(tmp_path, capsys):
@@ -513,9 +524,12 @@ def test_bench_diffnet_runs(tmp_path, capsys):
     ["bench", "diffnet", "--n", "40", "--d", "3", "--s", "-2", "--reps", "1"],
     ["gen", "dantzig", "--sigma", "nan", "--out-dir", "{out}"],
     ["dantzig", "--x", "{X}", "--y", "{y}", "--sigma", "-1"],
+    ["gen", "diffnet", "--d", "0", "--out-dir", "{out}"],
+    ["diffnet", "--sx", "{SX}", "--sy", "{SY}", "--stop-rule", "path-demo"],
 ], ids=["value-nan", "target-nan", "max-pivots-negative", "reps-negative",
         "reps-zero", "gen-n-zero", "sparsity-negative", "gen-s-negative",
-        "bench-s-negative", "gen-sigma-nan", "sigma-negative"])
+        "bench-s-negative", "gen-sigma-nan", "sigma-negative", "gen-d-zero",
+        "diffnet-named-rule"])
 def test_malformed_numeric_input_exits_64(tmp_path, capsys, argv):
     pio.save_matrix_csv(tmp_path / "X.csv", np.eye(2))
     pio.save_matrix_csv(tmp_path / "y.csv", np.array([[1.0], [2.0]]))

@@ -435,11 +435,11 @@ def test_check_failing_twice_is_numerical_failure(monkeypatch):
     assert path.termination is Termination.NUMERICAL_FAILURE
     assert path.num_pivots == 0
     assert path.terminal_lambda == pytest.approx(first_breakpoint, abs=BP_TOL)
-    # the window of the whole path failed, then its halving prefixes down to
-    # its first entry alone; the same again after the redo of the first segment
+    # the window of the whole path failed; its verdicts (the real ones, all
+    # passing) put the first failure at entry 0, so the first segment was
+    # redone, and the same window failed again
     W = clean.num_pivots
-    halving = [W >> i for i in range(W.bit_length())]
-    assert W > 1 and sizes == halving + halving
+    assert W > 1 and sizes == [W, W]
 
 
 def _corrupt_reduced_costs(monkeypatch, at_pivot):
@@ -483,8 +483,9 @@ def test_corrupted_window_rolls_back_to_the_clean_path(monkeypatch, batch):
     sizes = _corrupt_reduced_costs(monkeypatch, at_pivot=5)
     path = solve_path(p)
     _same_path(path, clean)
-    # the first window failed and was localized one entry at a time
-    assert sizes[0] > 1 and 1 in sizes
+    # the first window failed at entry 4, the dictionary of pivot 5; the
+    # segment before it was redone, so the entries from there on were checked again
+    assert sizes[0] > 1 and sum(sizes) == clean.num_pivots + sizes[0] - 4
     theta = recover_dantzig(path).value_at(0.0)
     np.testing.assert_allclose(theta, recover_dantzig(clean).value_at(0.0), atol=1e-9)
 
@@ -566,32 +567,21 @@ def test_a_failed_window_redoes_the_segment_before_its_first_bad_dictionary(monk
     assert clean.num_pivots > linalg.REFRESH_LIMIT > bad
     sizes = _corrupt_reduced_costs(monkeypatch, at_pivot=bad)
     exchanges = _degenerate_updates(monkeypatch, lambda call: False)  # counts them
+    real_verdicts, passes = engine._window_verdicts, []
+
+    def verdicts(p, window):
+        passes.append(len(window))
+        return real_verdicts(p, window)
+
+    monkeypatch.setattr(engine, "_window_verdicts", verdicts)
     _same_path(solve_path(p), clean)
-    # the window failed, prefixes bisected it down to its first corrupted
-    # dictionary (entry bad - 1), and that one was checked alone
-    assert sizes[:8] == [linalg.REFRESH_LIMIT, 25, 37, 43, 46, 44, 45, 1]
+    # the window failed its check, one more pass over its verdicts found its
+    # first corrupted dictionary (entry bad - 1), and the window from the
+    # redone segment on passed; each check is one pass
+    assert sizes == [linalg.REFRESH_LIMIT, clean.num_pivots - bad + 1]
+    assert passes == [linalg.REFRESH_LIMIT] * 2 + sizes[1:]
     # pivots 1-50, then again from segment 44 on: 45-50 are done twice
     assert len(exchanges) == clean.num_pivots + linalg.REFRESH_LIMIT - bad + 1
-
-
-def test_a_window_whose_entries_pass_alone_is_certified(monkeypatch):
-    _, _, p = _regression_program()
-    clean = solve_path(p)
-    real = engine._post_pivot_ok
-    monkeypatch.setattr(engine, "_post_pivot_ok",
-                        lambda p, window: len(window) == 1 and real(p, window))
-    exchanges = _degenerate_updates(monkeypatch, lambda call: False)  # counts them
-    _same_path(solve_path(p), clean)
-    assert len(exchanges) == clean.num_pivots  # nothing was redone
-
-
-def test_bisection_goes_on_after_an_entry_that_passes_alone(monkeypatch):
-    # entry 2 fails only in a batch (a tolerance's edge), entry 5 alone too
-    monkeypatch.setattr(engine, "_post_pivot_ok", lambda p, window: not (
-        5 in window or (2 in window and len(window) > 1)))
-    assert engine._first_failure(None, list(range(8))) == 5
-    assert engine._first_failure(None, list(range(5))) is None
-    assert engine._first_failure(None, []) is None
 
 
 def _certified_windows(monkeypatch, p):
@@ -641,6 +631,7 @@ def test_a_batched_verdict_is_that_of_the_entries_alone(monkeypatch, kind):
             bad = _corrupted(window, len(window) // 2, field)
             alone = [engine._post_pivot_ok(std, [entry]) for entry in bad]
             assert alone.count(False) == 1
+            assert engine._window_verdicts(std, bad).tolist() == alone
             assert engine._post_pivot_ok(std, bad) == all(alone)
 
 

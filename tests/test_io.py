@@ -96,6 +96,19 @@ def test_program_coo_roundtrip(tmp_path):
     assert q.kind is ProgramKind.LESS_EQUAL
 
 
+def test_program_coo_skips_comments_and_blank_lines(tmp_path):
+    plain, commented = tmp_path / "plain.coo", tmp_path / "commented.coo"
+    pio.save_program_coo(plain, _program())
+    lines = plain.read_text().splitlines()
+    commented.write_text("# a comment before the header\n\n" + lines[0] + "\n"
+                         + "\n  # indented\n\n".join(lines[1:]) + "\n\n")
+    p, q = pio.load_program_coo(plain), pio.load_program_coo(commented)
+    np.testing.assert_array_equal(q.A.to_dense(), p.A.to_dense())
+    for field in ("b", "b_bar", "c", "c_bar"):
+        np.testing.assert_array_equal(getattr(q, field), getattr(p, field))
+    assert q.kind is p.kind
+
+
 def test_program_coo_bad_header(tmp_path):
     f = tmp_path / "bad.coo"
     f.write_text("coo m=1 n=1 kind=equality\n")
@@ -149,6 +162,22 @@ def test_path_json_roundtrip(tmp_path):
         assert ea.t == eb.t and ea.s_bar == eb.s_bar
     # infinities encoded as strings, not Infinity literals
     assert "Infinity" not in f.read_text()
+
+
+def test_path_json_roundtrip_of_a_segment_unbounded_both_ways(tmp_path):
+    # the slack basis is optimal for every lambda: one segment, (-inf, inf)
+    p = ParametricProgram([[1.0]], [1.0], [0.0], [-1.0], [0.0], kind="less_equal")
+    path = solve_path(p)
+    assert [(s.lambda_lo, s.lambda_hi) for s in path.segments] == [(-np.inf, np.inf)]
+    f = tmp_path / "path.json"
+    pio.save_path_json(f, path)
+    assert '"lambda_lo":"-inf"' in f.read_text()
+    back = pio.load_path_json(f)
+    assert [(s.lambda_lo, s.lambda_hi) for s in back.segments] == [(-np.inf, np.inf)]
+    assert back.termination is path.termination and back.num_pivots == 0
+    for field in ("primal_indices", "primal_base", "dual_indices", "dual_base"):
+        np.testing.assert_array_equal(getattr(back.segments[0], field),
+                                      getattr(path.segments[0], field))
 
 
 def test_path_json_save_load_save_is_byte_identical(tmp_path):

@@ -7,6 +7,8 @@ from parasimplex.core import ParametricProgram, ProgramKind
 from parasimplex.engine import solve_path
 from parasimplex.errors import SizeGuard
 from parasimplex.oracle import (
+    RANDOM_MAX_COLS,
+    RANDOM_MAX_ROWS,
     BasisEnumeration,
     OracleStatus,
     brute_force_optimum,
@@ -106,6 +108,31 @@ def test_random_program_shape_contract():
         assert p.kind is ProgramKind.LESS_EQUAL
         assert np.all(p.c <= 0.0)
         assert np.all(p.b_bar == 1.0) and np.all(p.c_bar == 0.0)
+
+
+def _random_less_equal_by_rows(rng):
+    """``random_less_equal`` as it drew its cost: one row at a time."""
+    m = int(rng.integers(1, RANDOM_MAX_ROWS + 1))
+    n = int(rng.integers(1, RANDOM_MAX_COLS + 1))
+    A = rng.uniform(-2.0, 2.0, size=(m, n))
+    b = rng.uniform(-2.0, 2.0, size=m)
+    c = rng.uniform(-2.0, 2.0, size=n)
+    while np.any(c > 0.0):
+        c = rng.uniform(-2.0, 2.0, size=n)
+    return A, b, c
+
+
+@pytest.mark.parametrize("seed", [1, 2, 20260817])
+def test_random_program_draws_as_row_by_row(seed):
+    # the seeded corpora (AC1's is 20260817) stay the same programs, and the
+    # generator ends where the row-by-row draws left it
+    rng, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        p = random_less_equal(rng)
+        A, b, c = _random_less_equal_by_rows(rows)
+        assert np.array_equal(p.A.to_dense(), A)
+        assert np.array_equal(p.b, b) and np.array_equal(p.c, c)
+    assert rng.bit_generator.state == rows.bit_generator.state
 
 
 def test_small_corpus_paths_match_oracle():
