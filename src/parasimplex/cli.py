@@ -6,8 +6,9 @@ Subcommands: ``solve`` (a program file), ``dantzig`` / ``svm`` / ``diffnet``
 
 Exit codes: 0 path traced to the target (or lambda hit zero), 2 the problem
 is unbounded or infeasible, 3 numerical failure, 4 pivot budget exhausted,
-64 usage or input errors. Set PSM_LOG=info for progress lines on stderr, or
-PSM_LOG=trace to additionally stream one line per pivot.
+64 usage or input errors. PSM_LOG=info logs each refactorization at a failed
+pivot to stderr; PSM_LOG=trace also prints there, once the solve returns, one
+tab-separated line per pivot of the returned path.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from .reductions import (
     recover_svm,
 )
 
-log = logging.getLogger("parasimplex")
-
 EXIT_OK = 0
 EXIT_NO_SOLUTION = 2
 EXIT_NUMERICAL = 3
@@ -72,16 +71,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _setup_logging() -> Optional[object]:
-    """Configure the package logger from PSM_LOG; returns a pivot-trace
-    stream (stderr) when PSM_LOG=trace, else None."""
+def _setup_logging() -> bool:
+    """Configure the package logger from PSM_LOG; True if it asks for pivot lines."""
     mode = os.environ.get("PSM_LOG", "off").strip().lower()
     if mode in ("info", "trace"):
         logging.basicConfig(
             stream=sys.stderr, level=logging.INFO,
             format="%(name)s %(levelname)s %(message)s",
         )
-    return sys.stderr if mode == "trace" else None
+    return mode == "trace"
+
+
+def _solve(args: argparse.Namespace, program, opts: SolveOptions, basis=None) -> SolutionPath:
+    """``solve_path``, then under PSM_LOG=trace one stderr line per returned pivot."""
+    path = solve_path(program, opts, initial_basis=basis)
+    if args.trace:
+        for i, ev in enumerate(path.events, start=1):
+            print(f"{i}\t{ev.kind.value}\t{ev.entering}\t{ev.leaving}"
+                  f"\t{ev.lambda_star:.12g}\t{ev.t:.6g}\t{ev.s:.6g}", file=sys.stderr)
+    return path
 
 
 def _report(path: SolutionPath, orig=None) -> int:
@@ -108,9 +116,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     basis = None
     if args.basis:
         basis = [int(t) for t in args.basis.split(",") if t.strip()]
-    opts = SolveOptions(lambda_target=args.target, max_pivots=args.max_pivots,
-                        trace=args.trace)
-    path = solve_path(program, opts, initial_basis=basis)
+    opts = SolveOptions(lambda_target=args.target, max_pivots=args.max_pivots)
+    path = _solve(args, program, opts, basis)
     if args.out_json:
         pio.save_path_json(args.out_json, path)
     if args.out_csv:
@@ -125,8 +132,7 @@ def cmd_dantzig(args: argparse.Namespace) -> int:
     y = pio.load_vector_csv(args.y)
     inst = DantzigInstance(X, y)
     opts = stop_options(args.stop_rule, inst, 1.0 if args.sigma is None else args.sigma)
-    opts.trace = args.trace
-    path = solve_path(build_dantzig(inst), opts)
+    path = _solve(args, build_dantzig(inst), opts)
     orig = recover_dantzig(path)
     if args.out:
         pio.save_original_path_csv(args.out, orig, breakpoint_violations(X, y, orig))
@@ -138,10 +144,7 @@ def cmd_svm(args: argparse.Namespace) -> int:
     y = pio.load_vector_csv(args.y)
     inst = SvmInstance(X, y)
     program, basis = build_svm(inst)
-    path = solve_path(
-        program, SolveOptions(lambda_target=args.target, trace=args.trace),
-        initial_basis=basis,
-    )
+    path = _solve(args, program, SolveOptions(lambda_target=args.target), basis)
     orig = recover_svm(path, inst)
     if args.out:
         pio.save_original_path_csv(args.out, orig)
@@ -152,9 +155,7 @@ def cmd_diffnet(args: argparse.Namespace) -> int:
     S_X = pio.load_matrix_csv(args.sx)
     S_Y = pio.load_matrix_csv(args.sy)
     inst = DiffNetInstance.from_covariances(S_X, S_Y)
-    opts = stop_options(args.stop_rule, inst)
-    opts.trace = args.trace
-    path = solve_path(build_diffnet(inst), opts)
+    path = _solve(args, build_diffnet(inst), stop_options(args.stop_rule, inst))
     orig = recover_diffnet(path, inst)
     if args.out:
         pio.save_original_path_csv(args.out, orig)

@@ -27,7 +27,7 @@ import ctypes
 import logging
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,16 +105,15 @@ class SolveOptions:
         stop_callback: called with each newly emitted segment; returning
             True ends the path early (ReachedTarget). Must be pure: it can
             see segments that a recovery replaces, then the redone ones.
-        trace: writable text stream receiving one tab-separated line per
-            pivot: pivot#, kind, entering, leaving, lambda_star, t, s,
-            written once the pivot's window certifies.
+
+    A solve's pivots are read from the returned path's ``events``; the
+    CLI's per-pivot lines are printed from there once the solve returns.
     """
 
     lambda_target: float = 0.0
     max_pivots: Optional[int] = None
     check_certificates: bool = True
     stop_callback: Optional[Callable[[PathSegment], bool]] = None
-    trace: Optional[TextIO] = None
 
 
 @dataclass(frozen=True)
@@ -360,8 +359,7 @@ def _exchange(
     state.zN_pert -= s_bar * dzN
     state.zN_pert[kN] = s_bar
     state.y_base += s * v
-    if s_bar:  # zero whenever c_bar is
-        state.y_pert += s_bar * v
+    state.y_pert += s_bar * v
 
     part.swap(kB, kN)
     return PivotEvent(
@@ -643,7 +641,7 @@ def solve_path(
     first = state.lambda_lo
     zero_tol = FEAS_TOL * (1.0 + (abs(first) if np.isfinite(first) else 0.0))
     # The window: path.segments[start:], from a fresh factorization on.
-    start, duals, traced = 0, [], 0
+    start, duals = 0, []
     # The segment last redone, and its breakpoint before the redo.
     retried, was = -1, 0.0
     priced = state.lambda_lo, state.tight  # the first dictionary's breakpoint
@@ -727,12 +725,6 @@ def solve_path(
                     start, duals = redo, []
                     continue
                 start, duals = k + 1, []
-        if opts.trace is not None and (end or refresh or not opts.check_certificates):
-            for pivot, ev in enumerate(path.events[traced:], start=traced + 1):
-                opts.trace.write(
-                    f"{pivot}\t{ev.kind.value}\t{ev.entering}\t{ev.leaving}"
-                    f"\t{ev.lambda_star:.12g}\t{ev.t:.6g}\t{ev.s:.6g}\n")
-            traced = len(path.events)
         if end:
             path.termination, path.terminal_lambda, path.termination_detail = end
             break

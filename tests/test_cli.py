@@ -455,6 +455,23 @@ def test_diffnet_non_finite_covariance_names_the_input(tmp_path, capsys):
     assert "input error: non-finite entries in DiffNetInstance.X" in err
 
 
+def test_dantzig_complementarity_violation_exits_3(tmp_path, capsys, monkeypatch):
+    from parasimplex.errors import ComplementarityViolation
+
+    def recover(path):
+        raise ComplementarityViolation("theta split overlaps")
+
+    monkeypatch.setattr(cli, "recover_dantzig", recover)
+    pio.save_matrix_csv(tmp_path / "X.csv", np.eye(2))
+    pio.save_matrix_csv(tmp_path / "y.csv", np.array([[3.0], [1.0]]))
+    rc = cli.main(["dantzig", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "y.csv"),
+                   "--stop-rule", "value:0"])
+    assert rc == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == "error: theta split overlaps\n"
+    assert captured.out == ""
+
+
 # ----------------------------------------------------------- gen/bench
 
 

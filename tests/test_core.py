@@ -14,6 +14,7 @@ from parasimplex.core import (
     Termination,
     evaluate_dual,
     evaluate_primal,
+    segment_breakpoint,
     to_standard_form,
 )
 
@@ -130,6 +131,9 @@ def test_partition_rejects_repeated_columns():
         BasisPartition(4, [1, 1], [0, 2])
     with pytest.raises(ValueError, match="duplicate column"):
         BasisPartition(4, [1, 3], [0, 3])
+    # too few columns to be a repeat: column 2 is in neither list
+    with pytest.raises(ValueError, match="partition does not cover all columns"):
+        BasisPartition(3, [0], [1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,6 +183,17 @@ def test_segment_contains_and_evaluate():
     np.testing.assert_allclose(z, [0.0, 2.0, 0.0, 4.0], atol=EVAL_TOL)
     with pytest.raises(ValueError):
         evaluate_primal(seg, 0.0)
+
+
+@pytest.mark.parametrize("lo, hi, want", [
+    (1.0, 3.0, 1.0),
+    (-np.inf, 3.0, 3.0),
+    (-np.inf, np.inf, 0.0),
+])
+def test_segment_breakpoint_is_the_lower_end_else_the_upper_else_zero(lo, hi, want):
+    seg = _segment()
+    seg.lambda_lo, seg.lambda_hi = lo, hi
+    assert segment_breakpoint(seg) == want
 
 
 def test_solution_path_lookup():

@@ -1,7 +1,6 @@
 """Path engine: breakpoint selection, pivoting, terminations, certificates."""
 
 import dataclasses
-import io
 import logging
 import platform
 import tracemalloc
@@ -9,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parasimplex import engine, linalg
+from parasimplex import cli, engine, linalg
+from parasimplex import io as pio
 from parasimplex.core import (
     BasisPartition,
     ParametricProgram,
@@ -215,14 +215,6 @@ def test_stop_callback():
     assert path.termination is Termination.REACHED_TARGET
     assert path.terminal_lambda == pytest.approx(1.0, abs=BP_TOL)
     assert len(seen) >= 1
-
-
-def test_trace_stream():
-    buf = io.StringIO()
-    solve_path(_identity_dantzig(), trace=buf)
-    lines = [ln for ln in buf.getvalue().splitlines() if ln]
-    assert len(lines) == 2
-    assert all(len(ln.split("\t")) == 7 for ln in lines)
 
 
 def test_refresh_limit_one_gives_same_path(monkeypatch):
@@ -547,12 +539,24 @@ def test_stop_callback_sees_the_replayed_segment_again(monkeypatch):
     assert len(seen) > len(clean_seen)
 
 
-def test_trace_writes_a_rolled_back_pivot_once(monkeypatch):
+def test_trace_writes_a_rolled_back_pivot_once(tmp_path, capsys, caplog, monkeypatch):
     _, _, p = _regression_program()
+    src = tmp_path / "prog.json"
+    pio.save_program_json(src, p)
     _corrupt_reduced_costs(monkeypatch, at_pivot=5)
-    buf = io.StringIO()
-    path = solve_path(p, trace=buf)
-    lines = buf.getvalue().splitlines()
+    paths = []  # what the CLI's solve returned
+
+    def solve(*args, **kwargs):
+        paths.append(solve_path(*args, **kwargs))
+        return paths[-1]
+
+    monkeypatch.setattr(cli, "solve_path", solve)
+    monkeypatch.setenv("PSM_LOG", "trace")
+    caplog.set_level(logging.INFO, logger="parasimplex")
+    assert cli.main(["solve", str(src)]) == cli.EXIT_OK
+    assert "failed; refactorizing there" in caplog.text  # a pivot was rolled back
+    [path] = paths
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "\t" in ln]
     assert len(lines) == path.num_pivots
     assert all(len(ln.split("\t")) == 7 for ln in lines)
     assert [int(ln.split("\t")[0]) for ln in lines] == list(range(1, path.num_pivots + 1))
@@ -702,15 +706,11 @@ def test_degenerate_update_mid_window_closes_it_and_redoes_its_segment(monkeypat
         return checks[-1][1]
 
     monkeypatch.setattr(engine, "_post_pivot_ok", check)
-    buf = io.StringIO()
-    path = solve_path(p, trace=buf)
+    path = solve_path(p)
     _same_path(path, clean)
     assert len(calls) == clean.num_pivots + 1
     # the segments before the failed pivot were certified as one window
     assert checks[0] == (fail_at - 1, True)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == path.num_pivots
-    assert [int(ln.split("\t")[0]) for ln in lines] == list(range(1, path.num_pivots + 1))
 
 
 def test_breakpoint_vanishing_on_retry_is_numerical_failure(monkeypatch):

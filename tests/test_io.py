@@ -162,6 +162,11 @@ def test_path_json_roundtrip(tmp_path):
         assert ea.t == eb.t and ea.s_bar == eb.s_bar
     # infinities encoded as strings, not Infinity literals
     assert "Infinity" not in f.read_text()
+    # and NaN as "nan", not a NaN literal
+    path.terminal_lambda = float("nan")
+    pio.save_path_json(f, path)
+    assert '"terminal_lambda":"nan"' in f.read_text()
+    assert np.isnan(pio.load_path_json(f).terminal_lambda)
 
 
 def test_path_json_roundtrip_of_a_segment_unbounded_both_ways(tmp_path):

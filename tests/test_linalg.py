@@ -280,3 +280,16 @@ def test_split_shape_mismatch_rejected():
         BasisFactorization(np.ones((3, 2)), [-1, 0, 1])  # 2 columns, 1 slot
     with pytest.raises(ValueError):
         BasisFactorization(np.ones((3, 2)))  # not square, no slack slots
+    with pytest.raises(ValueError, match="basis columns must form a matrix"):
+        BasisFactorization(np.ones(3))
+
+
+def test_non_finite_right_hand_side_and_bad_position_rejected():
+    f = BasisFactorization(2 * np.eye(2))
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        f.solve(np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        f.solve_transpose(np.array([1.0, np.inf]))
+    for k in (5, -1):  # -1 must not wrap around to the last position
+        with pytest.raises(IndexError, match=f"column position {k} out of range"):
+            f.replace_column(k, np.ones(2))

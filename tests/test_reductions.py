@@ -1,9 +1,12 @@
 """LP constructions for the three estimators and coordinate recovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from parasimplex.core import (
+    ParametricProgram,
     PathSegment,
     ProgramKind,
     SolutionPath,
@@ -82,6 +85,10 @@ def test_recover_dantzig_infers_width_from_slacks():
     np.testing.assert_allclose(
         recover_dantzig(path, d=2).value_at(0.0), [2.0, -1.0], atol=VAL_TOL
     )
+    # an equality program's path has no slacks to infer d from
+    eq = ParametricProgram([[1.0, 1.0]], [1.0], [0.0], [-1.0, -2.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="d cannot be inferred: path has no slack info"):
+        recover_dantzig(solve_path(eq, initial_basis=[0]))
 
 
 def test_recover_complementarity_guard():
@@ -233,6 +240,9 @@ def test_sparsity_stop_agrees_with_recovered_supports():
     D = orig.value_at(path.terminal_lambda)
     flat = np.flatnonzero(np.abs(D).ravel(order="F") > SUPPORT_TOL)
     assert orig.support_at(path.terminal_lambda) == frozenset(flat.tolist()) == supports[-1]
+    # a segment open below, such as a path's only one, never stops it
+    open_below = dataclasses.replace(path.segments[-1], lambda_lo=-np.inf)
+    assert diffnet_sparsity_stop(inst, 1)(open_below) is False
 
 
 def test_diffnet_blocks_encode_the_linear_map():
