@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -176,7 +176,8 @@ class PathSegment:
     Primal support entries evaluate as ``base + lam * slope`` at the listed
     column indices (all other coordinates are zero); dual entries likewise
     give reduced costs on the nonbasic columns. The pivot into segment k > 0
-    is ``SolutionPath.events[k - 1]``.
+    is ``SolutionPath.events[k - 1]``. It holds the whole dictionary, O(n)
+    numbers; ``solve_path`` keeps most segments as ``CompactSegment``s.
     """
 
     lambda_lo: float
@@ -191,6 +192,49 @@ class PathSegment:
 
     def contains(self, lam: float) -> bool:
         return segment_contains(self, lam)
+
+    def primal_below(self, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The primal (indices, base, slope) at the columns below ``hi``."""
+        keep = self.primal_indices < hi
+        return self.primal_indices[keep], self.primal_base[keep], self.primal_slope[keep]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.primal_indices, self.primal_base, self.primal_slope,
+                                      self.dual_indices, self.dual_base, self.dual_slope))
+
+
+@dataclass(slots=True, eq=False)
+class CompactSegment:
+    """A segment after the first of a window that ``solve_path`` closed: its
+    interval and its primal entries at columns below ``n_structural``
+    (``SlackInfo.original_n``), O(k) numbers. It reads like a
+    ``PathSegment``; its six arrays are ``rebuilt(pos)``, replayed from the
+    window's first segment bit for bit (``engine._replay``), never stored.
+    """
+
+    lambda_lo: float
+    lambda_hi: float
+    n_cols: int
+    n_structural: int
+    structural: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    rebuilt: Callable[[int], Tuple[np.ndarray, ...]] = field(repr=False)
+    pos: int
+
+    (primal_indices, primal_base, primal_slope, dual_indices, dual_base, dual_slope) = (
+        property(lambda seg, k=k: seg.rebuilt(seg.pos)[k]) for k in range(6))
+    contains = PathSegment.contains
+
+    def primal_below(self, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``PathSegment.primal_below``, from the stored entries up to ``n_structural``."""
+        if hi > self.n_structural:
+            return PathSegment.primal_below(self, hi)
+        keep = self.structural[0] < hi
+        return tuple(a[keep] for a in self.structural)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self.structural)
 
 
 def segment_contains(segment, lam: float) -> bool:
@@ -272,7 +316,8 @@ class PivotEvent:
 @dataclass
 class SolutionPath:
     """The full piecewise-linear path, highest lambda first; ``events[k - 1]``
-    is the pivot from segment k - 1 into segment k."""
+    is the pivot from segment k - 1 into segment k. Reading the arrays of
+    a ``CompactSegment`` rebuilds its window; the path keeps the last one."""
 
     segments: List[PathSegment] = field(default_factory=list)
     events: List[PivotEvent] = field(default_factory=list)
@@ -289,6 +334,12 @@ class SolutionPath:
 
     def segment_at(self, lam: float) -> PathSegment:
         return segment_at(self.segments, lam)
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes its segments' arrays hold, as ``Operator.nbytes``; not
+        the caller's program, nor the last window rebuilt (a cache)."""
+        return sum(seg.nbytes for seg in self.segments)
 
     def breakpoints(self) -> List[float]:
         """Lambda values where the basis changed (each segment's lower end)."""

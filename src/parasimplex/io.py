@@ -193,16 +193,21 @@ def _fields_reader(cls) -> Callable[[Dict], object]:
 
 
 def save_path_json(path: PathLike, sol: SolutionPath) -> None:
-    doc = {
+    """One JSON object without whitespace, streamed a segment at a time, so
+    compact segments are rebuilt one window at a time."""
+    head = {
         "num_cols": sol.num_cols,
         "termination": sol.termination.value,
         "terminal_lambda": _enc_float(sol.terminal_lambda),
         "termination_detail": sol.termination_detail,
         "slack_info": None if sol.slack_info is None else _fields_doc(sol.slack_info),
-        "segments": [_segment_doc(s) for s in sol.segments],
-        "events": [_fields_doc(e) for e in sol.events],
     }
-    Path(path).write_text(json.dumps(doc, separators=(",", ":")))  # no whitespace
+    dumps = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps's own encoder
+    with open(path, "w") as f:
+        f.write(dumps(head)[:-1] + ',"segments":[')  # the head, left open
+        f.writelines(("," if k else "") + dumps(_segment_doc(s))
+                     for k, s in enumerate(sol.segments))
+        f.write('],"events":' + dumps([_fields_doc(e) for e in sol.events]) + "}")
 
 
 def load_path_json(path: PathLike) -> SolutionPath:

@@ -253,13 +253,11 @@ def build_diffnet(inst: DiffNetInstance) -> ParametricProgram:
 def _split_halves(seg: PathSegment, lo: int, w: int) -> Tuple[np.ndarray, np.ndarray]:
     """Dense (base, slope) of the split u = u_plus - u_minus held in
     columns lo : lo + 2w of ``seg``, each a 2 x w array whose rows are the
-    plus and the minus half."""
+    plus and the minus half; a compact segment gives them without a rebuild."""
     hi = lo + 2 * w
-    base = np.zeros(hi)
-    slope = np.zeros(hi)
-    keep = seg.primal_indices < hi
-    base[seg.primal_indices[keep]] = seg.primal_base[keep]
-    slope[seg.primal_indices[keep]] = seg.primal_slope[keep]
+    base, slope = np.zeros((2, hi))
+    idx, entries_base, entries_slope = seg.primal_below(hi)
+    base[idx], slope[idx] = entries_base, entries_slope
     return base[lo:].reshape(2, w), slope[lo:].reshape(2, w)
 
 

@@ -12,7 +12,9 @@ from parasimplex import cli, engine, linalg
 from parasimplex import io as pio
 from parasimplex.core import (
     BasisPartition,
+    CompactSegment,
     ParametricProgram,
+    PathSegment,
     ProgramKind,
     Termination,
     evaluate_primal,
@@ -40,7 +42,9 @@ from parasimplex.reductions import (
     DiffNetInstance,
     build_dantzig,
     build_diffnet,
+    diffnet_sparsity_stop,
     recover_dantzig,
+    recover_diffnet,
 )
 
 BP_TOL = 1e-9
@@ -973,3 +977,123 @@ def test_solve_never_forms_the_standard_form(monkeypatch):
     assert path.num_pivots == 20
     assert calls == []
     assert peak < 8 * p.m * (p.n + p.m)  # the bytes of [A | I]
+
+
+# ------------------------------------------- compact windows, rebuilt on demand
+
+_ARRAYS = ("primal_indices", "primal_base", "primal_slope",
+           "dual_indices", "dual_base", "dual_slope")
+
+
+def _long_dantzig():
+    """A Dantzig full path of 308 pivots: six closed windows and an open one."""
+    X, y, _ = gen_dantzig(DantzigGenConfig(n=50, d=150, rng_seed=1))
+    return DantzigInstance(X, y)
+
+
+def _dense_as_emitted(monkeypatch):
+    """Record the dense segments each compaction replaces, by path index."""
+    real, dense = engine._compact, {}
+
+    def compact(path, start, *args):
+        dense.update((k, seg) for k, seg in enumerate(path.segments) if k > start)
+        real(path, start, *args)
+
+    monkeypatch.setattr(engine, "_compact", compact)
+    return dense
+
+
+def _count_rebuilds(monkeypatch):
+    """Count fresh dictionaries built from here on: a replay starts with one."""
+    real, calls = engine.DictionaryState.refresh, []
+
+    def refresh(self):
+        calls.append(1)
+        real(self)
+
+    monkeypatch.setattr(engine.DictionaryState, "refresh", refresh)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["certified", "certificates-off", "redo"])
+def test_compact_segments_rebuild_as_emitted(monkeypatch, case):
+    p = build_dantzig(_long_dantzig())
+    if case == "redo":
+        sizes = _corrupt_reduced_costs(monkeypatch, at_pivot=5)
+    dense = _dense_as_emitted(monkeypatch)
+    path = solve_path(p, check_certificates=case != "certificates-off")
+    compact = [k for k, seg in enumerate(path.segments) if isinstance(seg, CompactSegment)]
+    if case == "redo":  # the first window failed at pivot 5; segment 4 was redone
+        assert sizes[0] > 4 and compact[:4] == [1, 2, 3, 5]
+    assert sorted(dense) == compact
+    assert len({id(path.segments[k].rebuilt) for k in compact}) >= 3  # windows
+    # a window's first segment stays dense, and so does the open last window
+    for k in compact:
+        before = path.segments[k - 1]
+        assert isinstance(before, PathSegment) or before.rebuilt is path.segments[k].rebuilt
+    assert isinstance(path.segments[-1], PathSegment)
+    assert all(isinstance(seg, PathSegment) for seg in path.segments[compact[-1] + 1:])
+    n0 = path.slack_info.original_n
+    for k in compact:
+        seg, was = path.segments[k], dense[k]
+        assert (seg.lambda_lo, seg.lambda_hi, seg.n_cols) == (
+            was.lambda_lo, was.lambda_hi, was.n_cols)
+        for name in _ARRAYS:
+            a, b = getattr(seg, name), getattr(was, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (k, name)
+            assert not a.flags.writeable  # shared by every reader of the window
+        for a, b in zip(seg.structural, was.primal_below(n0), strict=True):  # all it holds
+            assert a.dtype == b.dtype and np.array_equal(a, b), k
+        for hi in (n0 // 2, n0, seg.n_cols):  # stored entries, then rebuilt ones
+            for a, b in zip(seg.primal_below(hi), was.primal_below(hi), strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (k, hi)
+        np.testing.assert_array_equal(evaluate_primal(seg, seg.lambda_lo),
+                                      evaluate_primal(was, was.lambda_lo))
+
+
+def test_reading_the_segments_in_order_rebuilds_each_window_once(monkeypatch):
+    path = solve_path(build_dantzig(_long_dantzig()))
+    windows = len({id(seg.rebuilt) for seg in path.segments if isinstance(seg, CompactSegment)})
+    assert windows == 6
+    rebuilds = _count_rebuilds(monkeypatch)
+
+    def read_all():
+        for seg in path.segments:
+            for name in _ARRAYS:
+                getattr(seg, name)
+        return len(rebuilds)
+
+    assert read_all() == windows
+    path.segments.reverse()  # the last window read is still held
+    assert read_all() == 2 * windows - 1
+
+
+def test_recovery_rebuilds_no_window(monkeypatch, tmp_path):
+    inst = _long_dantzig()
+    dantzig = solve_path(build_dantzig(inst))
+    S_X, S_Y, _ = gen_diffnet(DiffNetGenConfig(d=10, n=100, sparsity=4, rng_seed=3))
+    dn = DiffNetInstance.from_covariances(S_X, S_Y)
+    diffnet = solve_path(build_diffnet(dn))
+    for path in (dantzig, diffnet):
+        assert any(isinstance(seg, CompactSegment) for seg in path.segments)
+    rebuilds = _count_rebuilds(monkeypatch)
+    orig = recover_dantzig(dantzig)
+    orig.support_at(0.0)
+    pio.save_original_path_csv(tmp_path / "theta.csv", orig)
+    recover_diffnet(diffnet, dn).support_at(diffnet.terminal_lambda)
+    stop = diffnet_sparsity_stop(dn, 1000)
+    assert not any(stop(seg) for seg in diffnet.segments)
+    assert rebuilds == []
+
+
+def test_a_path_holds_a_fraction_of_its_dense_segments():
+    path = solve_path(build_dantzig(_long_dantzig()))
+    assert path.num_pivots > 150
+    dense = sum(getattr(seg, name).nbytes for seg in path.segments for name in _ARRAYS)
+    assert path.nbytes <= 0.25 * dense
+    # an equality program keeps every segment dense
+    p, basis = _dense_equality_program()
+    eq = solve_path(p, initial_basis=basis)
+    assert eq.num_pivots > linalg.REFRESH_LIMIT
+    assert not any(isinstance(seg, CompactSegment) for seg in eq.segments)
+    assert eq.nbytes == sum(getattr(seg, name).nbytes for seg in eq.segments for name in _ARRAYS)

@@ -8,6 +8,7 @@ import pytest
 
 from parasimplex import io as pio
 from parasimplex.core import (
+    CompactSegment,
     ParametricProgram,
     PathSegment,
     ProgramKind,
@@ -195,6 +196,39 @@ def test_path_json_save_load_save_is_byte_identical(tmp_path):
     assert second.read_bytes() == first.read_bytes()
     text = first.read_text()
     assert '"inf"' in text and not any(c in text for c in " \n")
+
+
+def _whole_document(sol):
+    """The path JSON as one ``json.dumps`` of the whole document, as it was
+    written before the writer streamed it."""
+    return json.dumps({
+        "num_cols": sol.num_cols,
+        "termination": sol.termination.value,
+        "terminal_lambda": pio._enc_float(sol.terminal_lambda),
+        "termination_detail": sol.termination_detail,
+        "slack_info": None if sol.slack_info is None else pio._fields_doc(sol.slack_info),
+        "segments": [pio._segment_doc(s) for s in sol.segments],
+        "events": [pio._fields_doc(e) for e in sol.events],
+    }, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("case", ["inf-end", "no-events", "compact-windows"])
+def test_path_json_streams_the_bytes_of_the_whole_document(tmp_path, case):
+    if case == "inf-end":
+        path = solve_path(_program())
+    elif case == "no-events":
+        path = _signed_zero_paths()[0]
+    else:  # 308 pivots: six windows closed, their segments compact
+        X, y, _ = gen_dantzig(DantzigGenConfig(n=50, d=150, rng_seed=1))
+        path = solve_path(build_dantzig(DantzigInstance(X, y)))
+        assert sum(isinstance(s, CompactSegment) for s in path.segments) > 200
+    assert (case == "no-events") == (not path.events)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    pio.save_path_json(first, path)
+    assert first.read_text() == _whole_document(path)
+    assert '"lambda_hi":"inf"' in first.read_text()
+    pio.save_path_json(second, pio.load_path_json(first))
+    assert second.read_bytes() == first.read_bytes()
 
 
 # A path JSON as written while each segment kept the pivot into it
