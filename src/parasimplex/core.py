@@ -195,8 +195,9 @@ class PathSegment:
 
     def primal_below(self, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The primal (indices, base, slope) at the columns below ``hi``."""
-        keep = self.primal_indices < hi
-        return self.primal_indices[keep], self.primal_base[keep], self.primal_slope[keep]
+        idx, base, slope = self.primal_indices, self.primal_base, self.primal_slope
+        keep = (idx < hi).nonzero()[0]  # np.flatnonzero's wrapper is slower than masks
+        return idx.take(keep), base.take(keep), slope.take(keep)
 
     @property
     def nbytes(self) -> int:
@@ -206,9 +207,11 @@ class PathSegment:
 
 @dataclass(slots=True, eq=False)
 class CompactSegment:
-    """A segment after the first of a window that ``solve_path`` closed: its
+    """A segment of a <= program's path after its window's first: its
     interval and its primal entries at columns below ``n_structural``
-    (``SlackInfo.original_n``), O(k) numbers. It reads like a
+    (``SlackInfo.original_n``), O(k) numbers. ``solve_path`` stores a
+    segment this way as soon as nothing reads it dense: once its
+    certificate batch passes, or at once with certificates off. It reads like a
     ``PathSegment``; its six arrays are ``rebuilt(pos)``, replayed from the
     window's first segment bit for bit (``engine._replay``), never stored.
     """
@@ -229,8 +232,8 @@ class CompactSegment:
         """``PathSegment.primal_below``, from the stored entries up to ``n_structural``."""
         if hi > self.n_structural:
             return PathSegment.primal_below(self, hi)
-        keep = self.structural[0] < hi
-        return tuple(a[keep] for a in self.structural)
+        keep = (self.structural[0] < hi).nonzero()[0]
+        return tuple(a.take(keep) for a in self.structural)
 
     @property
     def nbytes(self) -> int:

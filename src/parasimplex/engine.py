@@ -20,8 +20,9 @@ operator that keeps the unit slack columns implicit (``to_standard_form``).
 Segments are certified in windows between refactorizations only, and all
 numerical trouble has one recovery step, described at ``solve_path``.
 
-A closed window keeps its first segment dense and the rest as
-``CompactSegment``s; ``_replay`` rebuilds their dictionaries on demand.
+A window keeps its first segment, its anchor, dense. The other segments of
+a <= program go into the path as ``CompactSegment``s as soon as nothing
+reads them dense, and ``_replay`` rebuilds their dictionaries on demand.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ RATIO_TOL = 1e-9
 CERT_TOL = 1e-7
 # Relative slack when comparing candidate breakpoints and ratio-test ties.
 BREAKPOINT_RTOL = 1e-12
-# A window is certified in batches of at most this many n-vectors, so the
-# batch's temporaries stay cache-sized on programs with many columns.
+# A window is certified in batches of max(1, CERT_BATCH_FLOATS // n) entries
+# (n columns), so a batch's stacked arrays hold at most this many floats and
+# its temporaries stay cache-sized on programs with many columns.
 CERT_BATCH_FLOATS = 1 << 18
 
 
@@ -105,8 +107,9 @@ class SolveOptions:
         lambda_target: stop once lambda_star falls to or below this value.
         max_pivots: hard cap on basis exchanges (IterationCap termination);
             None means 10x the column count of the standard-form program.
-        check_certificates: certify every segment a pivot produces, in one
-            batch per refactorization window (see ``solve_path``).
+        check_certificates: certify every segment a pivot produces, in
+            batches of ``max(1, CERT_BATCH_FLOATS // n)`` checked as they
+            fill (see ``solve_path``).
         stop_callback: called with each newly emitted segment; returning
             True ends the path early (ReachedTarget). Must be pure: it can
             see segments that a recovery replaces, then the redone ones.
@@ -505,6 +508,11 @@ def _residuals(p: ParametricProgram, lams: np.ndarray, S: np.ndarray, xS: np.nda
     return res, scale, zhat
 
 
+def _batch_size(p: ParametricProgram) -> int:
+    """The entries of one certificate batch (``CERT_BATCH_FLOATS``)."""
+    return max(1, CERT_BATCH_FLOATS // p.n)
+
+
 def _window_verdicts(p: ParametricProgram,
                      window: Sequence[Tuple[PathSegment, np.ndarray]]) -> np.ndarray:
     """A posteriori optimality check of a window of dictionaries: one bool
@@ -521,7 +529,7 @@ def _window_verdicts(p: ParametricProgram,
     once, basic entries then nonbasic ones, for one product with A' and one
     with the structural basic columns.
     """
-    step = max(1, CERT_BATCH_FLOATS // p.n)
+    step = _batch_size(p)
     if len(window) > step:
         return np.concatenate([_window_verdicts(p, window[i:i + step])
                                for i in range(0, len(window), step)])
@@ -597,25 +605,21 @@ def _replay(program: ParametricProgram, anchor: PathSegment,
              vals[w, 2, m:]) for w in range(W)]
 
 
-def _compact(path: SolutionPath, start: int, program: ParametricProgram, cache: list) -> None:
-    """Replace the segments after ``path.segments[start]``, a closed window's
-    anchor (there must be some), by ``CompactSegment``s that ``_replay``
-    from it. ``cache``, shared by a path's windows, holds the last one.
-    Entries are selected segment by segment: stacking the window first
-    raised the heap's high-water mark by 1.2 MB at m = 3200."""
-    segs = path.segments[start + 1:]
-    anchor, events = path.segments[start], tuple(path.events[start:start + len(segs)])
+def _rebuilder(program: ParametricProgram, anchor: PathSegment, events: List[PivotEvent],
+               cache: list) -> Callable[[int], Tuple[np.ndarray, ...]]:
+    """``CompactSegment.rebuilt`` for the window from ``anchor``: dictionary
+    ``pos`` after it, ``_replay``ed over ``events``, the pivots into the
+    window's compact segments. ``cache``, shared by a path's windows, holds
+    the last one. The closure holds no reference to the path, so a path is
+    freed by reference counting alone."""
 
     def rebuilt(pos: int) -> Tuple[np.ndarray, ...]:
         if cache[0] is not anchor:
             cache[:] = None, None  # free the last window before this one
-            cache[:] = anchor, _replay(program, anchor, events)
+            cache[:] = anchor, _replay(program, anchor, tuple(events))
         return cache[1][pos]
 
-    n0 = path.slack_info.original_n
-    path.segments[start + 1:] = [
-        CompactSegment(s.lambda_lo, s.lambda_hi, s.n_cols, n0, s.primal_below(n0), rebuilt, pos)
-        for pos, s in enumerate(segs)]
+    return rebuilt
 
 
 # Pivot failures that end a path, and the status each one reports.
@@ -634,18 +638,24 @@ def solve_path(
     """Follow the optimal-basis path of ``p`` from large lambda downward.
 
     The factorization is rebuilt from the basis columns every
-    ``linalg.REFRESH_LIMIT`` updates. With certificates on, every segment a
-    pivot produces is certified before it is returned: those since the last
-    rebuild are checked in one batch at the next one and where the path
-    ends, however it ends (``_post_pivot_ok``).
+    ``linalg.REFRESH_LIMIT`` updates; the segments since the last rebuild
+    form a window. With certificates on, every segment a pivot produces is
+    certified before it is returned: a window's segments are checked in
+    batches of ``_batch_size`` entries, each as it fills, and the rest at
+    the next rebuild and where the path ends, however it ends
+    (``_post_pivot_ok``). A segment of a <= program stays dense only while
+    something reads it so: the window's first segment (its anchor) for
+    good, the stop callback during its call, and its batch until it passes.
+    The rest go into the path as ``CompactSegment``s.
 
     Numerical trouble has one recovery step: refactorize at segment k,
     dropping the segments and pivots from k on, and emit k again from the
-    fresh factorization. A failed window redoes the segment before its
-    first failing dictionary, the last one certified; the window's
-    ``_window_verdicts`` name that dictionary. A degenerate update, once the
-    window up to it certifies, redoes its own segment. A second failure at
-    the same segment ends the path.
+    fresh factorization. k's partition is the anchor's with the window's
+    pivots applied, so nothing is replayed. A failed batch redoes the
+    segment before its first failing dictionary, the last one certified; the
+    batch's ``_window_verdicts`` name that dictionary. A degenerate update,
+    once the window up to it certifies, redoes its own segment. A second
+    failure at the same segment ends the path.
 
     Args:
         p: the parametric program. <= programs are solved as their
@@ -692,9 +702,11 @@ def solve_path(
     # For Dantzig the first breakpoint is ||X'y||_inf, the scale of lambda.
     first = state.lambda_lo
     zero_tol = FEAS_TOL * (1.0 + (abs(first) if np.isfinite(first) else 0.0))
-    # The window: path.segments[start:], from a fresh factorization on.
-    start, duals = 0, []
-    replayed = [None, None]  # the last window rebuilt (_compact)
+    # The window: path.segments[start:], from a fresh factorization on. Its
+    # segments after the first wait in ``batch`` (with their duals) to be
+    # certified, then go into the path compact.
+    start, batch, step = 0, [], _batch_size(std)
+    replayed = [None, None]  # the last window rebuilt (_rebuilder)
     # The segment last redone, and its breakpoint before the redo.
     retried, was = -1, 0.0
     priced = state.lambda_lo, state.tight  # the first dictionary's breakpoint
@@ -709,6 +721,11 @@ def solve_path(
         # segment k's upper end is segment k - 1's lower end
         seg = state.segment(lam_star, path.segments[-1].lambda_lo if k else state.lambda_hi)
         path.segments.append(seg)
+        if k == start:
+            record: List[PivotEvent] = []  # the pivots into the window's compact segments
+            rebuilt = _rebuilder(std, seg, record, replayed)
+        elif opts.check_certificates:  # checked at its upper end, where its pivot left it
+            batch.append((seg, state.duals(seg.lambda_hi)))
         nonpositive = lam_star <= zero_tol
 
         reached = lam_star <= opts.lambda_target and (
@@ -731,28 +748,24 @@ def solve_path(
             end = (Termination.ITERATION_CAP, lam_star, "")
         else:
             try:
-                event = _pivot_at(state, tight, lam_star)
+                path.events.append(_pivot_at(state, tight, lam_star))
             except UpdateDegenerate as exc:
                 redo, failed = k, f"degenerate update on retry: {exc}"
             except tuple(_FAILURE_STATUS) as exc:
                 end = (_FAILURE_STATUS[type(exc)], lam_star, str(exc))
-            else:
-                path.events.append(event)
-                if opts.check_certificates:
-                    duals.append(state.duals(lam_star))
         refresh = not (end or failed) and (
             state.fact.updates_since_refactor >= linalg.REFRESH_LIMIT)
 
-        if opts.check_certificates and (end or refresh or failed):
+        checked = opts.check_certificates and bool(end or refresh or failed or len(batch) == step)
+        if checked:
             # the segment of the last pivot is not emitted before a refresh
-            window = list(zip(path.segments[start + 1:], duals))
-            if refresh:
-                window.append(state.entry(lam_star))
+            window = batch + [state.entry(lam_star)] if refresh else batch
             if window and not _post_pivot_ok(state.program, window):
                 w = int(np.argmin(_window_verdicts(state.program, window)))  # the first bad one
-                redo, refresh = start + w, False
+                redo, refresh = k - len(batch) + w, False
                 failed = ("certificate still failing after refactorization "
                           f"at lambda*={path.segments[redo].lambda_lo:.6g}")
+            batch = []
         if redo is not None:
             head = path.segments[redo]
             del path.segments[redo + 1:], path.events[redo:]
@@ -760,9 +773,12 @@ def solve_path(
                 end, redo = (Termination.NUMERICAL_FAILURE, head.lambda_lo, failed), None
             else:
                 logger.info("pivot at lambda*=%.9g failed; refactorizing there", head.lambda_lo)
-                retried, was = redo, head.lambda_lo
-                state.partition = BasisPartition(
-                    std.n, head.primal_indices.copy(), head.dual_indices.copy())
+                retried, was, end = redo, head.lambda_lo, None
+                anchor = path.segments[start]
+                state.partition = part = BasisPartition(
+                    std.n, anchor.primal_indices.copy(), anchor.dual_indices.copy())
+                for ev in path.events[start:redo]:
+                    part.swap(part.position(ev.leaving), part.position(ev.entering))
         if redo is not None or refresh:
             try:
                 state.refresh()
@@ -775,13 +791,18 @@ def solve_path(
             else:
                 if redo is not None:
                     path.segments.pop()  # emitted again from the fresh factorization
-                if slack_info is not None and len(path.segments) > start + 1:
-                    _compact(path, start, std, replayed)  # closed, and certified if checked
-                start, duals = len(path.segments), []
-                if redo is not None:
-                    continue
+        if slack_info is not None and (checked or not opts.check_certificates):
+            # nothing reads the window's dense segments after its anchor any more
+            done, n0 = start + 1 + len(record), slack_info.original_n
+            record[:] = path.events[start:len(path.segments) - 1]  # a redo may drop one
+            path.segments[done:] = [
+                CompactSegment(s.lambda_lo, s.lambda_hi, s.n_cols, n0, s.primal_below(n0),
+                               rebuilt, pos)
+                for pos, s in enumerate(path.segments[done:], done - start - 1)]
         if end:
             path.termination, path.terminal_lambda, path.termination_detail = end
             break
+        if redo is not None or refresh:
+            start = len(path.segments)
 
     return path

@@ -1,9 +1,12 @@
 """Path engine: breakpoint selection, pivoting, terminations, certificates."""
 
 import dataclasses
+import gc
+import itertools
 import logging
 import platform
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from parasimplex.experiments import (
 from parasimplex.operators import WithSlacks
 from parasimplex.oracle import random_less_equal
 from parasimplex.reductions import (
+    SUPPORT_TOL,
     DantzigInstance,
     DiffNetInstance,
     build_dantzig,
@@ -479,9 +483,11 @@ def test_corrupted_window_rolls_back_to_the_clean_path(monkeypatch, batch):
     sizes = _corrupt_reduced_costs(monkeypatch, at_pivot=5)
     path = solve_path(p)
     _same_path(path, clean)
-    # the first window failed at entry 4, the dictionary of pivot 5; the
-    # segment before it was redone, so the entries from there on were checked again
-    assert sizes[0] > 1 and sum(sizes) == clean.num_pivots + sizes[0] - 4
+    # the check holding the first window's entry 4, the dictionary of pivot 5,
+    # failed; the segment before it was redone, so the entries from there on
+    # were checked again (batches are checked as they fill)
+    upto = next(n for n in itertools.accumulate(sizes) if n > 4)
+    assert sizes[0] > 1 and sum(sizes) == clean.num_pivots + upto - 4
     theta = recover_dantzig(path).value_at(0.0)
     np.testing.assert_allclose(theta, recover_dantzig(clean).value_at(0.0), atol=1e-9)
 
@@ -986,21 +992,24 @@ _ARRAYS = ("primal_indices", "primal_base", "primal_slope",
 
 
 def _long_dantzig():
-    """A Dantzig full path of 308 pivots: six closed windows and an open one."""
+    """A Dantzig full path of 308 pivots: six windows closed by a refresh,
+    then the last."""
     X, y, _ = gen_dantzig(DantzigGenConfig(n=50, d=150, rng_seed=1))
     return DantzigInstance(X, y)
 
 
-def _dense_as_emitted(monkeypatch):
-    """Record the dense segments each compaction replaces, by path index."""
-    real, dense = engine._compact, {}
+def _dense_as_emitted(monkeypatch, p, **kwargs):
+    """Solve p, recording each dense segment as the solve makes it compact
+    (``primal_below`` selects the entries it keeps), in that order."""
+    real, dense = PathSegment.primal_below, []
 
-    def compact(path, start, *args):
-        dense.update((k, seg) for k, seg in enumerate(path.segments) if k > start)
-        real(path, start, *args)
+    def primal_below(self, hi):
+        dense.append(self)
+        return real(self, hi)
 
-    monkeypatch.setattr(engine, "_compact", compact)
-    return dense
+    with monkeypatch.context() as patch:
+        patch.setattr(PathSegment, "primal_below", primal_below)
+        return solve_path(p, **kwargs), dense
 
 
 def _count_rebuilds(monkeypatch):
@@ -1020,19 +1029,22 @@ def test_compact_segments_rebuild_as_emitted(monkeypatch, case):
     p = build_dantzig(_long_dantzig())
     if case == "redo":
         sizes = _corrupt_reduced_costs(monkeypatch, at_pivot=5)
-    dense = _dense_as_emitted(monkeypatch)
-    path = solve_path(p, check_certificates=case != "certificates-off")
+    path, emitted = _dense_as_emitted(monkeypatch, p,
+                                      check_certificates=case != "certificates-off")
     compact = [k for k, seg in enumerate(path.segments) if isinstance(seg, CompactSegment)]
     if case == "redo":  # the first window failed at pivot 5; segment 4 was redone
         assert sizes[0] > 4 and compact[:4] == [1, 2, 3, 5]
-    assert sorted(dense) == compact
-    assert len({id(path.segments[k].rebuilt) for k in compact}) >= 3  # windows
-    # a window's first segment stays dense, and so does the open last window
+    # each window is one batch here, so nothing compact was dropped by the redo
+    assert len(emitted) == len(compact)
+    dense = dict(zip(compact, emitted))
+    windows = len({id(path.segments[k].rebuilt) for k in compact})
+    assert windows >= 3
+    # only each window's first segment stays dense, in the last window too
     for k in compact:
         before = path.segments[k - 1]
         assert isinstance(before, PathSegment) or before.rebuilt is path.segments[k].rebuilt
-    assert isinstance(path.segments[-1], PathSegment)
-    assert all(isinstance(seg, PathSegment) for seg in path.segments[compact[-1] + 1:])
+    assert isinstance(path.segments[-1], CompactSegment)
+    assert sum(isinstance(seg, PathSegment) for seg in path.segments) == windows
     n0 = path.slack_info.original_n
     for k in compact:
         seg, was = path.segments[k], dense[k]
@@ -1054,7 +1066,7 @@ def test_compact_segments_rebuild_as_emitted(monkeypatch, case):
 def test_reading_the_segments_in_order_rebuilds_each_window_once(monkeypatch):
     path = solve_path(build_dantzig(_long_dantzig()))
     windows = len({id(seg.rebuilt) for seg in path.segments if isinstance(seg, CompactSegment)})
-    assert windows == 6
+    assert windows == 7  # six closed by a refresh, and the last
     rebuilds = _count_rebuilds(monkeypatch)
 
     def read_all():
@@ -1097,3 +1109,87 @@ def test_a_path_holds_a_fraction_of_its_dense_segments():
     assert eq.num_pivots > linalg.REFRESH_LIMIT
     assert not any(isinstance(seg, CompactSegment) for seg in eq.segments)
     assert eq.nbytes == sum(getattr(seg, name).nbytes for seg in eq.segments for name in _ARRAYS)
+
+
+@pytest.mark.parametrize("certify", [True, False], ids=["certified", "certificates-off"])
+def test_a_solved_path_is_freed_by_reference_counting(certify):
+    # a replay closure that held the path would make a cycle, and each
+    # path's rebuilt window would wait for the cyclic collector
+    p = build_dantzig(_long_dantzig())
+    gc.disable()
+    try:
+        path = solve_path(p, check_certificates=certify)
+        compact = [seg for seg in path.segments if isinstance(seg, CompactSegment)]
+        assert len({id(seg.rebuilt) for seg in compact}) >= 2
+        assert compact[0].dual_base.size  # the path's rebuilt window is now held
+        alive = weakref.ref(path)
+        del path, compact
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_a_sparsity_stopped_diffnet_solve_holds_no_dense_window():
+    # perfbench's diffnet-sparsity shape: m = 3200, 48 pivots, no refresh, so
+    # every segment is in one window; dense, they alone took 7.5 MB
+    S_X, S_Y, delta0 = gen_diffnet(DiffNetGenConfig(d=40, n=100, sparsity=4),
+                                   rng=np.random.default_rng([1, 0]))
+    inst = DiffNetInstance.from_covariances(S_X, S_Y)
+    p = build_diffnet(inst)
+    stop = diffnet_sparsity_stop(inst, int(np.count_nonzero(np.abs(delta0) > SUPPORT_TOL)))
+    tracemalloc.start()
+    try:
+        path = solve_path(p, check_certificates=False, stop_callback=stop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.termination is Termination.REACHED_TARGET
+    assert path.num_pivots > 40 and path.nbytes < 0.3e6
+    assert peak <= 3e6
+
+
+def _refreshes(monkeypatch):
+    """Record each ``DictionaryState.refresh``: the state and its basis."""
+    real, calls = engine.DictionaryState.refresh, []
+
+    def refresh(self):
+        calls.append((self, self.partition.basic.copy()))
+        real(self)
+
+    monkeypatch.setattr(engine.DictionaryState, "refresh", refresh)
+    return calls
+
+
+def test_batches_are_certified_as_they_fill(monkeypatch):
+    _, _, p = _regression_program()
+    clean = solve_path(p)
+
+    def corrupted(at_pivot):
+        with monkeypatch.context() as patch:
+            sizes = _corrupt_reduced_costs(patch, at_pivot)
+            refreshes = _refreshes(patch)
+            return solve_path(p), sizes, refreshes
+
+    _, _, whole = corrupted(at_pivot=9)  # each window in one batch
+    monkeypatch.setattr(engine, "CERT_BATCH_FLOATS", 4 * (p.n + p.m))
+    with monkeypatch.context() as patch:
+        sizes = _corrupt_reduced_costs(patch, at_pivot=10 ** 6)  # counts the checks
+        batched = solve_path(p)
+    # four entries a check, and a refresh's check adds the dictionary it refreshes
+    assert sizes[:12] == [4] * 12 and max(sizes) <= 4 + 1
+    assert batched.events == clean.events
+    for a, b in zip(batched.segments, clean.segments, strict=True):
+        assert (a.lambda_lo, a.lambda_hi) == (b.lambda_lo, b.lambda_hi)
+        for name in _ARRAYS:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    # pivot 9's dictionary is the first entry of the third batch, so the
+    # segment redone, 8, was already compact: its basis comes from the
+    # window's first segment and its pivots, with no replay
+    path, sizes, refreshes = corrupted(at_pivot=9)
+    _same_path(path, clean)
+    assert sizes[:3] == [4] * 3
+    assert len({id(state) for state, _ in refreshes}) == 1  # the solve's own
+    assert len(refreshes) == len(whole)
+    for (_, basis), (_, again) in zip(refreshes, whole):
+        assert np.array_equal(basis, again)
+    assert np.array_equal(refreshes[1][1], clean.segments[8].primal_indices)
