@@ -140,16 +140,16 @@ class BasisPartition:
         self._pos = np.full(n, -1, dtype=np.intp)
         self._pos[self.basic] = np.arange(len(self.basic))
         self._pos[self.nonbasic] = np.arange(len(self.nonbasic))
-        if np.any(self._pos < 0):  # n columns in range miss one only by repeats
+        if (self._pos < 0).any():  # n columns in range miss one only by repeats
             raise ValueError("duplicate column index in partition")
 
     @classmethod
     def from_basic(cls, n: int, basic) -> "BasisPartition":
         basic = np.sort(np.asarray(basic, dtype=np.intp))
         mask = np.ones(n, dtype=bool)
-        lo, hi = np.searchsorted(basic, (0, n))
+        lo, hi = basic.searchsorted((0, n))
         mask[basic[lo:hi]] = False  # the columns in range; __init__ rejects the rest
-        return cls(n, basic, np.flatnonzero(mask))
+        return cls(n, basic, mask.nonzero()[0])
 
     def position(self, j: int) -> int:
         """Index of column j within its own list (basic or nonbasic)."""

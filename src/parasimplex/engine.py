@@ -225,8 +225,8 @@ def initialize(p: ParametricProgram, basic: Sequence[int]) -> DictionaryState:
         (state.zN_base, state.zN_pert, "reduced cost"),
     ):
         dead = (np.abs(pert) <= RATIO_TOL) & (base < -FEAS_TOL)
-        if np.any(dead):
-            k = int(np.flatnonzero(dead)[0])
+        if dead.any():
+            k = int(dead.argmax())  # the first dead slot
             raise InfeasibleAtLargeLambda(f"{what} at slot {k} is negative ({base[k]:.3e}) "
                                           "with no perturbation to repair it")
 
@@ -257,10 +257,9 @@ def compute_lambda_star(
         (state.zN_base, state.zN_pert, state.partition.nonbasic, False),
         (state.xB_base, state.xB_pert, state.partition.basic, True),
     ):
-        mask = pert > RATIO_TOL
-        if not np.any(mask):
+        idx = (pert > RATIO_TOL).nonzero()[0]
+        if not idx.size:
             continue
-        idx = np.flatnonzero(mask)
         top, pos = _largest_ratio(-base[idx] / pert[idx], idx, cols)
         # the nonbasic family is scanned first, so it keeps cross-family ties
         if top > best_lam + BREAKPOINT_RTOL * (1.0 + abs(top)):
@@ -277,9 +276,9 @@ def compute_lambda_max(state: DictionaryState) -> float:
         (state.zN_base, state.zN_pert),
         (state.xB_base, state.xB_pert),
     ):
-        mask = pert < -RATIO_TOL
-        if np.any(mask):
-            best = min(best, float((-base[mask] / pert[mask]).min()))
+        idx = (pert < -RATIO_TOL).nonzero()[0]
+        if idx.size:
+            best = min(best, float((-base[idx] / pert[idx]).min()))
     return best
 
 
@@ -290,8 +289,8 @@ def _largest_ratio(
     position it belongs to; ratios within BREAKPOINT_RTOL of it tie, and
     ties go to the smallest column index ``cols[pos]``."""
     top = float(ratios.max())
-    tie = idx[ratios >= top - BREAKPOINT_RTOL * (1.0 + abs(top))]
-    return top, int(tie[np.argmin(cols[tie])])
+    tie = idx[(ratios >= top - BREAKPOINT_RTOL * (1.0 + abs(top))).nonzero()[0]]
+    return top, int(tie[cols[tie].argmin()])
 
 
 def _ratio_pick(
@@ -303,22 +302,21 @@ def _ratio_pick(
     count as an infinite ratio and win outright. Ties break toward the
     smallest column index. Returns None when no delta exceeds RATIO_TOL.
     """
-    cand = np.flatnonzero(deltas > RATIO_TOL)
+    cand = (deltas > RATIO_TOL).nonzero()[0]
     if cand.size == 0:
         return None
     vals = values_at_lam[cand]
-    degenerate = cand[vals < FEAS_TOL]
+    degenerate = cand[(vals < FEAS_TOL).nonzero()[0]]
     if degenerate.size:
-        return int(degenerate[np.argmin(cols[degenerate])])
+        return int(degenerate[cols[degenerate].argmin()])
     return _largest_ratio(deltas[cand] / vals, cand, cols)[1]
 
 
 def _delta_z(state: DictionaryState, basic_pos: int) -> Tuple[np.ndarray, np.ndarray]:
     """Row of the dictionary matrix: Delta z_N for leaving basic position,
-    and the v = B^{-T} e_r it comes from."""
-    e = np.zeros(state.program.m)
-    e[basic_pos] = 1.0
-    v = state.fact.solve_transpose(e)
+    and the v = B^{-T} e_r it comes from. The BTRAN is handed r itself, so
+    its update term is row r of the chain's P, read, not multiplied."""
+    v = state.fact.solve_transpose(basic_pos)
     return -state.program.A.rmatvec(v)[state.partition.nonbasic], v
 
 
@@ -484,10 +482,10 @@ def _residuals(p: ParametricProgram, lams: np.ndarray, S: np.ndarray, xS: np.nda
     zhat = np.subtract(p.A.rmatvec(Y.T).T, cost, order="C")
     flat, x = S.ravel(), xS.ravel()
     rows = p.A.unit_rows(flat)
-    f = np.flatnonzero(rows < 0)
-    U = np.flatnonzero(np.bincount(flat[f], minlength=p.n))
+    f = (rows < 0).nonzero()[0]
+    U = np.bincount(flat[f], minlength=p.n).nonzero()[0]
     xU = np.zeros((len(U), W))  # x of certificate w in column w
-    xU[np.searchsorted(U, flat[f]), f // s] = x[f]
+    xU[U.searchsorted(flat[f]), f // s] = x[f]
     rows[f] = m  # structural entries go to a spare row m, unit ones to their own row
     rows.reshape(W, s)[...] += np.arange(0, W * (m + 1), m + 1)[:, None]  # m + 1 bins each
     ax = np.bincount(rows, x, W * (m + 1)).reshape(W, m + 1)[:, :m]

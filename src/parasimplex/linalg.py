@@ -31,7 +31,10 @@ to P and one row to F. Then
 
 where E_K scatters onto the positions K, which may repeat. Both equal the
 sequential Sherman-Morrison chain, and each adds to the base solve one GEMV
-with P and one r x r triangular solve, whatever r is. The core LU is solved
+with P and one r x r triangular solve, whatever r is. The BTRAN of a unit
+vector e_k, a pivot's row, skips the GEMV: P' e_k is row k of P, read as
+is (Hall & McKinnon, "Hyper-sparsity in the revised simplex method and how
+to exploit it", 2005, on unit right-hand sides). The core LU is solved
 by LAPACK ``getrs`` called directly, after one finiteness test of the
 right-hand side.
 
@@ -48,7 +51,7 @@ column object.
 from __future__ import annotations
 
 import warnings
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import lu_factor
@@ -90,9 +93,9 @@ class BasisFactorization:
         is_slack = slack_rows >= 0
         if slack_rows.shape != (m,) or m - int(is_slack.sum()) != k:
             raise ValueError(f"{k} structural columns do not fill {m} basis slots")
-        self._slack_pos = np.flatnonzero(is_slack)
-        self._struct_pos = np.flatnonzero(~is_slack)
-        self._rows = slack_rows[is_slack]
+        self._slack_pos = is_slack.nonzero()[0]
+        self._struct_pos = (~is_slack).nonzero()[0]
+        self._rows = slack_rows[self._slack_pos]
         self.m = m
         covered = np.zeros(m, dtype=bool)
         covered[self._rows] = True
@@ -101,13 +104,13 @@ class BasisFactorization:
         self._core_rows, self._cols_r, self.norm_inf = self._struct_pos, cols, float(m > 0)
         self._lu: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if k:
-            self._core_rows = np.flatnonzero(~covered)
-            self._cols_r = cols[self._rows]
+            self._core_rows = (~covered).nonzero()[0]
+            self._cols_r = cols.take(self._rows, axis=0)
             row_abs = np.abs(cols).sum(axis=1)
             row_abs[self._rows] += 1.0
             self.norm_inf = float(row_abs.max())
             # Fortran order lets lu_factor overwrite the gathered core in place.
-            core = np.asfortranarray(cols[self._core_rows])
+            core = np.asfortranarray(cols.take(self._core_rows, axis=0))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
                 self._lu = lu_factor(core, overwrite_a=True)
@@ -167,12 +170,16 @@ class BasisFactorization:
         self._last_solve = (v, w)
         return w
 
-    def solve_transpose(self, v: np.ndarray) -> np.ndarray:
-        """Return ``B^{-T} v`` for the current basis."""
-        w = np.array(v, dtype=float, copy=True)
+    def solve_transpose(self, v: Union[int, np.ndarray]) -> np.ndarray:
+        """Return ``B^{-T} v`` for the current basis; an int k stands for
+        the unit vector e_k, whose ``P' e_k`` is row k of P, read as is."""
+        unit = isinstance(v, (int, np.integer))
+        w = np.zeros(self.m) if unit else np.array(v, dtype=float, copy=True)
+        if unit:
+            w[v] = 1.0
         K, P, F = self._in_use
         if len(K):
-            np.subtract.at(w, K, dtrtrs(F, np.dot(w, P), 1, 1)[0])
+            np.subtract.at(w, K, dtrtrs(F, P[v] if unit else np.dot(w, P), 1, 1)[0])
         return self._base_solve_transpose(w)
 
     def replace_column(self, k: int, a_new: np.ndarray) -> float:

@@ -48,7 +48,7 @@ def _finite(M, name: str) -> np.ndarray:
 def _sparse_support(y: np.ndarray):
     """The rows where y (a vector or a block) is nonzero, or None when they
     are too many for a gather to pay."""
-    rows = np.flatnonzero(y if y.ndim == 1 else y.any(axis=1))
+    rows = (y if y.ndim == 1 else y.any(axis=1)).nonzero()[0]
     return None if rows.size > SPARSE_ROWS_FRAC * len(y) else rows
 
 

@@ -120,6 +120,35 @@ def test_lambda_star_within_family_tie_prefers_small_column():
     assert tight.column == 0
 
 
+def _pick(deltas, values, cols):
+    return engine._ratio_pick(np.array(deltas, dtype=float), np.array(values, dtype=float),
+                              np.array(cols, dtype=np.intp))
+
+
+def test_ratio_pick_degenerate_candidates_win_with_the_smallest_column():
+    # positions 1 and 3 are degenerate; position 0's ratio of 1e8 still loses,
+    # and of the degenerate pair the smaller column (2, at position 3) wins
+    assert _pick([100.0, 5.0, 3.0, 2.0], [1e-6, 0.0, 2.0, 1e-12], [0, 4, 1, 2]) == 3
+
+
+def test_ratio_pick_tiny_negative_value_counts_as_degenerate():
+    assert _pick([1.0, 50.0], [-1e-15, 1.0], [3, 1]) == 0
+
+
+def test_ratio_pick_near_ties_go_to_the_smallest_column():
+    # ratios 2 and 2 + 1e-13 tie within BREAKPOINT_RTOL; the smaller column wins
+    # over the larger ratio, and position 2's smaller ratio never enters
+    assert _pick([2.0, 2.0 + 1e-13, 1.0], [1.0, 1.0, 1.0], [3, 5, 0]) == 0
+    # 1e-9 apart they do not tie, so the larger ratio wins
+    assert _pick([2.0, 2.0 + 1e-9, 1.0], [1.0, 1.0, 1.0], [3, 5, 0]) == 1
+
+
+def test_ratio_pick_needs_a_delta_above_ratio_tol():
+    assert _pick([engine.RATIO_TOL, -1.0, 0.0], [1.0, 0.0, 2.0], [0, 1, 2]) is None
+    # a degenerate entry whose delta is too small is no candidate either
+    assert _pick([0.1 * engine.RATIO_TOL, 1.0], [0.0, 1.0], [0, 1]) == 1
+
+
 def _identity_dantzig(y=(3.0, 1.0)):
     return build_dantzig(DantzigInstance(np.eye(len(y)), np.array(y)))
 

@@ -206,6 +206,48 @@ def test_split_base_transpose_is_exactly_zero_off_support():
         np.flatnonzero(~np.isin(np.arange(8), slack_rows)))
 
 
+def test_unit_transpose_solve_reads_the_row_of_the_chain_bit_for_bit():
+    # position p keeps row rows[p] on its diagonal: slack positions hold
+    # e_rows[p], and every column entering p, a slack or a structural one, is
+    # built around the same row, so each basis along the chain stays well
+    # conditioned. Positions repeat and the chain runs past REFRESH_LIMIT.
+    rng = np.random.default_rng(31)
+    m = 8
+    rows = rng.permutation(m)
+    slack_rows = np.where(np.arange(m) < 5, rows, -1)
+    struct = np.flatnonzero(slack_rows < 0)
+
+    def column(p, slack):
+        a = np.zeros(m) if slack else 0.3 * rng.standard_normal(m)
+        a[rows[p]] += 1.0 if slack else 3.0
+        return a
+
+    cols = np.column_stack([column(p, False) for p in struct])
+    f = BasisFactorization(cols, slack_rows)
+    M = _assemble(cols, slack_rows)
+    chain = []
+    for step in range(REFRESH_LIMIT + 10 + 1):
+        if step:
+            p = int(rng.integers(m))
+            a = column(p, slack=step % 3 == 0)  # slack swaps among the updates
+            f.replace_column(p, a)
+            M[:, p] = a
+            chain.append(p)
+        if step % 5:
+            continue
+        # rows a unit right-hand side can reach: the base's core rows, and
+        # the slack rows of e_k's position and of the chain's positions
+        core = set(range(m)) - set(slack_rows[slack_rows >= 0].tolist())
+        for k in range(m):
+            y = f.solve_transpose(k)
+            np.testing.assert_array_equal(y, f.solve_transpose(np.eye(m)[k]))
+            np.testing.assert_allclose(y, np.linalg.solve(M.T, np.eye(m)[k]),
+                                       rtol=0, atol=SOLVE_TOL)
+            reach = core | {int(slack_rows[p]) for p in [k] + chain if slack_rows[p] >= 0}
+            assert set(np.flatnonzero(y).tolist()) <= reach
+    assert f.updates_since_refactor == REFRESH_LIMIT + 10  # _grow ran
+
+
 def test_split_base_chain_with_slack_swaps_matches_dense():
     rng = np.random.default_rng(21)
     m = 6
