@@ -161,7 +161,9 @@ class DictionaryState:
         if len(partition.basic) != program.m:
             raise ValueError(f"basis size {len(partition.basic)} != row count {program.m}")
         self.partition = partition
-        # refresh() sets fact, xB_base/pert, zN_base/pert and y_base/pert
+        # refresh() sets fact, xB_base/pert, zN_base/pert and y_base/pert;
+        # pivots move y only while _duals_kept (cleared where nothing reads y)
+        self._duals_kept = True
         self.lambda_lo, self.lambda_hi = float("-inf"), float("inf")
         self.tight: Optional[TightConstraint] = None
         self.refresh()
@@ -188,7 +190,9 @@ class DictionaryState:
         return y, self.program.A.rmatvec(y)[N] - c[N]
 
     def duals(self, lam: float) -> np.ndarray:
-        """The duals y(lam) = y_base + lam * y_pert, as a new array."""
+        """The duals y(lam) = y_base + lam * y_pert, as a new array. Current
+        after pivots only in a state that keeps its duals: one from
+        ``initialize``, or a ``solve_path`` with certificates on."""
         return self.y_base + lam * self.y_pert
 
     def entry(self, lam: float) -> Tuple[PathSegment, np.ndarray]:
@@ -339,7 +343,8 @@ def _exchange(
     vectors are updated in place and the swapped slots receive the step
     lengths themselves (the leaving variable's new reduced cost is (s, s_bar),
     the entering variable's new basic value is (t, t_bar)). The duals move
-    with the reduced costs, y += s v (Vanderbei, ch. 6).
+    with the reduced costs, y += s v (Vanderbei, ch. 6), where the state keeps
+    them. A zero s_bar moves neither z~_N nor y~.
     """
     part = state.partition
     i = int(part.basic[kB])
@@ -362,10 +367,13 @@ def _exchange(
     state.xB_pert[kB] = t_bar
     state.zN_base -= s * dzN
     state.zN_base[kN] = s
-    state.zN_pert -= s_bar * dzN
+    if s_bar:  # zero whenever c_bar is, as on every sup-norm program
+        state.zN_pert -= s_bar * dzN
     state.zN_pert[kN] = s_bar
-    state.y_base += s * v
-    state.y_pert += s_bar * v
+    if state._duals_kept:
+        state.y_base += s * v
+        if s_bar:
+            state.y_pert += s_bar * v
 
     part.swap(kB, kN)
     return PivotEvent(
@@ -586,6 +594,7 @@ def _replay(program: ParametricProgram, anchor: PathSegment,
     windows at once leaves no mark on the heap ``_keep_freed_heap`` keeps."""
     state = DictionaryState(program, BasisPartition(
         program.n, anchor.primal_indices.copy(), anchor.dual_indices.copy()))
+    state._duals_kept = False
     W, n, m = len(events), program.n, program.m
     vals = np.frombuffer(mmap.mmap(-1, 3 * W * n * 8)).reshape(W, 3, n)
     idx = vals[:, 0].view(np.intp)  # per dictionary: indices, base, slope
@@ -695,6 +704,7 @@ def solve_path(
     std, slack_info = to_standard_form(p)
     # the slack basis unless told otherwise
     state = initialize(std, np.arange(p.n, std.n) if initial_basis is None else initial_basis)
+    state._duals_kept = opts.check_certificates  # only certificates read y
     max_pivots = opts.max_pivots if opts.max_pivots is not None else 10 * std.n
     path = SolutionPath(num_cols=std.n, slack_info=slack_info)
     # For Dantzig the first breakpoint is ||X'y||_inf, the scale of lambda.

@@ -13,6 +13,8 @@ Each solve costs O(mk + k^2), against O(m^2) for an LU of the whole m x m
 basis. The base BTRAN copies y_R from the slack entries of w, so rows whose
 slack slot has a zero right-hand side come out exactly zero. A basis with no
 slack slots (``BasisFactorization(B)``) is the k = m case of the same code.
+An all-slack base (k = 0, the slack start) is a permutation: each solve is
+one gather, by the slack rows or by their inverse, with no core solve.
 
 Chain. The basis changes by a single column at every simplex pivot, so a
 full refactorization per pivot is wasteful. Replacing position k by a gives
@@ -101,9 +103,12 @@ class BasisFactorization:
         covered[self._rows] = True
         if int(covered.sum()) < len(self._rows):
             raise SingularBasis("two basis positions hold the same slack column")
-        self._core_rows, self._cols_r, self.norm_inf = self._struct_pos, cols, float(m > 0)
+        self.norm_inf = float(m > 0)
         self._lu: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if k:
+        if not k:  # B is a permutation: B x = v is x = v[rows], B' y = w is y = w[inv]
+            self._inv = np.empty(m, dtype=np.intp)
+            self._inv[self._rows] = self._slack_pos
+        else:
             self._core_rows = (~covered).nonzero()[0]
             self._cols_r = cols.take(self._rows, axis=0)
             row_abs = np.abs(cols).sum(axis=1)
@@ -137,8 +142,6 @@ class BasisFactorization:
 
     def _core_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
         """Solve the core system in place of ``rhs``, a fresh array."""
-        if self._lu is None:
-            return rhs
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
         x, info = dgetrs(*self._lu, rhs, trans=trans, overwrite_b=1)
@@ -147,6 +150,8 @@ class BasisFactorization:
         return x
 
     def _base_solve(self, v: np.ndarray) -> np.ndarray:
+        if self._lu is None:
+            return v.take(self._rows)
         x = np.empty(self.m)
         x_s = self._core_solve(v[self._core_rows], 0)
         x[self._struct_pos] = x_s
@@ -154,6 +159,8 @@ class BasisFactorization:
         return x
 
     def _base_solve_transpose(self, w: np.ndarray) -> np.ndarray:
+        if self._lu is None:
+            return w.take(self._inv)
         y = np.empty(self.m)
         y_r = w[self._slack_pos]
         y[self._rows] = y_r

@@ -848,6 +848,64 @@ def test_certificates_leave_every_segment_array_unchanged(program):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+def test_zero_perturbed_costs_keep_z_and_y_pert_exactly_zero(monkeypatch):
+    # c_bar = 0, as on every sup-norm program: every s_bar is zero, so no
+    # pivot moves z~_N or y~ and they stay exactly zero down to lambda = 0
+    _, _, p = _regression_program()
+    assert not p.c_bar.any()
+    real, pivots = engine._exchange, []
+
+    def exchange(state, *args):
+        ev = real(state, *args)
+        assert ev.s_bar == 0.0
+        assert not (state.zN_pert.any() or state.y_pert.any())
+        pivots.append(ev)
+        return ev
+
+    monkeypatch.setattr(engine, "_exchange", exchange)
+    path = solve_path(p)
+    assert path.termination is Termination.LAMBDA_NONPOSITIVE
+    assert len(pivots) == path.num_pivots > linalg.REFRESH_LIMIT  # refreshes too
+    assert not any(seg.dual_slope.any() for seg in path.segments)
+
+
+def _bits(path):
+    """A path's events (all fields) and segments (interval and six arrays),
+    as bytes, so that 0.0 and -0.0 differ."""
+    out = [(ev.kind, ev.entering, ev.leaving,
+            np.array([ev.lambda_star, ev.t, ev.t_bar, ev.s, ev.s_bar]).tobytes())
+           for ev in path.events]
+    for seg in path.segments:
+        out.append(np.array([seg.lambda_lo, seg.lambda_hi]).tobytes())
+        out.extend(getattr(seg, name).tobytes() for name in (
+            "primal_indices", "primal_base", "primal_slope",
+            "dual_indices", "dual_base", "dual_slope"))
+    return out
+
+
+def test_without_certificates_no_pivot_moves_the_duals(monkeypatch):
+    # only certificates read y, so a solve without them leaves y_base as
+    # each refresh set it; the path is the certified one bit for bit
+    _, _, p = _regression_program()
+    real, moved = engine._pivot_at, []
+
+    def pivot_at(state, tight, lam):
+        y = state.y_base.copy()
+        ev = real(state, tight, lam)
+        moved.append(state.y_base.tobytes() != y.tobytes())
+        return ev
+
+    monkeypatch.setattr(engine, "_pivot_at", pivot_at)
+    off = solve_path(p, check_certificates=False)
+    assert len(moved) == off.num_pivots > linalg.REFRESH_LIMIT and not any(moved)
+    moved.clear()
+    on = solve_path(p, check_certificates=True)
+    assert len(moved) == on.num_pivots and all(moved)
+    moved.clear()
+    assert _bits(off) == _bits(on)  # reads the compact segments: _replay keeps no duals
+    assert moved and not any(moved)
+
+
 def test_refresh_bounds_the_update_chain(monkeypatch):
     _, _, p = _regression_program()
     chain = []

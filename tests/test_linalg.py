@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parasimplex import linalg
 from parasimplex.errors import SingularBasis, UpdateDegenerate
 from parasimplex.linalg import REFRESH_LIMIT, BasisFactorization
 
@@ -297,6 +298,70 @@ def test_all_slack_basis_permutes_the_identity():
         BasisFactorization(np.empty((3, 0)), [0, 0, 1])
     with pytest.raises(ValueError):  # a slot with no column
         BasisFactorization(np.empty((3, 0)), [0, 1, -1])
+
+
+def test_all_slack_base_solves_by_gathering_with_its_permutation():
+    # position p holds e_pi(p), so B x = v is x = v[pi] and B' y = w is
+    # y[pi] = w, bit for bit, each into a fresh array
+    rng = np.random.default_rng(41)
+    m = 9
+    pi = rng.permutation(m)
+    f = BasisFactorization(np.empty((m, 0)), pi)
+    B = np.eye(m)[:, pi]
+    for v in [rng.standard_normal(m) for _ in range(3)] + list(np.eye(m)):
+        y = np.empty(m)
+        y[pi] = v
+        x, yt = f.solve(v), f.solve_transpose(v)
+        assert x.tobytes() == v[pi].tobytes() and yt.tobytes() == y.tobytes()
+        assert not (np.shares_memory(x, v) or np.shares_memory(yt, v))
+        np.testing.assert_allclose(x, np.linalg.solve(B, v), rtol=0, atol=SOLVE_TOL)
+        np.testing.assert_allclose(yt, np.linalg.solve(B.T, v), rtol=0, atol=SOLVE_TOL)
+    for k in range(m):  # the pivot row's BTRAN: e_k lands on row pi(k)
+        assert f.solve_transpose(k).tobytes() == np.eye(m)[pi[k]].tobytes()
+        np.testing.assert_allclose(f.solve_transpose(k), np.linalg.solve(B.T, np.eye(m)[k]),
+                                   rtol=0, atol=SOLVE_TOL)
+
+
+def test_all_slack_base_chain_matches_dense_without_a_core_solve(monkeypatch):
+    # with no structural column in the base, no solve calls getrs, however
+    # long the chain on top of it grows
+    calls, real = [], linalg.dgetrs
+
+    def dgetrs(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "dgetrs", dgetrs)
+    rng = np.random.default_rng(43)
+    m = 8
+    pi = rng.permutation(m)
+
+    def column(p, slack):  # built around row pi(p), so every basis stays well conditioned
+        a = np.zeros(m) if slack else 0.3 * rng.standard_normal(m)
+        a[pi[p]] += 1.0 if slack else 3.0
+        return a
+
+    f = BasisFactorization(np.empty((m, 0)), pi)
+    M = np.eye(m)[:, pi]
+    for step in range(REFRESH_LIMIT + 10):
+        p = int(rng.integers(m))
+        a = column(p, slack=step % 3 == 0)  # slack swaps among the updates
+        f.replace_column(p, a)
+        M[:, p] = a
+        if step % 6 and step < REFRESH_LIMIT:
+            continue
+        rhs = rng.standard_normal(m)
+        np.testing.assert_allclose(f.solve(rhs), np.linalg.solve(M, rhs), rtol=0, atol=SOLVE_TOL)
+        np.testing.assert_allclose(f.solve_transpose(rhs), np.linalg.solve(M.T, rhs),
+                                   rtol=0, atol=SOLVE_TOL)
+        for k in range(m):
+            np.testing.assert_allclose(f.solve_transpose(k), np.linalg.solve(M.T, np.eye(m)[k]),
+                                       rtol=0, atol=SOLVE_TOL)
+    assert f.updates_since_refactor == REFRESH_LIMIT + 10  # _grow ran
+    assert not calls
+    cols, slack_rows = _mixed_basis(rng, m, 1)  # one structural column: a core to solve
+    BasisFactorization(cols, slack_rows).solve(rng.standard_normal(m))
+    assert calls
 
 
 def test_split_replacement_to_singular_raises_degenerate():
