@@ -177,7 +177,7 @@ class PathSegment:
     column indices (all other coordinates are zero); dual entries likewise
     give reduced costs on the nonbasic columns. The pivot into segment k > 0
     is ``SolutionPath.events[k - 1]``. It holds the whole dictionary, O(n)
-    numbers; ``solve_path`` keeps most segments as ``CompactSegment``s.
+    numbers; ``solve_path`` returns every segment as a ``CompactSegment``.
     """
 
     lambda_lo: float
@@ -207,13 +207,13 @@ class PathSegment:
 
 @dataclass(slots=True, eq=False)
 class CompactSegment:
-    """A segment of a <= program's path after its window's first: its
-    interval and its primal entries at columns below ``n_structural``
-    (``SlackInfo.original_n``), O(k) numbers. ``solve_path`` stores a
-    segment this way as soon as nothing reads it dense: once its
-    certificate batch passes, or at once with certificates off. It reads like a
-    ``PathSegment``; its six arrays are ``rebuilt(pos)``, replayed from the
-    window's first segment bit for bit (``engine._replay``), never stored.
+    """A segment of a solved path: its interval and its primal entries at
+    columns below ``n_structural``, the caller's columns (all of an equality
+    program's), O(k) numbers on a <= program. ``solve_path`` stores every
+    segment this way once nothing reads it dense: once its certificate
+    batch passes, or at once with certificates off. It reads like a
+    ``PathSegment``; its six arrays are ``rebuilt(pos)``, dictionary ``pos``
+    of its window, replayed from the window's first partition bit for bit.
     """
 
     lambda_lo: float
@@ -341,7 +341,8 @@ class SolutionPath:
     @property
     def nbytes(self) -> int:
         """The bytes its segments' arrays hold, as ``Operator.nbytes``; not
-        the caller's program, nor the last window rebuilt (a cache)."""
+        the caller's program, the last window rebuilt (a cache), nor each
+        window's (basic, nonbasic) lists, which its replays hold."""
         return sum(seg.nbytes for seg in self.segments)
 
     def breakpoints(self) -> List[float]:

@@ -20,9 +20,9 @@ operator that keeps the unit slack columns implicit (``to_standard_form``).
 Segments are certified in windows between refactorizations only, and all
 numerical trouble has one recovery step, described at ``solve_path``.
 
-A window keeps its first segment, its anchor, dense. The other segments of
-a <= program go into the path as ``CompactSegment``s as soon as nothing
-reads them dense, and ``_replay`` rebuilds their dictionaries on demand.
+Every segment goes into the path as a ``CompactSegment`` as soon as nothing
+reads it dense, and ``_replay`` rebuilds its dictionary on demand from its
+window's first partition.
 """
 
 from __future__ import annotations
@@ -585,25 +585,25 @@ def _pivot_at(state: DictionaryState, tight: TightConstraint, lam_star: float) -
     return primal_pivot(state, tight.column, lam_star)
 
 
-def _replay(program: ParametricProgram, anchor: PathSegment,
+def _replay(program: ParametricProgram, basic: np.ndarray, nonbasic: np.ndarray,
             events: Tuple[PivotEvent, ...]) -> List[Tuple[np.ndarray, ...]]:
-    """The six arrays of each dictionary after ``anchor``, a window's first
-    segment: a fresh ``DictionaryState`` at its partition, then ``_pivot_at``
-    for each of ``events``. They are read-only views of one anonymous mapping,
-    returned to the system with its last view, so a caller that holds many
-    windows at once leaves no mark on the heap ``_keep_freed_heap`` keeps."""
-    state = DictionaryState(program, BasisPartition(
-        program.n, anchor.primal_indices.copy(), anchor.dual_indices.copy()))
+    """The six arrays of each dictionary of a window: a fresh state at its
+    first partition, then ``_pivot_at`` for each of ``events``. They are
+    read-only views of one anonymous mapping, returned to the system with its
+    last view, so a caller that holds many windows at once leaves no mark on
+    the heap ``_keep_freed_heap`` keeps."""
+    state = DictionaryState(program, BasisPartition(program.n, basic.copy(), nonbasic.copy()))
     state._duals_kept = False
-    W, n, m = len(events), program.n, program.m
+    W, n, m = len(events) + 1, program.n, program.m
     vals = np.frombuffer(mmap.mmap(-1, 3 * W * n * 8)).reshape(W, 3, n)
     idx = vals[:, 0].view(np.intp)  # per dictionary: indices, base, slope
-    for w, ev in enumerate(events):
-        dual = ev.kind is PivotKind.DUAL
-        again = _pivot_at(state, TightConstraint(ev.leaving if dual else ev.entering, dual),
-                          ev.lambda_star)
-        if (again.entering, again.leaving) != (ev.entering, ev.leaving):
-            raise RuntimeError(f"replay diverged at lambda*={ev.lambda_star:.6g}")
+    for w, ev in enumerate((None, *events)):  # dictionary 0 is the fresh one
+        if ev is not None:
+            dual = ev.kind is PivotKind.DUAL
+            again = _pivot_at(state, TightConstraint(ev.leaving if dual else ev.entering, dual),
+                              ev.lambda_star)
+            if (again.entering, again.leaving) != (ev.entering, ev.leaving):
+                raise RuntimeError(f"replay diverged at lambda*={ev.lambda_star:.6g}")
         idx[w, :m], idx[w, m:] = state.partition.basic, state.partition.nonbasic
         vals[w, 1:, :m] = state.xB_base, state.xB_pert
         vals[w, 1:, m:] = state.zN_base, state.zN_pert
@@ -612,18 +612,18 @@ def _replay(program: ParametricProgram, anchor: PathSegment,
              vals[w, 2, m:]) for w in range(W)]
 
 
-def _rebuilder(program: ParametricProgram, anchor: PathSegment, events: List[PivotEvent],
-               cache: list) -> Callable[[int], Tuple[np.ndarray, ...]]:
-    """``CompactSegment.rebuilt`` for the window from ``anchor``: dictionary
-    ``pos`` after it, ``_replay``ed over ``events``, the pivots into the
-    window's compact segments. ``cache``, shared by a path's windows, holds
-    the last one. The closure holds no reference to the path, so a path is
-    freed by reference counting alone."""
+def _rebuilder(program: ParametricProgram, basis: Tuple[np.ndarray, np.ndarray],
+               events: List[PivotEvent], cache: list) -> Callable[[int], Tuple[np.ndarray, ...]]:
+    """``CompactSegment.rebuilt`` for the window whose first partition is
+    ``basis``, (basic, nonbasic): its dictionary ``pos``, ``_replay``ed over
+    ``events``. ``cache``, shared by a path's windows, holds the last one.
+    The closure holds no reference to the path, so a path is freed by
+    reference counting alone."""
 
     def rebuilt(pos: int) -> Tuple[np.ndarray, ...]:
-        if cache[0] is not anchor:
+        if cache[0] is not basis:
             cache[:] = None, None  # free the last window before this one
-            cache[:] = anchor, _replay(program, anchor, tuple(events))
+            cache[:] = basis, _replay(program, *basis, tuple(events))
         return cache[1][pos]
 
     return rebuilt
@@ -650,16 +650,16 @@ def solve_path(
     certified before it is returned: a window's segments are checked in
     batches of ``_batch_size`` entries, each as it fills, and the rest at
     the next rebuild and where the path ends, however it ends
-    (``_post_pivot_ok``). A segment of a <= program stays dense only while
-    something reads it so: the window's first segment (its anchor) for
-    good, the stop callback during its call, and its batch until it passes.
-    The rest go into the path as ``CompactSegment``s.
+    (``_post_pivot_ok``). A segment stays dense only while something reads
+    it so: the stop callback during its call, and its batch until it passes.
+    Then it goes into the path as a ``CompactSegment``, replayed on demand
+    from the window's first partition.
 
     Numerical trouble has one recovery step: refactorize at segment k,
     dropping the segments and pivots from k on, and emit k again from the
-    fresh factorization. k's partition is the anchor's with the window's
-    pivots applied, so nothing is replayed. A failed batch redoes the
-    segment before its first failing dictionary, the last one certified; the
+    fresh factorization. k's partition is the window's first with its pivots
+    applied, so nothing is replayed. A failed batch redoes the segment
+    before its first failing dictionary, the last one certified; the
     batch's ``_window_verdicts`` name that dictionary. A degenerate update,
     once the window up to it certifies, redoes its own segment. A second
     failure at the same segment ends the path.
@@ -687,15 +687,15 @@ def solve_path(
         ``termination_detail``.
 
     Raises:
-        ValueError: lambda_target is NaN or max_pivots is negative.
+        ValueError: lambda_target is NaN or +inf, or max_pivots is negative.
         InfeasibleAtLargeLambda: the starting basis is never optimal.
         SingularBasis: the starting basis cannot be factorized.
     """
     opts = options or SolveOptions()
     if kwargs:
         opts = SolveOptions(**{**opts.__dict__, **kwargs})
-    if np.isnan(opts.lambda_target):
-        raise ValueError("lambda_target is NaN")
+    if np.isnan(opts.lambda_target) or opts.lambda_target == np.inf:
+        raise ValueError(f"lambda_target is {opts.lambda_target}; no path reaches it")
     if opts.max_pivots is not None and opts.max_pivots < 0:
         raise ValueError(f"max_pivots must be >= 0, got {opts.max_pivots}")
 
@@ -712,7 +712,7 @@ def solve_path(
     zero_tol = FEAS_TOL * (1.0 + (abs(first) if np.isfinite(first) else 0.0))
     # The window: path.segments[start:], from a fresh factorization on. Its
     # segments after the first wait in ``batch`` (with their duals) to be
-    # certified, then go into the path compact.
+    # certified; those from path.segments[done] on are not yet compact.
     start, batch, step = 0, [], _batch_size(std)
     replayed = [None, None]  # the last window rebuilt (_rebuilder)
     # The segment last redone, and its breakpoint before the redo.
@@ -730,8 +730,9 @@ def solve_path(
         seg = state.segment(lam_star, path.segments[-1].lambda_lo if k else state.lambda_hi)
         path.segments.append(seg)
         if k == start:
+            basis = seg.primal_indices, seg.dual_indices  # the window's first partition
             record: List[PivotEvent] = []  # the pivots into the window's compact segments
-            rebuilt = _rebuilder(std, seg, record, replayed)
+            rebuilt, done = _rebuilder(std, basis, record, replayed), start
         elif opts.check_certificates:  # checked at its upper end, where its pivot left it
             batch.append((seg, state.duals(seg.lambda_hi)))
         nonpositive = lam_star <= zero_tol
@@ -782,9 +783,7 @@ def solve_path(
             else:
                 logger.info("pivot at lambda*=%.9g failed; refactorizing there", head.lambda_lo)
                 retried, was, end = redo, head.lambda_lo, None
-                anchor = path.segments[start]
-                state.partition = part = BasisPartition(
-                    std.n, anchor.primal_indices.copy(), anchor.dual_indices.copy())
+                state.partition = part = BasisPartition(std.n, basis[0].copy(), basis[1].copy())
                 for ev in path.events[start:redo]:
                     part.swap(part.position(ev.leaving), part.position(ev.entering))
         if redo is not None or refresh:
@@ -799,14 +798,13 @@ def solve_path(
             else:
                 if redo is not None:
                     path.segments.pop()  # emitted again from the fresh factorization
-        if slack_info is not None and (checked or not opts.check_certificates):
-            # nothing reads the window's dense segments after its anchor any more
-            done, n0 = start + 1 + len(record), slack_info.original_n
+        if checked or not opts.check_certificates:  # nothing reads them dense any more
             record[:] = path.events[start:len(path.segments) - 1]  # a redo may drop one
             path.segments[done:] = [
-                CompactSegment(s.lambda_lo, s.lambda_hi, s.n_cols, n0, s.primal_below(n0),
+                CompactSegment(s.lambda_lo, s.lambda_hi, s.n_cols, p.n, s.primal_below(p.n),
                                rebuilt, pos)
-                for pos, s in enumerate(path.segments[done:], done - start - 1)]
+                for pos, s in enumerate(path.segments[done:], done - start)]
+            done = len(path.segments)
         if end:
             path.termination, path.terminal_lambda, path.termination_detail = end
             break

@@ -531,7 +531,9 @@ def test_bench_diffnet_runs(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["dantzig", "--x", "{X}", "--y", "{y}", "--stop-rule", "value:nan"],
+    ["dantzig", "--x", "{X}", "--y", "{y}", "--stop-rule", "value:inf"],
     ["solve", "{prog}", "--target", "nan"],
+    ["solve", "{prog}", "--target", "inf"],
     ["solve", "{prog}", "--max-pivots", "-3"],
     ["bench", "dantzig", "--n", "20", "--d", "8", "--reps", "-1"],
     ["bench", "diffnet", "--n", "40", "--d", "3", "--s", "1", "--reps", "0"],
@@ -543,8 +545,8 @@ def test_bench_diffnet_runs(tmp_path, capsys):
     ["dantzig", "--x", "{X}", "--y", "{y}", "--sigma", "-1"],
     ["gen", "diffnet", "--d", "0", "--out-dir", "{out}"],
     ["diffnet", "--sx", "{SX}", "--sy", "{SY}", "--stop-rule", "path-demo"],
-], ids=["value-nan", "target-nan", "max-pivots-negative", "reps-negative",
-        "reps-zero", "gen-n-zero", "sparsity-negative", "gen-s-negative",
+], ids=["value-nan", "value-inf", "target-nan", "target-inf", "max-pivots-negative",
+        "reps-negative", "reps-zero", "gen-n-zero", "sparsity-negative", "gen-s-negative",
         "bench-s-negative", "gen-sigma-nan", "sigma-negative", "gen-d-zero",
         "diffnet-named-rule"])
 def test_malformed_numeric_input_exits_64(tmp_path, capsys, argv):

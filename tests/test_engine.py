@@ -1111,39 +1111,39 @@ def _count_rebuilds(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("case", ["certified", "certificates-off", "redo"])
+@pytest.mark.parametrize("case", ["certified", "certificates-off", "redo", "diffnet",
+                                  "equality"])
 def test_compact_segments_rebuild_as_emitted(monkeypatch, case):
-    p = build_dantzig(_long_dantzig())
+    p, basis = {"diffnet": lambda: (_diffnet_program(), None),
+                "equality": _dense_equality_program}.get(
+        case, lambda: (build_dantzig(_long_dantzig()), None))()
     if case == "redo":
         sizes = _corrupt_reduced_costs(monkeypatch, at_pivot=5)
-    path, emitted = _dense_as_emitted(monkeypatch, p,
+    path, emitted = _dense_as_emitted(monkeypatch, p, initial_basis=basis,
                                       check_certificates=case != "certificates-off")
-    compact = [k for k, seg in enumerate(path.segments) if isinstance(seg, CompactSegment)]
-    if case == "redo":  # the first window failed at pivot 5; segment 4 was redone
-        assert sizes[0] > 4 and compact[:4] == [1, 2, 3, 5]
+    assert path.num_pivots > linalg.REFRESH_LIMIT
+    # every segment is compact, each window's first and the last window's too
+    assert all(isinstance(seg, CompactSegment) for seg in path.segments)
     # each window is one batch here, so nothing compact was dropped by the redo
-    assert len(emitted) == len(compact)
-    dense = dict(zip(compact, emitted))
-    windows = len({id(path.segments[k].rebuilt) for k in compact})
-    assert windows >= 3
-    # only each window's first segment stays dense, in the last window too
-    for k in compact:
-        before = path.segments[k - 1]
-        assert isinstance(before, PathSegment) or before.rebuilt is path.segments[k].rebuilt
-    assert isinstance(path.segments[-1], CompactSegment)
-    assert sum(isinstance(seg, PathSegment) for seg in path.segments) == windows
-    n0 = path.slack_info.original_n
-    for k in compact:
-        seg, was = path.segments[k], dense[k]
-        assert (seg.lambda_lo, seg.lambda_hi, seg.n_cols) == (
-            was.lambda_lo, was.lambda_hi, was.n_cols)
+    assert len(emitted) == len(path.segments)
+    starts = [k for k, seg in enumerate(path.segments) if seg.pos == 0]
+    if case == "redo":  # the first window failed at pivot 5; segment 4 was redone
+        assert sizes[0] > 4 and starts[:2] == [0, 4]
+    assert len(starts) == len({id(seg.rebuilt) for seg in path.segments}) >= 2
+    for k, seg in enumerate(path.segments):  # positions count from the window's first
+        first = max(s for s in starts if s <= k)
+        assert seg.pos == k - first and seg.rebuilt is path.segments[first].rebuilt
+    n0 = p.n  # the caller's columns: all of an equality program's
+    for k, (seg, was) in enumerate(zip(path.segments, emitted, strict=True)):
+        assert (seg.lambda_lo, seg.lambda_hi, seg.n_cols, seg.n_structural) == (
+            was.lambda_lo, was.lambda_hi, was.n_cols, n0)
         for name in _ARRAYS:
             a, b = getattr(seg, name), getattr(was, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (k, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, name)
             assert not a.flags.writeable  # shared by every reader of the window
         for a, b in zip(seg.structural, was.primal_below(n0), strict=True):  # all it holds
             assert a.dtype == b.dtype and np.array_equal(a, b), k
-        for hi in (n0 // 2, n0, seg.n_cols):  # stored entries, then rebuilt ones
+        for hi in (n0 // 2, n0, seg.n_cols):  # stored entries, then (on <=) rebuilt ones
             for a, b in zip(seg.primal_below(hi), was.primal_below(hi), strict=True):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (k, hi)
         np.testing.assert_array_equal(evaluate_primal(seg, seg.lambda_lo),
@@ -1190,12 +1190,25 @@ def test_a_path_holds_a_fraction_of_its_dense_segments():
     assert path.num_pivots > 150
     dense = sum(getattr(seg, name).nbytes for seg in path.segments for name in _ARRAYS)
     assert path.nbytes <= 0.25 * dense
-    # an equality program keeps every segment dense
+    # an equality program's segments keep their primal entries, all structural
     p, basis = _dense_equality_program()
     eq = solve_path(p, initial_basis=basis)
     assert eq.num_pivots > linalg.REFRESH_LIMIT
-    assert not any(isinstance(seg, CompactSegment) for seg in eq.segments)
-    assert eq.nbytes == sum(getattr(seg, name).nbytes for seg in eq.segments for name in _ARRAYS)
+    primal = sum(getattr(seg, name).nbytes for seg in eq.segments for name in _ARRAYS[:3])
+    assert eq.nbytes == primal < sum(
+        getattr(seg, name).nbytes for seg in eq.segments for name in _ARRAYS)
+
+
+def test_a_replay_that_diverges_raises(monkeypatch):
+    path = solve_path(_regression_program()[2])
+    real = engine._pivot_at
+
+    def pivot_at(state, tight, lam):  # the replay's pivot takes another column in
+        return dataclasses.replace(real(state, tight, lam), entering=-1)
+
+    monkeypatch.setattr(engine, "_pivot_at", pivot_at)
+    with pytest.raises(RuntimeError, match="replay diverged"):
+        path.segments[1].dual_base
 
 
 @pytest.mark.parametrize("certify", [True, False], ids=["certified", "certificates-off"])
@@ -1271,7 +1284,7 @@ def test_batches_are_certified_as_they_fill(monkeypatch):
             assert np.array_equal(getattr(a, name), getattr(b, name))
     # pivot 9's dictionary is the first entry of the third batch, so the
     # segment redone, 8, was already compact: its basis comes from the
-    # window's first segment and its pivots, with no replay
+    # window's first partition and its pivots, with no replay
     path, sizes, refreshes = corrupted(at_pivot=9)
     _same_path(path, clean)
     assert sizes[:3] == [4] * 3

@@ -14,6 +14,7 @@ from parasimplex.core import (
     ProgramKind,
     SolutionPath,
     Termination,
+    to_standard_form,
 )
 from parasimplex.engine import solve_path
 from parasimplex.experiments import (
@@ -23,6 +24,7 @@ from parasimplex.experiments import (
     gen_dantzig,
     gen_diffnet,
 )
+from parasimplex.linalg import REFRESH_LIMIT
 from parasimplex.reductions import (
     DantzigInstance,
     DiffNetInstance,
@@ -212,16 +214,26 @@ def _whole_document(sol):
     }, separators=(",", ":"))
 
 
-@pytest.mark.parametrize("case", ["inf-end", "no-events", "compact-windows"])
+@pytest.mark.parametrize("case", ["inf-end", "no-events", "compact-windows",
+                                  "equality-windows"])
 def test_path_json_streams_the_bytes_of_the_whole_document(tmp_path, case):
     if case == "inf-end":
         path = solve_path(_program())
     elif case == "no-events":
         path = _signed_zero_paths()[0]
-    else:  # 308 pivots: six windows closed, their segments compact
+    elif case == "compact-windows":  # 308 pivots: six windows closed by a refresh
         X, y, _ = gen_dantzig(DantzigGenConfig(n=50, d=150, rng_seed=1))
         path = solve_path(build_dantzig(DantzigInstance(X, y)))
-        assert sum(isinstance(s, CompactSegment) for s in path.segments) > 200
+        assert path.num_pivots == 308
+    else:  # a Dantzig program's standard form, [A | I] as one dense equality program
+        X, y, _ = gen_dantzig(DantzigGenConfig(n=60, d=30, rng_seed=1))
+        std, info = to_standard_form(build_dantzig(DantzigInstance(X, y)))
+        dense = ParametricProgram(A=std.A.to_dense(), b=std.b, b_bar=std.b_bar,
+                                  c=std.c, c_bar=std.c_bar)
+        path = solve_path(dense, initial_basis=range(info.original_n, std.n))
+        assert path.slack_info is None and path.num_pivots > REFRESH_LIMIT
+    if case != "no-events":
+        assert all(isinstance(s, CompactSegment) for s in path.segments)
     assert (case == "no-events") == (not path.events)
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     pio.save_path_json(first, path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from parasimplex.core import ParametricProgram, ProgramKind
+from parasimplex.core import ParametricProgram, PathSegment, ProgramKind
 from parasimplex.engine import solve_path
 from parasimplex.errors import SizeGuard
 from parasimplex.oracle import (
@@ -92,9 +92,11 @@ def test_path_check_catches_corrupted_slope():
     rng = np.random.default_rng(4)
     p = random_less_equal(rng)
     path = solve_path(p)
-    # find a segment with a nonempty basis to corrupt
-    target = next(s for s in path.segments if s.primal_indices.size)
-    target.primal_slope = target.primal_slope + 0.37
+    # a dense copy of a segment with a nonempty basis, its slope corrupted
+    k, seg = next((k, s) for k, s in enumerate(path.segments) if s.primal_indices.size)
+    path.segments[k] = PathSegment(
+        seg.lambda_lo, seg.lambda_hi, seg.n_cols, seg.primal_indices, seg.primal_base,
+        seg.primal_slope + 0.37, seg.dual_indices, seg.dual_base, seg.dual_slope)
     rep = check_path_against_oracle(p, path, samples_per_segment=6)
     assert not rep.passed
     assert rep.failures
