@@ -211,7 +211,7 @@ class CompactSegment:
     columns below ``n_structural``, the caller's columns (all of an equality
     program's), O(k) numbers on a <= program. ``solve_path`` stores every
     segment this way once nothing reads it dense: once its certificate
-    batch passes, or at once with certificates off. It reads like a
+    batch passes, or at once when it is in none. It reads like a
     ``PathSegment``; its six arrays are ``rebuilt(pos)``, dictionary ``pos``
     of its window, replayed from the window's first partition bit for bit.
     """

@@ -94,8 +94,9 @@ CERT_TOL = 1e-7
 # Relative slack when comparing candidate breakpoints and ratio-test ties.
 BREAKPOINT_RTOL = 1e-12
 # A window is certified in batches of max(1, CERT_BATCH_FLOATS // n) entries
-# (n columns), so a batch's stacked arrays hold at most this many floats and
-# its temporaries stay cache-sized on programs with many columns.
+# (n columns), so a batch's stacked arrays hold about this many floats (a
+# refresh's check adds the one dictionary the refresh replaces) and its
+# temporaries stay cache-sized on programs with many columns.
 CERT_BATCH_FLOATS = 1 << 18
 
 
@@ -109,7 +110,8 @@ class SolveOptions:
             None means 10x the column count of the standard-form program.
         check_certificates: certify every segment a pivot produces, in
             batches of ``max(1, CERT_BATCH_FLOATS // n)`` checked as they
-            fill (see ``solve_path``).
+            fill, plus at a refresh the dictionary it replaces (see
+            ``solve_path``).
         stop_callback: called with each newly emitted segment; returning
             True ends the path early (ReachedTarget). Must be pure: it can
             see segments that a recovery replaces, then the redone ones.
@@ -514,11 +516,6 @@ def _residuals(p: ParametricProgram, lams: np.ndarray, S: np.ndarray, xS: np.nda
     return res, scale, zhat
 
 
-def _batch_size(p: ParametricProgram) -> int:
-    """The entries of one certificate batch (``CERT_BATCH_FLOATS``)."""
-    return max(1, CERT_BATCH_FLOATS // p.n)
-
-
 def _window_verdicts(p: ParametricProgram,
                      window: Sequence[Tuple[PathSegment, np.ndarray]]) -> np.ndarray:
     """A posteriori optimality check of a window of dictionaries: one bool
@@ -535,10 +532,6 @@ def _window_verdicts(p: ParametricProgram,
     once, basic entries then nonbasic ones, for one product with A' and one
     with the structural basic columns.
     """
-    step = _batch_size(p)
-    if len(window) > step:
-        return np.concatenate([_window_verdicts(p, window[i:i + step])
-                               for i in range(0, len(window), step)])
     m, W = p.m, len(window)
     segs = [seg for seg, _ in window]
     lams = np.array([seg.lambda_hi for seg in segs])
@@ -648,12 +641,14 @@ def solve_path(
     ``linalg.REFRESH_LIMIT`` updates; the segments since the last rebuild
     form a window. With certificates on, every segment a pivot produces is
     certified before it is returned: a window's segments are checked in
-    batches of ``_batch_size`` entries, each as it fills, and the rest at
-    the next rebuild and where the path ends, however it ends
-    (``_post_pivot_ok``). A segment stays dense only while something reads
-    it so: the stop callback during its call, and its batch until it passes.
-    Then it goes into the path as a ``CompactSegment``, replayed on demand
-    from the window's first partition.
+    batches of ``max(1, CERT_BATCH_FLOATS // n)`` entries, each as it fills,
+    and the rest at the next rebuild and where the path ends, however it
+    ends. Each check is one ``_post_pivot_ok`` call on one batch; a
+    refresh's adds the one dictionary the refresh replaces. A segment stays
+    dense only while something reads it so: the stop callback during its
+    call, and its batch until it passes (a window's first segment is in no
+    batch). Then it goes into the path as a ``CompactSegment``, replayed on
+    demand from the window's first partition.
 
     Numerical trouble has one recovery step: refactorize at segment k,
     dropping the segments and pivots from k on, and emit k again from the
@@ -713,7 +708,7 @@ def solve_path(
     # The window: path.segments[start:], from a fresh factorization on. Its
     # segments after the first wait in ``batch`` (with their duals) to be
     # certified; those from path.segments[done] on are not yet compact.
-    start, batch, step = 0, [], _batch_size(std)
+    start, batch, step = 0, [], max(1, CERT_BATCH_FLOATS // std.n)
     replayed = [None, None]  # the last window rebuilt (_rebuilder)
     # The segment last redone, and its breakpoint before the redo.
     retried, was = -1, 0.0
@@ -765,8 +760,7 @@ def solve_path(
         refresh = not (end or failed) and (
             state.fact.updates_since_refactor >= linalg.REFRESH_LIMIT)
 
-        checked = opts.check_certificates and bool(end or refresh or failed or len(batch) == step)
-        if checked:
+        if opts.check_certificates and (end or refresh or failed or len(batch) == step):
             # the segment of the last pivot is not emitted before a refresh
             window = batch + [state.entry(lam_star)] if refresh else batch
             if window and not _post_pivot_ok(state.program, window):
@@ -798,7 +792,7 @@ def solve_path(
             else:
                 if redo is not None:
                     path.segments.pop()  # emitted again from the fresh factorization
-        if checked or not opts.check_certificates:  # nothing reads them dense any more
+        if not batch:  # no batch pending: nothing reads them dense any more
             record[:] = path.events[start:len(path.segments) - 1]  # a redo may drop one
             path.segments[done:] = [
                 CompactSegment(s.lambda_lo, s.lambda_hi, s.n_cols, p.n, s.primal_below(p.n),

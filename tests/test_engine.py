@@ -1293,3 +1293,48 @@ def test_batches_are_certified_as_they_fill(monkeypatch):
     for (_, basis), (_, again) in zip(refreshes, whole):
         assert np.array_equal(basis, again)
     assert np.array_equal(refreshes[1][1], clean.segments[8].primal_indices)
+
+
+def test_a_refresh_that_lands_on_a_full_batch_is_one_check(monkeypatch):
+    # 5,300 standard-form columns, so a batch holds 49 entries: the refresh
+    # at pivot 50 adds the dictionary it replaces to a full batch
+    X, y, _ = gen_dantzig(DantzigGenConfig(n=100, d=1325, s=5), rng=np.random.default_rng(1))
+    p = build_dantzig(DantzigInstance(X, y))
+    off = solve_path(p, max_pivots=120, check_certificates=False)
+    real, passes = engine._window_verdicts, []
+
+    def verdicts(p, window):
+        passes.append(len(window))
+        return real(p, window)
+
+    monkeypatch.setattr(engine, "_window_verdicts", verdicts)
+    on = solve_path(p, max_pivots=120)
+    assert engine.CERT_BATCH_FLOATS // on.num_cols == linalg.REFRESH_LIMIT - 1
+    assert passes == [linalg.REFRESH_LIMIT] * 2 + [20]
+    assert on.events == off.events
+    for a, b in zip(on.segments, off.segments, strict=True):
+        assert (a.lambda_lo, a.lambda_hi) == (b.lambda_lo, b.lambda_hi)
+        for name in _ARRAYS:
+            x, z = getattr(a, name), getattr(b, name)
+            assert x.dtype == z.dtype and x.tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("certify", [True, False], ids=["certified", "certificates-off"])
+def test_a_windows_first_segment_goes_compact_as_it_is_emitted(monkeypatch, certify):
+    # the stop callback sees segment k in iteration k; a window's first
+    # segment is in no batch, so it goes compact before the next call
+    seen, made, real = [], [], engine.CompactSegment
+
+    def compact(*args):
+        seg = real(*args)
+        made.append((seg.pos, len(seen)))
+        return seg
+
+    monkeypatch.setattr(engine, "CompactSegment", compact)
+    path = solve_path(build_dantzig(_long_dantzig()), check_certificates=certify,
+                      stop_callback=seen.append)
+    assert len(made) == len(path.segments) == len(seen) + 1  # the last ends the path
+    starts = [k for k, seg in enumerate(path.segments) if seg.pos == 0]
+    assert len(starts) == 7
+    for k in starts:
+        assert made[k] == (0, k + 1)

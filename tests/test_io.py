@@ -200,6 +200,22 @@ def test_path_json_save_load_save_is_byte_identical(tmp_path):
     assert '"inf"' in text and not any(c in text for c in " \n")
 
 
+def test_a_loaded_path_counts_the_bytes_of_its_dense_segments(tmp_path):
+    # CI's full path: solved, every segment is compact; its JSON holds each
+    # segment's six arrays, so the loaded path is dense
+    X, y, _ = gen_dantzig(DantzigGenConfig(n=30, d=60, rng_seed=1))
+    path = solve_path(build_dantzig(DantzigInstance(X, y)))
+    f = tmp_path / "path.json"
+    pio.save_path_json(f, path)
+    back = pio.load_path_json(f)
+    assert not any(isinstance(seg, CompactSegment) for seg in back.segments)
+    arrays = ("primal_indices", "primal_base", "primal_slope",
+              "dual_indices", "dual_base", "dual_slope")
+    dense = sum(getattr(seg, name).nbytes for seg in back.segments for name in arrays)
+    assert back.nbytes == dense == 725_760
+    assert path.nbytes == 63_744
+
+
 def _whole_document(sol):
     """The path JSON as one ``json.dumps`` of the whole document, as it was
     written before the writer streamed it."""

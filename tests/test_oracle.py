@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from parasimplex import oracle
 from parasimplex.core import ParametricProgram, PathSegment, ProgramKind
 from parasimplex.engine import solve_path
 from parasimplex.errors import SizeGuard
@@ -77,6 +78,25 @@ def test_enumeration_reuse_is_deterministic():
     np.testing.assert_array_equal(a.x, b.x)
     c = brute_force_optimum(p, 1.0)
     assert c.value == pytest.approx(a.value, abs=1e-12)
+
+
+def test_enumeration_without_cached_inverses_matches_the_cached_one(monkeypatch):
+    # tall programs (m = 15 over 22 standard-form columns: 170,544 bases of
+    # 15 x 15) exceed the inverse cache and invert each chunk per call
+    rng = np.random.default_rng(20260817)
+    programs = [random_less_equal(rng) for _ in range(20)]
+    cached = [BasisEnumeration(p) for p in programs]
+    monkeypatch.setattr(oracle, "_INV_CACHE_FLOATS", 0)
+    for p, enum in zip(programs, cached):
+        fresh = BasisEnumeration(p)
+        assert all(inv is not None for _, inv in enum._chunks)
+        assert all(inv is None for _, inv in fresh._chunks)
+        for lam in (0.0, 0.5, 2.0, 10.0):
+            a, b = enum.optimum(lam), fresh.optimum(lam)
+            assert a.status is b.status
+            assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+            assert (a.x is None) == (b.x is None)
+            assert a.x is None or a.x.tobytes() == b.x.tobytes()
 
 
 def test_path_check_accepts_correct_path():
