@@ -229,7 +229,9 @@ class CompactSegment:
     contains = PathSegment.contains
 
     def primal_below(self, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``PathSegment.primal_below``, from the stored entries up to ``n_structural``."""
+        """``PathSegment.primal_below`` from the stored entries (themselves at ``n_structural``)."""
+        if hi == self.n_structural:
+            return self.structural
         if hi > self.n_structural:
             return PathSegment.primal_below(self, hi)
         keep = (self.structural[0] < hi).nonzero()[0]

@@ -95,8 +95,8 @@ CERT_TOL = 1e-7
 BREAKPOINT_RTOL = 1e-12
 # A window is certified in batches of max(1, CERT_BATCH_FLOATS // n) entries
 # (n columns), so a batch's stacked arrays hold about this many floats (a
-# refresh's check adds the one dictionary the refresh replaces) and its
-# temporaries stay cache-sized on programs with many columns.
+# refresh's check adds the dictionary it replaces). This bounds a check's
+# memory, not its speed: past its fixed cost, its time per entry is flat.
 CERT_BATCH_FLOATS = 1 << 18
 
 

@@ -175,7 +175,9 @@ class Kron(Operator):
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         m1, m2 = self.X.shape[0], self.Z.shape[1]
-        # one m1 x m2 matrix W per column of y (a vector is one column), stacked first
+        if y.ndim == 1:  # vec(X' W Z') read row-major is Z W' X: two GEMMs, no copy
+            return (self.Z @ (y.reshape(m2, m1) @ self.X)).ravel()
+        # one m1 x m2 matrix W per column of y, stacked first
         W = y.reshape((m1, m2, -1), order="F").transpose(2, 0, 1)
         return (self.X.T @ W @ self.Z.T).transpose(1, 2, 0).reshape(
             (self.shape[1],) + y.shape[1:], order="F")

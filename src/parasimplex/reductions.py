@@ -250,31 +250,51 @@ def build_diffnet(inst: DiffNetInstance) -> ParametricProgram:
     return _sup_norm_program(G, inst.Y.flatten(order="F"))
 
 
-def _split_halves(seg: PathSegment, lo: int, w: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense (base, slope) of the split u = u_plus - u_minus held in
-    columns lo : lo + 2w of ``seg``, each a 2 x w array whose rows are the
-    plus and the minus half; a compact segment gives them without a rebuild."""
-    hi = lo + 2 * w
-    base, slope = np.zeros((2, hi))
-    idx, entries_base, entries_slope = seg.primal_below(hi)
-    base[idx], slope[idx] = entries_base, entries_slope
-    return base[lo:].reshape(2, w), slope[lo:].reshape(2, w)
+def _split(segments, lo: int, w: int):
+    """Every segment's stored entries in columns lo : lo + 2w, the split
+    u = u_plus - u_minus (plus half first), read once through ``primal_below``
+    so no window is rebuilt: per entry, its position s * w + i (coordinate i
+    of segment s), whether it is in the minus half, its base and its slope."""
+    parts = [seg.primal_below(lo + 2 * w) for seg in segments]
+    idx, base, slope = (np.concatenate(a) for a in zip(*parts)) if parts else np.zeros((3, 0), int)
+    pos = np.repeat(np.arange(-lo, len(parts) * w - lo, w), [len(p[0]) for p in parts]) + idx
+    if lo:  # primal_below keeps the columns below lo too
+        keep = (idx >= lo).nonzero()[0]
+        idx, pos, base, slope = (a.take(keep) for a in (idx, pos, base, slope))
+    minus = idx >= lo + w
+    return np.subtract(pos, w, out=pos, where=minus), minus, base, slope
 
 
-def _split_affine(seg: PathSegment, lo: int, w: int, what: str) -> Tuple[np.ndarray, np.ndarray]:
-    """u's dense (base, slope) for the split in columns lo : lo + 2w; raises
-    ComplementarityViolation if both halves of an entry are on at the
-    segment's breakpoint."""
-    base, slope = _split_halves(seg, lo, w)
-    lam = segment_breakpoint(seg)
-    x = base + lam * slope
-    worst = float(np.abs(x[0] * x[1]).max(initial=0.0))
-    if worst > COMPL_TOL:
-        raise ComplementarityViolation(
-            f"{what} split has overlapping halves at lambda={lam:.6g} "
-            f"(max product {worst:.3e})"
-        )
-    return base[0] - base[1], slope[0] - slope[1]
+def _split_blocks(segments, spans: List[Tuple[str, int, int]]) -> List[np.ndarray]:
+    """u's base and slope as a 2 x S x w block (row s: segment s) per split
+    (name, lo, w) in ``spans``. Raises ComplementarityViolation for the first
+    segment with both halves of a coordinate basic and on at its breakpoint,
+    naming its first such split."""
+    lams = np.array([segment_breakpoint(seg) for seg in segments])
+    blocks, bad = [], []
+    step = max(w for *_, w in spans)  # segments read at a time, to bound the memory held
+    for name, lo, w in spans:
+        block = np.zeros((2, len(segments) * w))
+        for c in range(0, len(segments), step):
+            pos, minus, base, slope = _split(segments[c:c + step], lo, w)
+            pos += c * w
+            on = ~minus
+            block[0, pos[on]], block[1, pos[on]] = base[on], slope[on]
+            pos, base, slope = pos[minus], base[minus], slope[minus]
+            lam = lams[pos // w]
+            # each basic minus half times its plus half's value (0 if nonbasic)
+            both = np.abs((block[0, pos] + lam * block[1, pos]) * (base + lam * slope))
+            if (both > COMPL_TOL).any():
+                first = (pos // w)[both > COMPL_TOL].min()
+                worst = both[pos // w == first].max()
+                bad.append((first, f"{name} split has overlapping halves at lambda="
+                                   f"{lams[first]:.6g} (max product {worst:.3e})"))
+            block[0, pos] -= base
+            block[1, pos] -= slope
+        blocks.append(block.reshape(2, len(segments), w))
+    if bad:
+        raise ComplementarityViolation(min(bad, key=lambda e: e[0])[1])  # the first split on ties
+    return blocks
 
 
 def diffnet_sparsity_stop(
@@ -283,15 +303,13 @@ def diffnet_sparsity_stop(
     """A ``stop_callback`` for build_diffnet paths: true once the estimate
     at a segment's breakpoint has at least ``want`` nonzero entries of D."""
     m1, d1, d2, m2 = inst.dims
-    nD = d1 * d2
 
     def enough(segment: PathSegment) -> bool:
         lam = segment.lambda_lo
         if not np.isfinite(lam):
             return False
-        base, slope = _split_halves(segment, 0, nD)
-        on = (np.abs(base + lam * slope) > SUPPORT_TOL).any(axis=0)
-        return np.count_nonzero(on) >= want
+        pos, _, base, slope = _split([segment], 0, d1 * d2)  # one segment: pos = coordinate
+        return np.count_nonzero(np.bincount(pos[np.abs(base + lam * slope) > SUPPORT_TOL])) >= want
 
     return enough
 
@@ -312,16 +330,12 @@ def recover_svm(path: SolutionPath, inst: SvmInstance) -> PathInOriginalCoords:
     """Map an SVM path back to (theta, theta_0); predictions are
     sign(theta_0 + theta' z)."""
     n, d = inst.X.shape
-    out = PathInOriginalCoords()
-    for seg in path.segments:
-        _split_affine(seg, 0, n, "hinge")  # checked only
-        theta_base, theta_slope = _split_affine(seg, 2 * n, d, "theta")
-        t0_base, t0_slope = _split_affine(seg, 2 * n + 2 * d, 1, "theta0")
-        out.segments.append(OriginalSegment(
-            seg.lambda_lo, seg.lambda_hi, theta_base, theta_slope,
-            intercept_base=t0_base[0], intercept_slope=t0_slope[0],
-        ))
-    return out
+    spans = [("hinge", 0, n), ("theta", 2 * n, d), ("theta0", 2 * n + 2 * d, 1)]
+    _, theta, theta0 = _split_blocks(path.segments, spans)  # hinge: checked only
+    return PathInOriginalCoords([
+        OriginalSegment(seg.lambda_lo, seg.lambda_hi, b, s,
+                        intercept_base=b0[0], intercept_slope=s0[0])
+        for seg, b, s, b0, s0 in zip(path.segments, *theta, *theta0)])
 
 
 def recover_diffnet(path: SolutionPath, inst: DiffNetInstance) -> PathInOriginalCoords:
@@ -339,11 +353,8 @@ def _recover_sup_norm(
     Checks split complementarity at every breakpoint and reshapes u
     column-major to ``shape``.
     """
-    out = PathInOriginalCoords()
-    for seg in path.segments:
-        u_base, u_slope = _split_affine(seg, 0, d, name)
-        out.segments.append(OriginalSegment(
-            seg.lambda_lo, seg.lambda_hi,
-            u_base.reshape(shape, order="F"), u_slope.reshape(shape, order="F"),
-        ))
-    return out
+    (base, slope), = _split_blocks(path.segments, [(name, 0, d)])
+    return PathInOriginalCoords([
+        OriginalSegment(seg.lambda_lo, seg.lambda_hi,
+                        b.reshape(shape, order="F"), s.reshape(shape, order="F"))
+        for seg, b, s in zip(path.segments, base, slope)])

@@ -369,3 +369,111 @@ def test_supports_follow_the_soft_threshold():
     assert supports[2] == frozenset({0, 1})
     # between the breakpoints 3 and 1, and below 1
     assert [orig.support_at(lam) for lam in (3.5, 2.0, 0.5)] == [set(), {0}, {0, 1}]
+
+
+def _dense_split(seg, lo, w):
+    """u = u_plus - u_minus in columns lo : lo + 2w of one segment, formed
+    densely from its six arrays: the per-segment reference for recovery."""
+    base, slope = np.zeros((2, seg.n_cols))
+    base[seg.primal_indices], slope[seg.primal_indices] = seg.primal_base, seg.primal_slope
+    b, s = base[lo:lo + 2 * w].reshape(2, w), slope[lo:lo + 2 * w].reshape(2, w)
+    return b[0] - b[1], s[0] - s[1]
+
+
+def _sup_norm_path(pieces, d):
+    """A hand-built path over the 2d split columns of a sup-norm program from
+    pieces (lambda_lo, lambda_hi, columns, base)."""
+    none = np.array([], dtype=np.intp)
+    return SolutionPath(num_cols=2 * d, terminal_lambda=0.0, segments=[
+        PathSegment(lo, hi, 2 * d, np.array(idx), np.array(base, dtype=float),
+                    np.zeros(len(idx)), none, none * 0.0, none * 0.0)
+        for lo, hi, idx, base in pieces
+    ])
+
+
+# d = 2 recovers the three segments two at a time, d = 4 all at once
+@pytest.mark.parametrize("d", [2, 4])
+def test_recovery_names_the_first_segment_with_overlapping_halves(d):
+    # coordinate i's halves are columns i and d + i; segments 1 and 2 both overlap
+    path = _sup_norm_path([(2.0, np.inf, [0, d + 1], [1.0, 1.0]),
+                           (1.5, 2.0, [0, d], [1.0, 2.0]),
+                           (0.0, 1.5, [1, d + 1, 0, d], [1.0, 3.0, 1.0, 1.0])], d)
+    with pytest.raises(ComplementarityViolation,
+                       match=r"^theta split has overlapping halves at lambda=1\.5 "
+                             r"\(max product 2\.000e\+00\)$"):
+        recover_dantzig(path, d=d)
+    path.segments[1:2] = []
+    with pytest.raises(ComplementarityViolation, match="lambda=0 .*3.000e"):
+        recover_dantzig(path, d=d)
+
+
+def test_recover_svm_names_the_first_segment_before_its_split():
+    # segment 0 overlaps in theta, segment 1 in hinge: segment 0's theta is named
+    path = _svm_path(3, 2, [(1.0, np.inf, [6, 8], [1.0, 1.0], [0.0, 0.0]),
+                            (0.0, 1.0, [0, 3], [1.0, 1.0], [0.0, 0.0])])
+    with pytest.raises(ComplementarityViolation, match="^theta split .* lambda=1 "):
+        recover_svm(path, SvmInstance(np.ones((3, 2)), np.ones(3)))
+
+
+def test_an_empty_path_recovers_to_no_segments():
+    inst = DiffNetInstance(np.ones((2, 3)), np.ones((4, 2)), np.ones((2, 2)))
+    assert recover_dantzig(SolutionPath(), d=3).segments == []
+    assert recover_diffnet(SolutionPath(), inst).segments == []
+    assert recover_svm(SolutionPath(), SvmInstance(np.ones((3, 2)), np.ones(3))).segments == []
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_recovery_equals_the_dense_reference_byte_for_byte():
+    rng = np.random.default_rng(12)
+    dantzig = solve_path(build_dantzig(DantzigInstance(rng.standard_normal((30, 60)),
+                                                       rng.standard_normal(30))),
+                         lambda_target=0.0)
+    assert dantzig.num_pivots > 150  # several windows
+    # the rectangular diffnet: D is 3 x 4
+    diffnet = DiffNetInstance(rng.standard_normal((2, 3)), rng.standard_normal((4, 2)),
+                              rng.standard_normal((2, 2)))
+    dn_path = solve_path(build_diffnet(diffnet))
+    for orig, path, w in [(recover_dantzig(dantzig), dantzig, 60),
+                          (recover_diffnet(dn_path, diffnet), dn_path, 12)]:
+        assert len(orig.segments) == len(path.segments) > 1
+        for got, seg in zip(orig.segments, path.segments):
+            assert (got.lambda_lo, got.lambda_hi) == (seg.lambda_lo, seg.lambda_hi)
+            want_base, want_slope = _dense_split(seg, 0, w)
+            _same_bytes(got.base.ravel(order="F"), want_base)
+            _same_bytes(got.slope.ravel(order="F"), want_slope)
+    assert recover_diffnet(dn_path, diffnet).segments[0].base.shape == (3, 4)
+    # theta-[0] and theta0- alone with a zero base: 0 - 0.0 is +0.0, not -0.0
+    n, d = 3, 4
+    tp, tm, i0 = 2 * n, 2 * n + d, 2 * n + 2 * d
+    path = _svm_path(n, d, [
+        (2.0, np.inf, [0, tp + 1, tm + 0, i0 + 1], [0.2, 0.3, 0.0, 0.0], [0.1, 0.05, 0.5, 1.0]),
+        (1.0, 2.0, [n + 2, tm + 2, tp + 3, i0], [0.4, 0.25, -0.5, 0.3], [0.2, -0.05, 0.5, 0.4]),
+    ])
+    orig = recover_svm(path, SvmInstance(np.ones((n, d)), np.ones(n)))
+    for got, seg in zip(orig.segments, path.segments):
+        (want_base, want_slope), (b0, s0) = _dense_split(seg, tp, d), _dense_split(seg, i0, 1)
+        _same_bytes(got.base, want_base)
+        _same_bytes(got.slope, want_slope)
+        _same_bytes(np.array([got.intercept_base, got.intercept_slope]), np.concatenate([b0, s0]))
+    assert np.signbit(orig.segments[0].base).tolist() == [False] * d
+
+
+def test_sparsity_stop_decides_like_the_dense_reference():
+    S_X, S_Y, _ = gen_diffnet(DiffNetGenConfig(d=8, n=100, sparsity=3, rng_seed=5))
+    inst = DiffNetInstance.from_covariances(S_X, S_Y)
+    nD = 64
+    path = solve_path(build_diffnet(inst), lambda_target=0.0)
+    assert path.num_pivots > 10
+    stops = {want: diffnet_sparsity_stop(inst, want) for want in range(1, 20)}
+    for seg in path.segments[1:]:
+        x = evaluate_primal(seg, seg.lambda_lo)
+        on = np.abs(x[:2 * nD].reshape(2, nD)) > SUPPORT_TOL
+        count = np.count_nonzero(on.any(axis=0))
+        dense = PathSegment(seg.lambda_lo, seg.lambda_hi, seg.n_cols, seg.primal_indices,
+                            seg.primal_base, seg.primal_slope, seg.dual_indices,
+                            seg.dual_base, seg.dual_slope)
+        for want, stop in stops.items():
+            assert stop(seg) == stop(dense) == (count >= want)
