@@ -14,6 +14,7 @@ reduced costs are affine in ``lam``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
@@ -265,7 +266,7 @@ def segment_breakpoint(segment) -> float:
     original coordinates).
     """
     for lam in (segment.lambda_lo, segment.lambda_hi):
-        if np.isfinite(lam):
+        if math.isfinite(lam):  # np.isfinite costs 1.3 us on a Python float
             return float(lam)
     return 0.0
 

@@ -163,6 +163,8 @@ class DictionaryState:
         if len(partition.basic) != program.m:
             raise ValueError(f"basis size {len(partition.basic)} != row count {program.m}")
         self.partition = partition
+        # False when c_bar = 0: then zN_pert stays +-0 and z_N(lam) is zN_base
+        self.zN_moves = bool(program.c_bar.any())
         # refresh() sets fact, xB_base/pert, zN_base/pert and y_base/pert;
         # pivots move y only while _duals_kept (cleared where nothing reads y)
         self._duals_kept = True
@@ -254,7 +256,9 @@ def compute_lambda_star(
     reduced-cost and basic-value families; the largest such ratio is the next
     breakpoint. Returns (-inf, None) when no entry constrains the dictionary
     from below. Within a family ties break toward the smaller column index;
-    across families the nonbasic (reduced-cost) candidate wins ties.
+    across families the nonbasic (reduced-cost) candidate wins ties. A
+    program with c_bar = 0 (every estimator) skips the reduced-cost family,
+    which never prices. Each family is one pass of quotients ``base/pert``.
     """
     best_lam = float("-inf")
     best: Optional[TightConstraint] = None
@@ -262,15 +266,18 @@ def compute_lambda_star(
     for base, pert, cols, in_basis in (
         (state.zN_base, state.zN_pert, state.partition.nonbasic, False),
         (state.xB_base, state.xB_pert, state.partition.basic, True),
-    ):
-        idx = (pert > RATIO_TOL).nonzero()[0]
-        if not idx.size:
-            continue
-        top, pos = _largest_ratio(-base[idx] / pert[idx], idx, cols)
+    )[not state.zN_moves:]:
+        with np.errstate(divide="ignore", invalid="ignore"):  # off the candidates
+            q = base / pert
+        cand = pert > RATIO_TOL
+        q[~cand] = np.inf
+        top = -float(q[q.argmin()]) if len(q) else -np.inf  # -(b/p) is exactly -b/p
+        if top == 0.0:  # of tied +-0s, the one the max over the candidates gives
+            top = float((-base[cand] / pert[cand]).max())
         # the nonbasic family is scanned first, so it keeps cross-family ties
         if top > best_lam + BREAKPOINT_RTOL * (1.0 + abs(top)):
-            best_lam = top
-            best = TightConstraint(column=int(cols[pos]), in_basis=in_basis)
+            tie = cols.take((q <= BREAKPOINT_RTOL * (1.0 + abs(top)) - top).nonzero()[0])
+            best_lam, best = top, TightConstraint(column=int(tie[tie.argmin()]), in_basis=in_basis)
     return best_lam, best
 
 
@@ -288,34 +295,27 @@ def compute_lambda_max(state: DictionaryState) -> float:
     return best
 
 
-def _largest_ratio(
-    ratios: np.ndarray, idx: np.ndarray, cols: np.ndarray
-) -> Tuple[float, int]:
-    """The largest of ``ratios`` (taken at positions ``idx``) and the
-    position it belongs to; ratios within BREAKPOINT_RTOL of it tie, and
-    ties go to the smallest column index ``cols[pos]``."""
-    top = float(ratios.max())
-    tie = idx[(ratios >= top - BREAKPOINT_RTOL * (1.0 + abs(top))).nonzero()[0]]
-    return top, int(tie[cols[tie].argmin()])
-
-
 def _ratio_pick(
     deltas: np.ndarray, values_at_lam: np.ndarray, cols: np.ndarray
 ) -> Optional[int]:
     """Position maximizing delta / value among positive deltas.
 
     Values below FEAS_TOL (degenerate, possibly tiny-negative from roundoff)
-    count as an infinite ratio and win outright. Ties break toward the
-    smallest column index. Returns None when no delta exceeds RATIO_TOL.
+    count as an infinite ratio and win outright. Ratios within
+    BREAKPOINT_RTOL of the largest tie, and ties break toward the smallest
+    column index. Returns None when no delta exceeds RATIO_TOL.
     """
     cand = (deltas > RATIO_TOL).nonzero()[0]
     if cand.size == 0:
         return None
-    vals = values_at_lam[cand]
-    degenerate = cand[(vals < FEAS_TOL).nonzero()[0]]
-    if degenerate.size:
-        return int(degenerate[cols[degenerate].argmin()])
-    return _largest_ratio(deltas[cand] / vals, cand, cols)[1]
+    vals = values_at_lam.take(cand)
+    tie = cand.take((vals < FEAS_TOL).nonzero()[0])  # the degenerate ones
+    if not tie.size:
+        ratios = deltas.take(cand)
+        ratios /= vals
+        top = float(ratios[ratios.argmax()])
+        tie = cand.take((ratios >= top - BREAKPOINT_RTOL * (1.0 + abs(top))).nonzero()[0])
+    return int(tie[cols.take(tie).argmin()])
 
 
 def _delta_z(state: DictionaryState, basic_pos: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -323,7 +323,8 @@ def _delta_z(state: DictionaryState, basic_pos: int) -> Tuple[np.ndarray, np.nda
     and the v = B^{-T} e_r it comes from. The BTRAN is handed r itself, so
     its update term is row r of the chain's P, read, not multiplied."""
     v = state.fact.solve_transpose(basic_pos)
-    return -state.program.A.rmatvec(v)[state.partition.nonbasic], v
+    dz = state.program.A.rmatvec(v).take(state.partition.nonbasic)
+    return np.negative(dz, out=dz), v
 
 
 def _exchange(
@@ -417,10 +418,12 @@ def dual_pivot(state: DictionaryState, leaving: int, lam_star: float) -> PivotEv
 
     The entering variable maximizes Delta z_j / z_j(lam_star) over columns
     with Delta z_j > RATIO_TOL. Raises InfeasibleProblem when none exists.
+    On a program with c_bar = 0, z_j(lam_star) is z*_j itself, read without
+    a pass over the zero z~_N.
     """
     kB = state.partition.position(leaving)
     dzN, v = _delta_z(state, kB)
-    zvals = state.zN_base + lam_star * state.zN_pert
+    zvals = state.zN_base + lam_star * state.zN_pert if state.zN_moves else state.zN_base
     kN = _ratio_pick(dzN, zvals, state.partition.nonbasic)
     if kN is None:
         raise InfeasibleProblem(

@@ -189,11 +189,17 @@ def test_segment_contains_and_evaluate():
     (1.0, 3.0, 1.0),
     (-np.inf, 3.0, 3.0),
     (-np.inf, np.inf, 0.0),
+    (np.inf, -2.0, -2.0),
+    (np.nan, 3.0, 3.0),
+    (np.float64(-np.inf), np.float64(2.5), 2.5),
+    (-np.inf, np.nan, 0.0),
+    (np.nan, np.nan, 0.0),
 ])
 def test_segment_breakpoint_is_the_lower_end_else_the_upper_else_zero(lo, hi, want):
     seg = _segment()
     seg.lambda_lo, seg.lambda_hi = lo, hi
-    assert segment_breakpoint(seg) == want
+    got = segment_breakpoint(seg)
+    assert got == want and type(got) is float
 
 
 def test_solution_path_lookup():

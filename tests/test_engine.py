@@ -68,6 +68,8 @@ class _FakeState:
         n = n or (nb + m)
         # nonbasic columns come first, basic columns after
         self.partition = BasisPartition.from_basic(n, list(range(nb, nb + m)))
+        # a state derives this from its program's c_bar; here a zero z~_N stands in
+        self.zN_moves = bool(self.zN_pert.any())
 
 
 def test_lambda_star_worked_example():
@@ -147,6 +149,120 @@ def test_ratio_pick_needs_a_delta_above_ratio_tol():
     assert _pick([engine.RATIO_TOL, -1.0, 0.0], [1.0, 0.0, 2.0], [0, 1, 2]) is None
     # a degenerate entry whose delta is too small is no candidate either
     assert _pick([0.1 * engine.RATIO_TOL, 1.0], [0.0, 1.0], [0, 1]) == 1
+
+
+# The gather-based scans the one-pass ones replaced, kept as references.
+def _ref_largest_ratio(ratios, idx, cols):
+    top = float(ratios.max())
+    tie = idx[(ratios >= top - engine.BREAKPOINT_RTOL * (1.0 + abs(top))).nonzero()[0]]
+    return top, int(tie[cols[tie].argmin()])
+
+
+def _ref_lambda_star(state):
+    best_lam, best = float("-inf"), None
+    for base, pert, cols, in_basis in (
+        (state.zN_base, state.zN_pert, state.partition.nonbasic, False),
+        (state.xB_base, state.xB_pert, state.partition.basic, True),
+    ):
+        idx = (pert > engine.RATIO_TOL).nonzero()[0]
+        if not idx.size:
+            continue
+        top, pos = _ref_largest_ratio(-base[idx] / pert[idx], idx, cols)
+        if top > best_lam + engine.BREAKPOINT_RTOL * (1.0 + abs(top)):
+            best_lam, best = top, (int(cols[pos]), in_basis)
+    return best_lam, best
+
+
+def _ref_lambda_max(state):
+    best = float("inf")
+    for base, pert in ((state.zN_base, state.zN_pert), (state.xB_base, state.xB_pert)):
+        idx = (pert < -engine.RATIO_TOL).nonzero()[0]
+        if idx.size:
+            best = min(best, float((-base[idx] / pert[idx]).min()))
+    return best
+
+
+def _ref_ratio_pick(deltas, values_at_lam, cols):
+    cand = (deltas > engine.RATIO_TOL).nonzero()[0]
+    if cand.size == 0:
+        return None
+    vals = values_at_lam[cand]
+    degenerate = cand[(vals < engine.FEAS_TOL).nonzero()[0]]
+    if degenerate.size:
+        return int(degenerate[cols[degenerate].argmin()])
+    return _ref_largest_ratio(deltas[cand] / vals, cand, cols)[1]
+
+
+def _planted(rng, size, target):
+    """(base, pert) of ``size`` entries whose candidates (pert > RATIO_TOL)
+    have ratios -base/pert below ``target``, except a few that tie with it
+    within BREAKPOINT_RTOL / 3; some perturbations sit at or below
+    RATIO_TOL, and some bases are +-0."""
+    pert = rng.standard_normal(size) * rng.choice([1e-3, 1.0, 1e3], size)
+    ratio = target - np.abs(rng.standard_normal(size)) * rng.choice([1e-6, 1.0], size)
+    at = rng.choice(size, min(size, 3), replace=False)
+    pert[at] = np.abs(pert[at]) + 0.5
+    ratio[at] = target * (1.0 + rng.uniform(-3e-13, 3e-13, len(at)))
+    base = -ratio * pert
+    pert[rng.random(size) < 0.1] = engine.RATIO_TOL * rng.choice([0.5, 1.0])
+    zero = rng.random(size) < 0.1
+    base[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+    return base, pert
+
+
+def _random_state(rng, m, nb, z_moves=True, target=None):
+    n = m + nb
+    cols = rng.permutation(n)
+    target = rng.uniform(0.5, 2.0) if target is None else target
+    xB_base, xB_pert = _planted(rng, m, target)
+    if z_moves:
+        zN_base, zN_pert = _planted(rng, nb, target)
+    else:  # c_bar = 0: z~_N is +-0, as a pivot's 0 / dz leaves it
+        zN_base, zN_pert = rng.standard_normal(nb), np.copysign(0.0, rng.standard_normal(nb))
+    state = _FakeState(zN_base, zN_pert, xB_base, xB_pert, n)
+    state.partition = BasisPartition(n, cols[:m], cols[m:])
+    state.zN_moves = z_moves
+    return state
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_one_pass_scans_pick_as_the_gathering_ones(seed):
+    rng = np.random.default_rng([20261020, seed])
+    m, nb = rng.integers(1, 40), [0, 1, 7, 60][seed % 4]  # nb = 0: no nonbasic family
+    cases = [_random_state(rng, m, nb), _random_state(rng, m, nb, z_moves=False),
+             _random_state(rng, m, nb, target=0.0)]  # a breakpoint at lambda = +-0
+    empty = _random_state(rng, m, nb)  # no candidate in either family
+    empty.xB_pert[:] = -np.abs(empty.xB_pert)
+    empty.zN_pert[:] = engine.RATIO_TOL
+    cases.append(empty)
+    for state in cases:
+        lam, tight = compute_lambda_star(state)
+        want_lam, want = _ref_lambda_star(state)
+        assert np.float64(lam).tobytes() == np.float64(want_lam).tobytes()
+        assert (tight and (tight.column, tight.in_basis)) == want
+        assert compute_lambda_max(state) == _ref_lambda_max(state)
+        for deltas, values, cols in (
+            (state.zN_pert, state.zN_base, state.partition.nonbasic),
+            (state.xB_pert, state.xB_base, state.partition.basic),
+            (state.xB_pert, np.where(rng.random(m) < 0.2, rng.choice([0.0, -1e-15, 0.5e-9], m),
+                                     np.abs(state.xB_base)), state.partition.basic),
+        ):
+            assert engine._ratio_pick(deltas, values, cols) == _ref_ratio_pick(deltas, values, cols)
+
+
+def test_sup_norm_reduced_costs_never_move_with_lambda():
+    """c_bar = 0 on every estimator, so z~_N stays +-0 pivot after pivot:
+    the breakpoint scan skips it and finds what the full scan finds."""
+    X, y, _ = gen_dantzig(DantzigGenConfig(n=20, d=30, s=3), rng=np.random.default_rng(6))
+    p = build_dantzig(DantzigInstance(X, y))
+    state = initialize(p, np.arange(p.n, p.n + p.m))
+    assert not state.zN_moves
+    lam, tight = state.lambda_lo, state.tight
+    for _ in range(25):
+        engine._pivot_at(state, tight, lam)
+        assert not state.zN_pert.any()
+        lam, tight = compute_lambda_star(state)
+        assert (lam, (tight.column, tight.in_basis)) == _ref_lambda_star(state)
 
 
 def _identity_dantzig(y=(3.0, 1.0)):

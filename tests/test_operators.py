@@ -132,6 +132,40 @@ def test_column_indices_count_from_the_end_and_stop_at_n(op):
                 call()
 
 
+def _integer_kinds():
+    """Each kind under SupNorm inside WithSlacks, over small nonzero
+    integers: every product is exact, so it equals the dense one."""
+    rng = _rng()
+    ints = lambda *shape: rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], shape)
+    return {"dense": DenseMatrix(ints(5, 7)), "gram": Gram(ints(4, 9)),
+            "kron": Kron(ints(2, 3), ints(4, 2))}
+
+
+@pytest.mark.parametrize("kind", ["dense", "gram", "kron"])
+def test_one_buffer_products_equal_the_dense_ones_byte_for_byte(kind):
+    """[A'y; y] and [top; -top] are written into one buffer. They equal
+    the two nested concatenations they replace byte for byte, -0.0
+    included, and the products with ``to_dense()`` exactly."""
+    G = _integer_kinds()[kind]
+    op = WithSlacks(SupNorm(G))
+    A = op.to_dense()
+    (r, d), (m, n) = G.shape, A.shape
+    for j in (0, d - 1, d, 2 * d - 1):  # each half of the split columns
+        top = G.column(j % d) if j < d else -G.column(j % d)
+        assert op.column(j).tobytes() == np.concatenate([top, -top]).tobytes()
+        np.testing.assert_array_equal(op.column(j), A[:, j])
+    rng = _rng()
+    y = rng.integers(-3, 4, m).astype(float)
+    e = np.zeros(m)
+    e[r + 1] = -2.0  # a sparse y: DenseMatrix and Gram read its support only
+    for Y in (y, e, np.zeros(m), np.column_stack([y, e, y]), np.column_stack([y, e]).T.copy().T):
+        v = G.rmatvec(Y[:r] - Y[r:])
+        nested = np.concatenate([np.concatenate([v, -v]), Y])
+        got = op.rmatvec(Y)
+        assert got.shape == nested.shape and got.tobytes() == nested.tobytes()
+        np.testing.assert_array_equal(got, A.T @ Y)
+
+
 def test_kron_columns_are_kron_of_factor_rows_and_columns():
     rng = _rng()
     X, Z = rng.standard_normal((2, 3)), rng.standard_normal((4, 2))
