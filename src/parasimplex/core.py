@@ -210,9 +210,8 @@ class PathSegment:
 class CompactSegment:
     """A segment of a solved path: its interval and its primal entries at
     columns below ``n_structural``, the caller's columns (all of an equality
-    program's), O(k) numbers on a <= program. ``solve_path`` stores every
-    segment this way once nothing reads it dense: once its certificate
-    batch passes, or at once when it is in none. It reads like a
+    program's), O(k) numbers on a <= program. ``solve_path`` makes every
+    segment this way, in the iteration that emits it. It reads like a
     ``PathSegment``; its six arrays are ``rebuilt(pos)``, dictionary ``pos``
     of its window, replayed from the window's first partition bit for bit.
     """

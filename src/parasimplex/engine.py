@@ -20,8 +20,8 @@ operator that keeps the unit slack columns implicit (``to_standard_form``).
 Segments are certified in windows between refactorizations only, and all
 numerical trouble has one recovery step, described at ``solve_path``.
 
-Every segment goes into the path as a ``CompactSegment`` as soon as nothing
-reads it dense, and ``_replay`` rebuilds its dictionary on demand from its
+Every segment goes into the path as a ``CompactSegment`` in the iteration
+that emits it, and ``_replay`` rebuilds its dictionary on demand from its
 window's first partition.
 """
 
@@ -112,9 +112,9 @@ class SolveOptions:
             batches of ``max(1, CERT_BATCH_FLOATS // n)`` checked as they
             fill, plus at a refresh the dictionary it replaces (see
             ``solve_path``).
-        stop_callback: called with each newly emitted segment; returning
-            True ends the path early (ReachedTarget). Must be pure: it can
-            see segments that a recovery replaces, then the redone ones.
+        stop_callback: called with a dense copy of each new segment;
+            returning True ends the path early (ReachedTarget). Must be pure:
+            it can see segments that a recovery replaces, then the redone ones.
 
     A solve's pivots are read from the returned path's ``events``; the
     CLI's per-pivot lines are printed from there once the solve returns.
@@ -193,18 +193,18 @@ class DictionaryState:
         y = self.fact.solve_transpose(c[B])
         return y, self.program.A.rmatvec(y)[N] - c[N]
 
-    def duals(self, lam: float) -> np.ndarray:
-        """The duals y(lam) = y_base + lam * y_pert, as a new array. Current
-        after pivots only in a state that keeps its duals: one from
-        ``initialize``, or a ``solve_path`` with certificates on."""
-        return self.y_base + lam * self.y_pert
-
-    def entry(self, lam: float) -> Tuple[PathSegment, np.ndarray]:
-        """This dictionary as a window entry certified at ``lam``: a segment
-        ending there, and the duals y(lam)."""
-        return self.segment(lam, lam), self.duals(lam)
+    def at(self, lam: float) -> tuple:
+        """This dictionary as a certificate entry at ``lam``, all new arrays:
+        (lam, B, x_B(lam), N, z_N(lam), y(lam)). y is current after pivots
+        only in a state that keeps its duals: one from ``initialize``, or a
+        ``solve_path`` with certificates on."""
+        part = self.partition
+        return (lam, part.basic.copy(), self.xB_base + lam * self.xB_pert,
+                part.nonbasic.copy(), self.zN_base + lam * self.zN_pert,
+                self.y_base + lam * self.y_pert)
 
     def segment(self, lambda_lo: float, lambda_hi: float) -> PathSegment:
+        """This dictionary as a dense segment, a copy (for ``stop_callback``)."""
         part = self.partition
         return PathSegment(  # PathSegment's fields in order: interval, n_cols, primal, dual
             lambda_lo, lambda_hi, self.program.n,
@@ -271,9 +271,8 @@ def compute_lambda_star(
             q = base / pert
         cand = pert > RATIO_TOL
         q[~cand] = np.inf
-        top = -float(q[q.argmin()]) if len(q) else -np.inf  # -(b/p) is exactly -b/p
-        if top == 0.0:  # of tied +-0s, the one the max over the candidates gives
-            top = float((-base[cand] / pert[cand]).max())
+        # -(b/p) is exactly -b/p, but for a breakpoint at lambda = 0: +0.0
+        top = 0.0 - float(q[q.argmin()]) if len(q) else -np.inf
         # the nonbasic family is scanned first, so it keeps cross-family ties
         if top > best_lam + BREAKPOINT_RTOL * (1.0 + abs(top)):
             tie = cols.take((q <= BREAKPOINT_RTOL * (1.0 + abs(top)) - top).nonzero()[0])
@@ -519,45 +518,30 @@ def _residuals(p: ParametricProgram, lams: np.ndarray, S: np.ndarray, xS: np.nda
     return res, scale, zhat
 
 
-def _window_verdicts(p: ParametricProgram,
-                     window: Sequence[Tuple[PathSegment, np.ndarray]]) -> np.ndarray:
+def _window_verdicts(p: ParametricProgram, window: Sequence[tuple]) -> np.ndarray:
     """A posteriori optimality check of a window of dictionaries: one bool
     per entry, True where the entry passes.
 
-    Each entry is a segment, checked at its ``lambda_hi``, and the duals y
-    kept there. Nothing here trusts them: ``A_B' y = c_B(lam)`` must hold to
-    CERT_TOL, (x, z, y) must pass the residuals of ``verify_certificate``,
-    and the segment's reduced costs must agree with ``A_N' y - c_N(lam)``
-    (complementarity is structural for dictionary solutions, so this is the
-    check that catches accumulated update error in z). An entry's verdict is
-    its row of the batch, so it depends on that entry alone (up to roundoff
-    at a tolerance's edge); a NaN fails. The window's segments are stacked
-    once, basic entries then nonbasic ones, for one product with A' and one
-    with the structural basic columns.
+    Each entry is ``DictionaryState.at(lam)``: (lam, B, x_B, N, z_N, y).
+    Nothing here trusts them: ``A_B' y = c_B(lam)`` must hold to CERT_TOL,
+    (x, z, y) must pass the residuals of ``verify_certificate``, and the
+    reduced costs must agree with ``A_N' y - c_N(lam)`` (complementarity is
+    structural for dictionary solutions, so this is the check that catches
+    accumulated update error in z). An entry's verdict is its row of the
+    batch, so it depends on that entry alone (up to roundoff at a
+    tolerance's edge); a NaN fails. The entries are stacked once, for one
+    product with A' and one with the structural basic columns.
     """
-    m, W = p.m, len(window)
-    segs = [seg for seg, _ in window]
-    lams = np.array([seg.lambda_hi for seg in segs])
-    idx = np.concatenate([s.primal_indices for s in segs] + [s.dual_indices for s in segs])
-    base = np.concatenate([s.primal_base for s in segs] + [s.dual_base for s in segs])
-    xz = np.concatenate([s.primal_slope for s in segs] + [s.dual_slope for s in segs])
-    B, N = idx[:W * m].reshape(W, m), idx[W * m:].reshape(W, -1)  # one row per entry
-    x, z = xz[:W * m].reshape(W, m), xz[W * m:].reshape(W, -1)
-    x *= lams[:, None]
-    z *= lams[:, None]
-    xz += base
-    res, scale, zhat = _residuals(p, lams, B, x, np.array([y for _, y in window]))
-    at = np.arange(0, zhat.size, p.n)[:, None]  # idx, through its views B and N, into zhat
-    B += at
-    N += at
-    zhat = zhat.take(idx)  # A_B' y - c_B(lam), then A_N' y - c_N(lam)
-    zB, zN = zhat[:W * m].reshape(W, m), zhat[W * m:].reshape(W, -1)
+    lams, B, x, N, z, Y = (np.array(f) for f in zip(*window))  # one row per entry
+    res, scale, zhat = _residuals(p, lams, B, x, Y)
+    rows = np.arange(len(lams))[:, None]
+    zB, zN = zhat[rows, B], zhat[rows, N]  # A_B' y - c_B(lam), A_N' y - c_N(lam)
     basis = np.abs(zB).max(axis=1, initial=0.0)
     drift = np.abs(np.subtract(zN, z, out=z), out=z).max(axis=1, initial=0.0)
     bad_basis = ~(basis <= CERT_TOL * (1.0 + scale[:, 1]))
     bad_cert = ~(res <= CERT_TOL * (1.0 + scale)).all(axis=1)
     if not (bad_basis.any() or bad_cert.any()) and drift.max() <= CERT_TOL:
-        return np.ones(W, dtype=bool)  # the drift's scale, 1 + max |zhat_N|, is at least 1
+        return np.ones(len(lams), dtype=bool)  # the drift's scale, 1 + max |zhat_N|, is at least 1
     bad_drift = ~(drift <= CERT_TOL * (1.0 + np.abs(zN).max(axis=1, initial=0.0)))
     bad = bad_basis | bad_cert | bad_drift
     for w in np.flatnonzero(bad):
@@ -570,7 +554,7 @@ def _window_verdicts(p: ParametricProgram,
     return ~bad
 
 
-def _post_pivot_ok(p: ParametricProgram, window: Sequence[Tuple[PathSegment, np.ndarray]]) -> bool:
+def _post_pivot_ok(p: ParametricProgram, window: Sequence[tuple]) -> bool:
     """Whether every entry of a window passes (``_window_verdicts``)."""
     return bool(_window_verdicts(p, window).all())
 
@@ -647,11 +631,12 @@ def solve_path(
     batches of ``max(1, CERT_BATCH_FLOATS // n)`` entries, each as it fills,
     and the rest at the next rebuild and where the path ends, however it
     ends. Each check is one ``_post_pivot_ok`` call on one batch; a
-    refresh's adds the one dictionary the refresh replaces. A segment stays
-    dense only while something reads it so: the stop callback during its
-    call, and its batch until it passes (a window's first segment is in no
-    batch). Then it goes into the path as a ``CompactSegment``, replayed on
-    demand from the window's first partition.
+    refresh's adds the one dictionary the refresh replaces. A batch entry
+    holds its dictionary's x, z and y at the entry's lambda, all the check
+    reads (a window's first segment is in no batch). Each segment goes into
+    the path as a ``CompactSegment`` as it is emitted, replayed on demand
+    from the window's first partition; the solve holds no dense segment,
+    and makes one only to hand it to the stop callback.
 
     Numerical trouble has one recovery step: refactorize at segment k,
     dropping the segments and pivots from k on, and emit k again from the
@@ -709,8 +694,7 @@ def solve_path(
     first = state.lambda_lo
     zero_tol = FEAS_TOL * (1.0 + (abs(first) if np.isfinite(first) else 0.0))
     # The window: path.segments[start:], from a fresh factorization on. Its
-    # segments after the first wait in ``batch`` (with their duals) to be
-    # certified; those from path.segments[done] on are not yet compact.
+    # dictionaries after the first wait in ``batch`` to be certified.
     start, batch, step = 0, [], max(1, CERT_BATCH_FLOATS // std.n)
     replayed = [None, None]  # the last window rebuilt (_rebuilder)
     # The segment last redone, and its breakpoint before the redo.
@@ -725,14 +709,19 @@ def solve_path(
         if vanished:  # the path ends at the breakpoint as first found
             lam_star = was
         # segment k's upper end is segment k - 1's lower end
-        seg = state.segment(lam_star, path.segments[-1].lambda_lo if k else state.lambda_hi)
-        path.segments.append(seg)
+        lam_hi = path.segments[-1].lambda_lo if k else state.lambda_hi
+        part = state.partition
         if k == start:
-            basis = seg.primal_indices, seg.dual_indices  # the window's first partition
-            record: List[PivotEvent] = []  # the pivots into the window's compact segments
-            rebuilt, done = _rebuilder(std, basis, record, replayed), start
+            basis = part.basic.copy(), part.nonbasic.copy()  # the window's first partition
+            record: List[PivotEvent] = []  # the pivots into the window's segments
+            rebuilt = _rebuilder(std, basis, record, replayed)
         elif opts.check_certificates:  # checked at its upper end, where its pivot left it
-            batch.append((seg, state.duals(seg.lambda_hi)))
+            batch.append(state.at(lam_hi))
+        keep = (part.basic < p.n).nonzero()[0]  # its entries at the caller's columns
+        path.segments.append(CompactSegment(
+            lam_star, lam_hi, std.n, p.n,
+            (part.basic.take(keep), state.xB_base.take(keep), state.xB_pert.take(keep)),
+            rebuilt, k - start))
         nonpositive = lam_star <= zero_tol
 
         reached = lam_star <= opts.lambda_target and (
@@ -749,7 +738,7 @@ def solve_path(
             end = (Termination.REACHED_TARGET, opts.lambda_target, "")
         elif nonpositive:
             end = (Termination.LAMBDA_NONPOSITIVE, max(lam_star, 0.0) + 0.0, "")  # drop -0.0
-        elif opts.stop_callback is not None and opts.stop_callback(seg):
+        elif opts.stop_callback is not None and opts.stop_callback(state.segment(lam_star, lam_hi)):
             end = (Termination.REACHED_TARGET, lam_star, "")
         elif len(path.events) >= max_pivots:
             end = (Termination.ITERATION_CAP, lam_star, "")
@@ -765,7 +754,7 @@ def solve_path(
 
         if opts.check_certificates and (end or refresh or failed or len(batch) == step):
             # the segment of the last pivot is not emitted before a refresh
-            window = batch + [state.entry(lam_star)] if refresh else batch
+            window = batch + [state.at(lam_star)] if refresh else batch
             if window and not _post_pivot_ok(state.program, window):
                 w = int(np.argmin(_window_verdicts(state.program, window)))  # the first bad one
                 redo, refresh = k - len(batch) + w, False
@@ -795,13 +784,7 @@ def solve_path(
             else:
                 if redo is not None:
                     path.segments.pop()  # emitted again from the fresh factorization
-        if not batch:  # no batch pending: nothing reads them dense any more
-            record[:] = path.events[start:len(path.segments) - 1]  # a redo may drop one
-            path.segments[done:] = [
-                CompactSegment(s.lambda_lo, s.lambda_hi, s.n_cols, p.n, s.primal_below(p.n),
-                               rebuilt, pos)
-                for pos, s in enumerate(path.segments[done:], done - start)]
-            done = len(path.segments)
+        record[:] = path.events[start:len(path.segments) - 1]  # a redo may drop one
         if end:
             path.termination, path.terminal_lambda, path.termination_detail = end
             break

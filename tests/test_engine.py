@@ -170,7 +170,7 @@ def _ref_lambda_star(state):
         top, pos = _ref_largest_ratio(-base[idx] / pert[idx], idx, cols)
         if top > best_lam + engine.BREAKPOINT_RTOL * (1.0 + abs(top)):
             best_lam, best = top, (int(cols[pos]), in_basis)
-    return best_lam, best
+    return best_lam + 0.0, best  # a breakpoint at lambda = 0 is +0.0
 
 
 def _ref_lambda_max(state):
@@ -267,6 +267,19 @@ def test_sup_norm_reduced_costs_never_move_with_lambda():
 
 def _identity_dantzig(y=(3.0, 1.0)):
     return build_dantzig(DantzigInstance(np.eye(len(y)), np.array(y)))
+
+
+@pytest.mark.parametrize("certify", [True, False], ids=["certified", "certificates-off"])
+def test_a_breakpoint_at_exactly_zero_is_positive_zero(certify):
+    # an identity path's last breakpoint is lambda = 0, a tie of +0 and -0
+    # quotients; for y = 0 it is the only one
+    for d in range(1, 40):
+        for y in (np.zeros(d), np.arange(d, 0.0, -1.0)):
+            path = solve_path(_identity_dantzig(y), check_certificates=certify)
+            assert path.termination is Termination.LAMBDA_NONPOSITIVE
+            assert len(path.segments) == 1 + np.count_nonzero(y)
+            seg = path.segments[-1]
+            assert np.float64(seg.lambda_lo).tobytes() == np.float64(0.0).tobytes(), (d, y)
 
 
 def test_soft_threshold_path():
@@ -505,7 +518,7 @@ def test_full_regression_path_ends_lambda_nonpositive():
 
 def _certify(state, lam):
     """The engine's check of ``state`` as a window of one at ``lam``."""
-    return engine._post_pivot_ok(state.program, [state.entry(lam)])
+    return engine._post_pivot_ok(state.program, [state.at(lam)])
 
 
 def test_post_pivot_check_passes_on_clean_dictionary():
@@ -545,6 +558,22 @@ def test_post_pivot_check_reads_every_basic_value(caplog, slot):
     with caplog.at_level(logging.DEBUG, logger="parasimplex.engine"):
         assert not _certify(state, lam)
     assert "certificate failed" in caplog.text
+
+
+def test_window_verdicts_on_a_square_equality_program():
+    # n = m: every column is basic, so each entry's N and z_N are empty.
+    # x_B(lam) = A^{-1} (b + lam b_bar) is (lam - 1, lam + 2), >= 0 from 1 up
+    p = ParametricProgram(A=[[2.0, 1.0], [1.0, 3.0]], b=[0.0, 5.0], b_bar=[3.0, 4.0],
+                          c=[1.0, -1.0], c_bar=[0.0, 1.0])
+    state = initialize(p, [0, 1])
+    assert state.partition.nonbasic.size == 0 and state.lambda_lo == pytest.approx(1.0)
+    window = [state.at(lam) for lam in (4.0, 2.0, 0.5, 1.5)]  # x_0(0.5) < 0
+    assert window[0][3].shape == window[0][4].shape == (0,)
+    verdicts = engine._window_verdicts(p, window)
+    assert verdicts.dtype == bool and verdicts.tolist() == [True, True, False, True]
+    for entry, verdict in zip(window, verdicts):  # a window of one
+        alone = engine._window_verdicts(p, [entry])
+        assert alone.shape == (1,) and alone[0] == verdict
 
 
 def test_failed_check_is_retried_on_a_fresh_factorization(monkeypatch):
@@ -758,16 +787,12 @@ def _certified_windows(monkeypatch, p):
 
 
 def _corrupted(window, w, field):
-    """``window`` with entry w's first basic value, first reduced cost or
-    first dual moved by 1e-3; the other entries are shared."""
-    seg, y = window[w]
-    if field == "y":
-        y = y + np.eye(len(y))[0] * 1e-3
-    else:
-        values = getattr(seg, field).copy()
-        values[0] += 1e-3
-        seg = dataclasses.replace(seg, **{field: values})
-    return window[:w] + [(seg, y)] + window[w + 1:]
+    """``window`` with entry w's first basic value x, first reduced cost z
+    or first dual y moved by 1e-3; the other entries are shared."""
+    entry = list(window[w])  # (lam, B, x, N, z, y)
+    at = {"x": 2, "z": 4, "y": 5}[field]
+    entry[at] = entry[at] + np.eye(len(entry[at]))[0] * 1e-3
+    return window[:w] + [tuple(entry)] + window[w + 1:]
 
 
 @pytest.mark.parametrize("kind", ["gram", "kron", "dense"])
@@ -786,7 +811,7 @@ def test_a_batched_verdict_is_that_of_the_entries_alone(monkeypatch, kind):
         "gram": "Gram", "kron": "Kron", "dense": "DenseMatrix"}[kind]
     for std, window in windows:
         assert engine._post_pivot_ok(std, window)
-        for field in ("primal_base", "dual_base", "y"):
+        for field in ("x", "z", "y"):
             bad = _corrupted(window, len(window) // 2, field)
             alone = [engine._post_pivot_ok(std, [entry]) for entry in bad]
             assert alone.count(False) == 1
@@ -1201,18 +1226,30 @@ def _long_dantzig():
     return DantzigInstance(X, y)
 
 
-def _dense_as_emitted(monkeypatch, p, **kwargs):
-    """Solve p, recording each dense segment as the solve makes it compact
-    (``primal_below`` selects the entries it keeps), in that order."""
-    real, dense = PathSegment.primal_below, []
+def _dense_as_made(monkeypatch, p, **kwargs):
+    """Solve p, pairing each ``CompactSegment`` the solve makes with the
+    breakpoint last priced and a dense copy of the dictionary the state held
+    as the segment was made, in that order. ``compute_lambda_star`` prices
+    each dictionary once, just before its segment is made."""
+    real_price, real_compact = engine.compute_lambda_star, engine.CompactSegment
+    priced, made = [], []
 
-    def primal_below(self, hi):
-        dense.append(self)
-        return real(self, hi)
+    def price(state):
+        priced.append((state, *real_price(state)))
+        return priced[-1][1:]
+
+    def compact(*args):
+        seg = real_compact(*args)
+        state, lam, _ = priced[-1]
+        made.append((seg, lam, state.segment(seg.lambda_lo, seg.lambda_hi)))
+        return seg
 
     with monkeypatch.context() as patch:
-        patch.setattr(PathSegment, "primal_below", primal_below)
-        return solve_path(p, **kwargs), dense
+        patch.setattr(engine, "compute_lambda_star", price)
+        patch.setattr(engine, "CompactSegment", compact)
+        path = solve_path(p, **kwargs)
+    assert len(made) == len(priced)  # one segment per dictionary priced
+    return path, made
 
 
 def _count_rebuilds(monkeypatch):
@@ -1235,13 +1272,17 @@ def test_compact_segments_rebuild_as_emitted(monkeypatch, case):
         case, lambda: (build_dantzig(_long_dantzig()), None))()
     if case == "redo":
         sizes = _corrupt_reduced_costs(monkeypatch, at_pivot=5)
-    path, emitted = _dense_as_emitted(monkeypatch, p, initial_basis=basis,
-                                      check_certificates=case != "certificates-off")
+    path, made = _dense_as_made(monkeypatch, p, initial_basis=basis,
+                                check_certificates=case != "certificates-off")
     assert path.num_pivots > linalg.REFRESH_LIMIT
     # every segment is compact, each window's first and the last window's too
     assert all(isinstance(seg, CompactSegment) for seg in path.segments)
-    # each window is one batch here, so nothing compact was dropped by the redo
-    assert len(emitted) == len(path.segments)
+    # the redo dropped the segments made after the one it redid
+    assert (len(made) > len(path.segments)) == (case == "redo")
+    at = {id(seg): k for k, (seg, _, _) in enumerate(made)}
+    order = [at[id(seg)] for seg in path.segments]
+    assert order == sorted(order)  # the path's segments, in the order made
+    emitted = [made[k] for k in order]
     starts = [k for k, seg in enumerate(path.segments) if seg.pos == 0]
     if case == "redo":  # the first window failed at pivot 5; segment 4 was redone
         assert sizes[0] > 4 and starts[:2] == [0, 4]
@@ -1249,10 +1290,14 @@ def test_compact_segments_rebuild_as_emitted(monkeypatch, case):
     for k, seg in enumerate(path.segments):  # positions count from the window's first
         first = max(s for s in starts if s <= k)
         assert seg.pos == k - first and seg.rebuilt is path.segments[first].rebuilt
+    # segment k's upper end is segment k - 1's lower end; the first's, the
+    # first dictionary's lambda_max
+    first_hi = initialize(p, range(p.n, p.n + p.m) if basis is None else basis).lambda_hi
+    assert [seg.lambda_hi for seg in path.segments] == [
+        first_hi, *(seg.lambda_lo for seg in path.segments[:-1])]
     n0 = p.n  # the caller's columns: all of an equality program's
-    for k, (seg, was) in enumerate(zip(path.segments, emitted, strict=True)):
-        assert (seg.lambda_lo, seg.lambda_hi, seg.n_cols, seg.n_structural) == (
-            was.lambda_lo, was.lambda_hi, was.n_cols, n0)
+    for k, (seg, (_, lam, was)) in enumerate(zip(path.segments, emitted, strict=True)):
+        assert (seg.lambda_lo, seg.n_cols, seg.n_structural) == (lam, was.n_cols, n0)
         for name in _ARRAYS:
             a, b = getattr(seg, name), getattr(was, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, name)
@@ -1436,21 +1481,53 @@ def test_a_refresh_that_lands_on_a_full_batch_is_one_check(monkeypatch):
 
 
 @pytest.mark.parametrize("certify", [True, False], ids=["certified", "certificates-off"])
-def test_a_windows_first_segment_goes_compact_as_it_is_emitted(monkeypatch, certify):
-    # the stop callback sees segment k in iteration k; a window's first
-    # segment is in no batch, so it goes compact before the next call
+def test_every_segment_goes_compact_in_the_iteration_that_emits_it(monkeypatch, certify):
+    # the stop callback sees segment k in iteration k, after the segment
+    # went into the path compact; no batch or window closing waits for it
     seen, made, real = [], [], engine.CompactSegment
 
     def compact(*args):
         seg = real(*args)
-        made.append((seg.pos, len(seen)))
+        made.append((seg, len(seen)))
         return seg
 
     monkeypatch.setattr(engine, "CompactSegment", compact)
     path = solve_path(build_dantzig(_long_dantzig()), check_certificates=certify,
                       stop_callback=seen.append)
     assert len(made) == len(path.segments) == len(seen) + 1  # the last ends the path
-    starts = [k for k, seg in enumerate(path.segments) if seg.pos == 0]
-    assert len(starts) == 7
-    for k in starts:
-        assert made[k] == (0, k + 1)
+    assert len([seg for seg in path.segments if seg.pos == 0]) == 7
+    for k, (seg, calls) in enumerate(made):
+        assert seg is path.segments[k] and calls == k
+
+
+@pytest.mark.parametrize("certify", [True, False], ids=["certified", "certificates-off"])
+def test_a_dense_segment_is_made_only_for_the_stop_callback(monkeypatch, certify):
+    real, calls = engine.DictionaryState.segment, []
+
+    def segment(self, lambda_lo, lambda_hi):
+        calls.append(lambda_lo)
+        return real(self, lambda_lo, lambda_hi)
+
+    monkeypatch.setattr(engine.DictionaryState, "segment", segment)
+    p = build_dantzig(_long_dantzig())
+    path = solve_path(p, check_certificates=certify)
+    assert path.num_pivots > linalg.REFRESH_LIMIT and calls == []
+    seen = []
+    path = solve_path(p, check_certificates=certify, stop_callback=seen.append)
+    assert len(calls) == len(seen) == path.num_pivots
+    assert calls == [seg.lambda_lo for seg in seen]
+
+
+def test_the_stop_callback_is_handed_a_copy():
+    # the state's arrays move with every pivot; a segment kept by the
+    # callback still reads as the path's replayed view of it, bit for bit
+    kept = []
+    path = solve_path(build_dantzig(_long_dantzig()), stop_callback=kept.append)
+    assert len(kept) == len(path.segments) - 1 > 2 * linalg.REFRESH_LIMIT
+    for k, (was, seg) in enumerate(zip(kept, path.segments)):
+        assert isinstance(was, PathSegment)
+        assert (was.lambda_lo, was.lambda_hi, was.n_cols) == (
+            seg.lambda_lo, seg.lambda_hi, seg.n_cols)
+        for name in _ARRAYS:
+            a, b = getattr(was, name), getattr(seg, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, name)

@@ -273,7 +273,7 @@ _OLD_PATH_JSON = (
     '"primal":{"indices":[4,5,0,7],"base":[0.0,1.0,3.0,-1.0],"slope":[2.0,1.0,-1.0,1.0]},'
     '"dual":{"indices":[6,1,2,3],"base":[1.0,1.0,2.0,1.0],"slope":[0.0,0.0,0.0,0.0]},'
     '"entering":0,"leaving":6},'
-    '{"lambda_lo":-0.0,"lambda_hi":1.0,'
+    '{"lambda_lo":0.0,"lambda_hi":1.0,'
     '"primal":{"indices":[4,5,0,1],"base":[0.0,0.0,3.0,1.0],"slope":[2.0,2.0,-1.0,-1.0]},'
     '"dual":{"indices":[6,7,2,3],"base":[1.0,1.0,2.0,2.0],"slope":[0.0,0.0,0.0,0.0]},'
     '"entering":1,"leaving":7}],"events":['
