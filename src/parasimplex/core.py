@@ -15,9 +15,10 @@ reduced costs are affine in ``lam``.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -127,7 +128,7 @@ class BasisPartition:
     value vectors, and likewise for nonbasic reduced costs.
     """
 
-    __slots__ = ("basic", "nonbasic", "_pos")
+    __slots__ = ("basic", "nonbasic", "in_basis", "_pos")
 
     def __init__(self, n: int, basic: np.ndarray, nonbasic: np.ndarray):
         self.basic = np.asarray(basic, dtype=np.intp)
@@ -143,6 +144,8 @@ class BasisPartition:
         self._pos[self.nonbasic] = np.arange(len(self.nonbasic))
         if (self._pos < 0).any():  # n columns in range miss one only by repeats
             raise ValueError("duplicate column index in partition")
+        self.in_basis = np.zeros(n, dtype=bool)  # per column: whether it is basic
+        self.in_basis[self.basic] = True
 
     @classmethod
     def from_basic(cls, n: int, basic) -> "BasisPartition":
@@ -164,6 +167,7 @@ class BasisPartition:
         self.nonbasic[nonbasic_pos] = i
         self._pos[j] = basic_pos
         self._pos[i] = nonbasic_pos
+        self.in_basis[j], self.in_basis[i] = True, False
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"BasisPartition(basic={self.basic.tolist()})"
@@ -208,25 +212,57 @@ class PathSegment:
 
 @dataclass(slots=True, eq=False)
 class CompactSegment:
-    """A segment of a solved path: its interval and its primal entries at
-    columns below ``n_structural``, the caller's columns (all of an equality
-    program's), O(k) numbers on a <= program. ``solve_path`` makes every
-    segment this way, in the iteration that emits it. It reads like a
-    ``PathSegment``; its six arrays are ``rebuilt(pos)``, dictionary ``pos``
-    of its window, replayed from the window's first partition bit for bit.
+    """A segment of a solved path, as ``solve_path`` makes each: its (x, y),
+    each (base, slope) in lambda. x is at its basic columns below
+    ``n_structural``, the caller's (all of an equality program's), and y at
+    ``duals``' rows, whose slacks are not basic (every row of an equality
+    program); a basic slack's zero cost puts y at zero on its row. So a <=
+    program's segment is O(k) numbers. It reads like a ``PathSegment``, each
+    array computed on its read from (x, y) and ``program``, its standard form:
+
+        primal  the stored entries, then the basic slacks by row at b - A_S x_S
+        dual    the nonbasic columns ascending at A' y - c, -0.0 read as 0.0
     """
 
     lambda_lo: float
     lambda_hi: float
-    n_cols: int
     n_structural: int
     structural: Tuple[np.ndarray, np.ndarray, np.ndarray]
-    rebuilt: Callable[[int], Tuple[np.ndarray, ...]] = field(repr=False)
-    pos: int
+    duals: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    program: ParametricProgram = field(repr=False)
 
-    (primal_indices, primal_base, primal_slope, dual_indices, dual_base, dual_slope) = (
-        property(lambda seg, k=k: seg.rebuilt(seg.pos)[k]) for k in range(6))
+    n_cols = property(lambda seg: seg.program.n)
+    primal_indices = property(lambda seg: _mapped(seg._basic()))
+    primal_base, primal_slope = (
+        property(lambda seg, k=k: _mapped(seg._primal(k))) for k in (1, 2))
+    dual_indices = property(lambda seg: _mapped(seg._nonbasic()))
+    dual_base, dual_slope = (property(lambda seg, k=k: _mapped(seg._dual(k))) for k in (1, 2))
     contains = PathSegment.contains
+
+    def _basic(self) -> np.ndarray:
+        """The basic columns: the stored ones, then the basic slacks by row."""
+        slack = np.ones(self.program.m, dtype=bool)
+        slack[self.duals[0]] = False
+        return np.concatenate([self.structural[0], self.n_structural + slack.nonzero()[0]])
+
+    def _nonbasic(self) -> np.ndarray:
+        nonbasic = np.ones(self.program.n, dtype=bool)
+        nonbasic[self._basic()] = False
+        return nonbasic.nonzero()[0]
+
+    def _primal(self, k: int) -> np.ndarray:
+        """The basic values' base (k = 1) or slope (k = 2)."""
+        S, x, p = self.structural[0], self.structural[k], self.program
+        R = self._basic()[len(S):] - self.n_structural
+        return np.concatenate([x, (p.b, p.b_bar)[k - 1][R] - p.A.times_columns(S, x)[R]])
+
+    def _dual(self, k: int) -> np.ndarray:
+        """The reduced costs' base (k = 1) or slope (k = 2)."""
+        p, N, Y = self.program, self._nonbasic(), np.zeros(self.program.m)
+        Y[self.duals[0]] = self.duals[k]
+        z = p.A.rmatvec(Y)[N] - (p.c, p.c_bar)[k - 1][N]
+        z += 0.0  # drop -0.0
+        return z
 
     def primal_below(self, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``PathSegment.primal_below`` from the stored entries (themselves at ``n_structural``)."""
@@ -239,7 +275,16 @@ class CompactSegment:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.structural)
+        return sum(a.nbytes for a in (*self.structural, *self.duals))
+
+
+def _mapped(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` in an anonymous mapping of its own, returned to the
+    system with it: views freed by the thousand would stay resident on the
+    heap that ``engine._keep_freed_heap`` keeps."""
+    out = np.frombuffer(mmap.mmap(-1, max(a.nbytes, 1)), dtype=a.dtype, count=a.size)
+    out[...] = a
+    return out
 
 
 def segment_contains(segment, lam: float) -> bool:
@@ -321,8 +366,7 @@ class PivotEvent:
 @dataclass
 class SolutionPath:
     """The full piecewise-linear path, highest lambda first; ``events[k - 1]``
-    is the pivot from segment k - 1 into segment k. Reading the arrays of
-    a ``CompactSegment`` rebuilds its window; the path keeps the last one."""
+    is the pivot from segment k - 1 into segment k."""
 
     segments: List[PathSegment] = field(default_factory=list)
     events: List[PivotEvent] = field(default_factory=list)
@@ -342,9 +386,8 @@ class SolutionPath:
 
     @property
     def nbytes(self) -> int:
-        """The bytes its segments' arrays hold, as ``Operator.nbytes``; not
-        the caller's program, the last window rebuilt (a cache), nor each
-        window's (basic, nonbasic) lists, which its replays hold."""
+        """The bytes its segments' arrays hold, as ``Operator.nbytes``: a
+        ``CompactSegment``'s x and y, not the standard form they share."""
         return sum(seg.nbytes for seg in self.segments)
 
     def breakpoints(self) -> List[float]:

@@ -21,18 +21,17 @@ Segments are certified in windows between refactorizations only, and all
 numerical trouble has one recovery step, described at ``solve_path``.
 
 Every segment goes into the path as a ``CompactSegment`` in the iteration
-that emits it, and ``_replay`` rebuilds its dictionary on demand from its
-window's first partition.
+that emits it: its x on the structural basic columns and its y on the rows
+whose slack is not basic, from which its dense view is computed.
 """
 
 from __future__ import annotations
 
 import ctypes
 import logging
-import mmap
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,9 +111,10 @@ class SolveOptions:
             batches of ``max(1, CERT_BATCH_FLOATS // n)`` checked as they
             fill, plus at a refresh the dictionary it replaces (see
             ``solve_path``).
-        stop_callback: called with a dense copy of each new segment;
-            returning True ends the path early (ReachedTarget). Must be pure:
-            it can see segments that a recovery replaces, then the redone ones.
+        stop_callback: called with a dense copy of each new segment, a
+            ``PathSegment`` in the state's basis order; returning True ends
+            the path early (ReachedTarget). Must be pure: it can see
+            segments that a recovery replaces, then the redone ones.
 
     A solve's pivots are read from the returned path's ``events``; the
     CLI's per-pivot lines are printed from there once the solve returns.
@@ -165,9 +165,7 @@ class DictionaryState:
         self.partition = partition
         # False when c_bar = 0: then zN_pert stays +-0 and z_N(lam) is zN_base
         self.zN_moves = bool(program.c_bar.any())
-        # refresh() sets fact, xB_base/pert, zN_base/pert and y_base/pert;
-        # pivots move y only while _duals_kept (cleared where nothing reads y)
-        self._duals_kept = True
+        # refresh() sets fact, xB_base/pert, zN_base/pert and y_base/pert
         self.lambda_lo, self.lambda_hi = float("-inf"), float("inf")
         self.tight: Optional[TightConstraint] = None
         self.refresh()
@@ -195,9 +193,7 @@ class DictionaryState:
 
     def at(self, lam: float) -> tuple:
         """This dictionary as a certificate entry at ``lam``, all new arrays:
-        (lam, B, x_B(lam), N, z_N(lam), y(lam)). y is current after pivots
-        only in a state that keeps its duals: one from ``initialize``, or a
-        ``solve_path`` with certificates on."""
+        (lam, B, x_B(lam), N, z_N(lam), y(lam))."""
         part = self.partition
         return (lam, part.basic.copy(), self.xB_base + lam * self.xB_pert,
                 part.nonbasic.copy(), self.zN_base + lam * self.zN_pert,
@@ -345,8 +341,8 @@ def _exchange(
     vectors are updated in place and the swapped slots receive the step
     lengths themselves (the leaving variable's new reduced cost is (s, s_bar),
     the entering variable's new basic value is (t, t_bar)). The duals move
-    with the reduced costs, y += s v (Vanderbei, ch. 6), where the state keeps
-    them. A zero s_bar moves neither z~_N nor y~.
+    with the reduced costs, y += s v (Vanderbei, ch. 6). A zero s_bar moves
+    neither z~_N nor y~.
     """
     part = state.partition
     i = int(part.basic[kB])
@@ -372,10 +368,9 @@ def _exchange(
     if s_bar:  # zero whenever c_bar is, as on every sup-norm program
         state.zN_pert -= s_bar * dzN
     state.zN_pert[kN] = s_bar
-    if state._duals_kept:
-        state.y_base += s * v
-        if s_bar:
-            state.y_pert += s_bar * v
+    state.y_base += s * v
+    if s_bar:
+        state.y_pert += s_bar * v
 
     part.swap(kB, kN)
     return PivotEvent(
@@ -565,50 +560,6 @@ def _pivot_at(state: DictionaryState, tight: TightConstraint, lam_star: float) -
     return primal_pivot(state, tight.column, lam_star)
 
 
-def _replay(program: ParametricProgram, basic: np.ndarray, nonbasic: np.ndarray,
-            events: Tuple[PivotEvent, ...]) -> List[Tuple[np.ndarray, ...]]:
-    """The six arrays of each dictionary of a window: a fresh state at its
-    first partition, then ``_pivot_at`` for each of ``events``. They are
-    read-only views of one anonymous mapping, returned to the system with its
-    last view, so a caller that holds many windows at once leaves no mark on
-    the heap ``_keep_freed_heap`` keeps."""
-    state = DictionaryState(program, BasisPartition(program.n, basic.copy(), nonbasic.copy()))
-    state._duals_kept = False
-    W, n, m = len(events) + 1, program.n, program.m
-    vals = np.frombuffer(mmap.mmap(-1, 3 * W * n * 8)).reshape(W, 3, n)
-    idx = vals[:, 0].view(np.intp)  # per dictionary: indices, base, slope
-    for w, ev in enumerate((None, *events)):  # dictionary 0 is the fresh one
-        if ev is not None:
-            dual = ev.kind is PivotKind.DUAL
-            again = _pivot_at(state, TightConstraint(ev.leaving if dual else ev.entering, dual),
-                              ev.lambda_star)
-            if (again.entering, again.leaving) != (ev.entering, ev.leaving):
-                raise RuntimeError(f"replay diverged at lambda*={ev.lambda_star:.6g}")
-        idx[w, :m], idx[w, m:] = state.partition.basic, state.partition.nonbasic
-        vals[w, 1:, :m] = state.xB_base, state.xB_pert
-        vals[w, 1:, m:] = state.zN_base, state.zN_pert
-    vals.flags.writeable = idx.flags.writeable = False  # every reader shares them
-    return [(idx[w, :m], vals[w, 1, :m], vals[w, 2, :m], idx[w, m:], vals[w, 1, m:],
-             vals[w, 2, m:]) for w in range(W)]
-
-
-def _rebuilder(program: ParametricProgram, basis: Tuple[np.ndarray, np.ndarray],
-               events: List[PivotEvent], cache: list) -> Callable[[int], Tuple[np.ndarray, ...]]:
-    """``CompactSegment.rebuilt`` for the window whose first partition is
-    ``basis``, (basic, nonbasic): its dictionary ``pos``, ``_replay``ed over
-    ``events``. ``cache``, shared by a path's windows, holds the last one.
-    The closure holds no reference to the path, so a path is freed by
-    reference counting alone."""
-
-    def rebuilt(pos: int) -> Tuple[np.ndarray, ...]:
-        if cache[0] is not basis:
-            cache[:] = None, None  # free the last window before this one
-            cache[:] = basis, _replay(program, *basis, tuple(events))
-        return cache[1][pos]
-
-    return rebuilt
-
-
 # Pivot failures that end a path, and the status each one reports.
 _FAILURE_STATUS = {
     UnboundedDirection: Termination.UNBOUNDED,
@@ -634,9 +585,9 @@ def solve_path(
     refresh's adds the one dictionary the refresh replaces. A batch entry
     holds its dictionary's x, z and y at the entry's lambda, all the check
     reads (a window's first segment is in no batch). Each segment goes into
-    the path as a ``CompactSegment`` as it is emitted, replayed on demand
-    from the window's first partition; the solve holds no dense segment,
-    and makes one only to hand it to the stop callback.
+    the path as a ``CompactSegment`` as it is emitted, its x and y (kept
+    current with certificates on or off) taken from the state; the solve
+    holds no dense segment, and makes one only for the stop callback.
 
     Numerical trouble has one recovery step: refactorize at segment k,
     dropping the segments and pivots from k on, and emit k again from the
@@ -687,7 +638,6 @@ def solve_path(
     std, slack_info = to_standard_form(p)
     # the slack basis unless told otherwise
     state = initialize(std, np.arange(p.n, std.n) if initial_basis is None else initial_basis)
-    state._duals_kept = opts.check_certificates  # only certificates read y
     max_pivots = opts.max_pivots if opts.max_pivots is not None else 10 * std.n
     path = SolutionPath(num_cols=std.n, slack_info=slack_info)
     # For Dantzig the first breakpoint is ||X'y||_inf, the scale of lambda.
@@ -696,7 +646,6 @@ def solve_path(
     # The window: path.segments[start:], from a fresh factorization on. Its
     # dictionaries after the first wait in ``batch`` to be certified.
     start, batch, step = 0, [], max(1, CERT_BATCH_FLOATS // std.n)
-    replayed = [None, None]  # the last window rebuilt (_rebuilder)
     # The segment last redone, and its breakpoint before the redo.
     retried, was = -1, 0.0
     priced = state.lambda_lo, state.tight  # the first dictionary's breakpoint
@@ -713,15 +662,15 @@ def solve_path(
         part = state.partition
         if k == start:
             basis = part.basic.copy(), part.nonbasic.copy()  # the window's first partition
-            record: List[PivotEvent] = []  # the pivots into the window's segments
-            rebuilt = _rebuilder(std, basis, record, replayed)
         elif opts.check_certificates:  # checked at its upper end, where its pivot left it
             batch.append(state.at(lam_hi))
         keep = (part.basic < p.n).nonzero()[0]  # its entries at the caller's columns
+        # its y's rows: those whose slack is not basic, all of an equality program's
+        rows = np.arange(std.m) if slack_info is None else (~part.in_basis[p.n:]).nonzero()[0]
         path.segments.append(CompactSegment(
-            lam_star, lam_hi, std.n, p.n,
+            lam_star, lam_hi, p.n,
             (part.basic.take(keep), state.xB_base.take(keep), state.xB_pert.take(keep)),
-            rebuilt, k - start))
+            (rows, state.y_base.take(rows), state.y_pert.take(rows)), std))
         nonpositive = lam_star <= zero_tol
 
         reached = lam_star <= opts.lambda_target and (
@@ -784,7 +733,6 @@ def solve_path(
             else:
                 if redo is not None:
                     path.segments.pop()  # emitted again from the fresh factorization
-        record[:] = path.events[start:len(path.segments) - 1]  # a redo may drop one
         if end:
             path.termination, path.terminal_lambda, path.termination_detail = end
             break

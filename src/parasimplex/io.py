@@ -157,11 +157,17 @@ def _affine_doc(indices: np.ndarray, base: np.ndarray, slope: np.ndarray) -> Dic
     return {"indices": indices.tolist(), "base": base.tolist(), "slope": slope.tolist()}
 
 
-def _affine_arrays(doc: Dict) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (indices, base, slope) arrays of an ``_affine_doc``."""
-    return (np.asarray(doc["indices"], dtype=np.intp),
-            np.asarray(doc["base"], dtype=float),
-            np.asarray(doc["slope"], dtype=float))
+def _affine_arrays(doc: Dict, n_cols: int, where: str) -> Tuple[np.ndarray, ...]:
+    """The (indices, base, slope) arrays of an ``_affine_doc``; ``where``
+    names it in the ValueError for an index out of range or unequal lengths."""
+    idx = np.asarray(doc["indices"], dtype=np.intp)
+    base, slope = np.asarray(doc["base"], dtype=float), np.asarray(doc["slope"], dtype=float)
+    if not len(idx) == len(base) == len(slope):
+        raise ValueError(f"{where}: {len(idx)} indices, {len(base)} base and "
+                         f"{len(slope)} slope entries")
+    if idx.size and not 0 <= idx.min() <= idx.max() < n_cols:
+        raise ValueError(f"{where}: index out of range 0..{n_cols - 1}")
+    return idx, base, slope
 
 
 def _segment_doc(seg: PathSegment) -> Dict:
@@ -193,8 +199,8 @@ def _fields_reader(cls) -> Callable[[Dict], object]:
 
 
 def save_path_json(path: PathLike, sol: SolutionPath) -> None:
-    """One JSON object without whitespace, streamed a segment at a time, so
-    compact segments are rebuilt one window at a time."""
+    """One JSON object without whitespace, streamed a segment at a time: each
+    segment's six arrays, a ``CompactSegment``'s as computed from its (x, y)."""
     head = {
         "num_cols": sol.num_cols,
         "termination": sol.termination.value,
@@ -212,14 +218,16 @@ def save_path_json(path: PathLike, sol: SolutionPath) -> None:
 
 def load_path_json(path: PathLike) -> SolutionPath:
     """Read a ``save_path_json`` file. Keys it does not read, such as those
-    that older files wrote and this reader no longer knows, are ignored."""
+    that older files wrote and this reader no longer knows, are ignored. A
+    segment's index out of range or arrays of unequal lengths raise ValueError."""
     doc = json.loads(Path(path).read_text())
     n_cols = int(doc["num_cols"])
     segments = [
         # PathSegment's fields in order: the interval, n_cols, primal, dual
         PathSegment(float(s["lambda_lo"]), float(s["lambda_hi"]), n_cols,
-                    *_affine_arrays(s["primal"]), *_affine_arrays(s["dual"]))
-        for s in doc["segments"]
+                    *_affine_arrays(s["primal"], n_cols, f"segment {k} primal"),
+                    *_affine_arrays(s["dual"], n_cols, f"segment {k} dual"))
+        for k, s in enumerate(doc["segments"])
     ]
     si = doc.get("slack_info")
     return SolutionPath(

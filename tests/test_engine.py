@@ -1,6 +1,5 @@
 """Path engine: breakpoint selection, pivoting, terminations, certificates."""
 
-import dataclasses
 import gc
 import itertools
 import logging
@@ -1024,9 +1023,9 @@ def _bits(path):
     return out
 
 
-def test_without_certificates_no_pivot_moves_the_duals(monkeypatch):
-    # only certificates read y, so a solve without them leaves y_base as
-    # each refresh set it; the path is the certified one bit for bit
+def test_every_pivot_moves_the_duals(monkeypatch):
+    # each segment stores its y, so every pivot moves y, with certificates on
+    # or off; the path, stored y included, is the certified one bit for bit
     _, _, p = _regression_program()
     real, moved = engine._pivot_at, []
 
@@ -1038,13 +1037,16 @@ def test_without_certificates_no_pivot_moves_the_duals(monkeypatch):
 
     monkeypatch.setattr(engine, "_pivot_at", pivot_at)
     off = solve_path(p, check_certificates=False)
-    assert len(moved) == off.num_pivots > linalg.REFRESH_LIMIT and not any(moved)
+    assert len(moved) == off.num_pivots > linalg.REFRESH_LIMIT and all(moved)
     moved.clear()
     on = solve_path(p, check_certificates=True)
     assert len(moved) == on.num_pivots and all(moved)
     moved.clear()
-    assert _bits(off) == _bits(on)  # reads the compact segments: _replay keeps no duals
-    assert moved and not any(moved)
+    assert _bits(off) == _bits(on)  # the views, computed from the stored (x, y)
+    assert moved == []  # reading a view pivots nothing
+    for a, b in zip(off.segments, on.segments, strict=True):
+        for x, z in zip((*a.structural, *a.duals), (*b.structural, *b.duals), strict=True):
+            assert x.dtype == z.dtype and x.tobytes() == z.tobytes()
 
 
 def test_refresh_bounds_the_update_chain(monkeypatch):
@@ -1213,7 +1215,7 @@ def test_solve_never_forms_the_standard_form(monkeypatch):
     assert peak < 8 * p.m * (p.n + p.m)  # the bytes of [A | I]
 
 
-# ------------------------------------------- compact windows, rebuilt on demand
+# ------------------------------------- compact segments: (x, y) and their view
 
 _ARRAYS = ("primal_indices", "primal_base", "primal_slope",
            "dual_indices", "dual_base", "dual_slope")
@@ -1228,9 +1230,10 @@ def _long_dantzig():
 
 def _dense_as_made(monkeypatch, p, **kwargs):
     """Solve p, pairing each ``CompactSegment`` the solve makes with the
-    breakpoint last priced and a dense copy of the dictionary the state held
-    as the segment was made, in that order. ``compute_lambda_star`` prices
-    each dictionary once, just before its segment is made."""
+    breakpoint last priced, a dense copy of the dictionary the state held
+    as the segment was made, and the state's (y_base, y_pert) then, in that
+    order. ``compute_lambda_star`` prices each dictionary once, just before
+    its segment is made."""
     real_price, real_compact = engine.compute_lambda_star, engine.CompactSegment
     priced, made = [], []
 
@@ -1241,7 +1244,8 @@ def _dense_as_made(monkeypatch, p, **kwargs):
     def compact(*args):
         seg = real_compact(*args)
         state, lam, _ = priced[-1]
-        made.append((seg, lam, state.segment(seg.lambda_lo, seg.lambda_hi)))
+        made.append((seg, lam, state.segment(seg.lambda_lo, seg.lambda_hi),
+                     (state.y_base.copy(), state.y_pert.copy())))
         return seg
 
     with monkeypatch.context() as patch:
@@ -1252,21 +1256,40 @@ def _dense_as_made(monkeypatch, p, **kwargs):
     return path, made
 
 
-def _count_rebuilds(monkeypatch):
-    """Count fresh dictionaries built from here on: a replay starts with one."""
-    real, calls = engine.DictionaryState.refresh, []
+def _view_formula(seg):
+    """A compact segment's six arrays, written out from its stored (x, y):
+    the stored entries, then the basic slacks by row at b - A_S x_S; the
+    nonbasic columns ascending at A' y - c, -0.0 read as 0.0."""
+    p, (S, *x), (rows, *y) = seg.program, seg.structural, seg.duals
+    slack = np.setdiff1d(np.arange(p.m), rows)
+    B = np.concatenate([S, seg.n_structural + slack])
+    N = np.setdiff1d(np.arange(p.n), B)
+    Y = [np.zeros(p.m), np.zeros(p.m)]
+    for k in range(2):
+        Y[k][rows] = y[k]
+    return (B, *(np.concatenate([x[k], rhs[slack] - p.A.times_columns(S, x[k])[slack]])
+                 for k, rhs in enumerate((p.b, p.b_bar))),
+            N, *(p.A.rmatvec(Y[k])[N] - cost[N] + 0.0 for k, cost in enumerate((p.c, p.c_bar))))
 
-    def refresh(self):
-        calls.append(1)
-        real(self)
 
-    monkeypatch.setattr(engine.DictionaryState, "refresh", refresh)
-    return calls
+def _assert_agrees(view, was):
+    """The six arrays of a view hold the dense copy ``was``'s entries, in
+    their own order, each (base, slope) within CERT_TOL * (1 + its scale)."""
+    for half in (slice(0, 3), slice(3, 6)):
+        (idx, base, slope) = view[half]
+        widx, wbase, wslope = (getattr(was, name) for name in _ARRAYS[half])
+        at, wat = np.argsort(idx), np.argsort(widx)
+        assert np.array_equal(idx[at], widx[wat])
+        for a, b in ((base[at], wbase[wat]), (slope[at], wslope[wat])):
+            tol = engine.CERT_TOL * (1.0 + np.abs(b).max(initial=0.0))
+            assert np.abs(a - b).max(initial=0.0) <= tol
 
 
 @pytest.mark.parametrize("case", ["certified", "certificates-off", "redo", "diffnet",
                                   "equality"])
 def test_compact_segments_rebuild_as_emitted(monkeypatch, case):
+    # a segment stores the x entries and the y emitted; its six arrays are
+    # computed from them, and agree with the dictionary it was made from
     p, basis = {"diffnet": lambda: (_diffnet_program(), None),
                 "equality": _dense_equality_program}.get(
         case, lambda: (build_dantzig(_long_dantzig()), None))()
@@ -1275,60 +1298,73 @@ def test_compact_segments_rebuild_as_emitted(monkeypatch, case):
     path, made = _dense_as_made(monkeypatch, p, initial_basis=basis,
                                 check_certificates=case != "certificates-off")
     assert path.num_pivots > linalg.REFRESH_LIMIT
-    # every segment is compact, each window's first and the last window's too
     assert all(isinstance(seg, CompactSegment) for seg in path.segments)
     # the redo dropped the segments made after the one it redid
     assert (len(made) > len(path.segments)) == (case == "redo")
-    at = {id(seg): k for k, (seg, _, _) in enumerate(made)}
+    at = {id(seg): k for k, (seg, *_) in enumerate(made)}
     order = [at[id(seg)] for seg in path.segments]
     assert order == sorted(order)  # the path's segments, in the order made
-    emitted = [made[k] for k in order]
-    starts = [k for k, seg in enumerate(path.segments) if seg.pos == 0]
     if case == "redo":  # the first window failed at pivot 5; segment 4 was redone
-        assert sizes[0] > 4 and starts[:2] == [0, 4]
-    assert len(starts) == len({id(seg.rebuilt) for seg in path.segments}) >= 2
-    for k, seg in enumerate(path.segments):  # positions count from the window's first
-        first = max(s for s in starts if s <= k)
-        assert seg.pos == k - first and seg.rebuilt is path.segments[first].rebuilt
+        assert sizes[0] > 4 and order[:4] == [0, 1, 2, 3] and order[4] > 4
     # segment k's upper end is segment k - 1's lower end; the first's, the
     # first dictionary's lambda_max
     first_hi = initialize(p, range(p.n, p.n + p.m) if basis is None else basis).lambda_hi
     assert [seg.lambda_hi for seg in path.segments] == [
         first_hi, *(seg.lambda_lo for seg in path.segments[:-1])]
     n0 = p.n  # the caller's columns: all of an equality program's
-    for k, (seg, (_, lam, was)) in enumerate(zip(path.segments, emitted, strict=True)):
+    for k, seg in enumerate(path.segments):
+        _, lam, was, y = made[order[k]]
         assert (seg.lambda_lo, seg.n_cols, seg.n_structural) == (lam, was.n_cols, n0)
-        for name in _ARRAYS:
-            a, b = getattr(seg, name), getattr(was, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, name)
-            assert not a.flags.writeable  # shared by every reader of the window
-        for a, b in zip(seg.structural, was.primal_below(n0), strict=True):  # all it holds
-            assert a.dtype == b.dtype and np.array_equal(a, b), k
-        for hi in (n0 // 2, n0, seg.n_cols):  # stored entries, then (on <=) rebuilt ones
+        assert seg.program is path.segments[0].program  # one standard form, shared
+        for a, b in zip(seg.structural, was.primal_below(n0), strict=True):  # the x emitted
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), k
+        for a, b in zip(seg.duals[1:], y, strict=True):  # the y emitted, on its rows
+            assert a.tobytes() == b[seg.duals[0]].tobytes(), k
+        view = tuple(getattr(seg, name) for name in _ARRAYS)
+        for a, b in zip(view, _view_formula(seg), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), k
+        _assert_agrees(view, was)
+        for hi in (n0 // 2, n0):  # stored entries
             for a, b in zip(seg.primal_below(hi), was.primal_below(hi), strict=True):
-                assert a.dtype == b.dtype and np.array_equal(a, b), (k, hi)
-        np.testing.assert_array_equal(evaluate_primal(seg, seg.lambda_lo),
-                                      evaluate_primal(was, was.lambda_lo))
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, hi)
 
 
-def test_reading_the_segments_in_order_rebuilds_each_window_once(monkeypatch):
-    path = solve_path(build_dantzig(_long_dantzig()))
-    windows = len({id(seg.rebuilt) for seg in path.segments if isinstance(seg, CompactSegment)})
-    assert windows == 7  # six closed by a refresh, and the last
-    rebuilds = _count_rebuilds(monkeypatch)
+@pytest.mark.parametrize("certify", [True, False], ids=["certified", "certificates-off"])
+@pytest.mark.parametrize("case", ["dantzig-fullpath", "diffnet-sparsity"])
+def test_y_is_zero_off_the_stored_rows(monkeypatch, case, certify):
+    # a basic slack's zero cost puts y at zero on its row, so a segment that
+    # stores y on the other rows alone loses nothing but roundoff
+    kwargs = {}
+    if case == "dantzig-fullpath":
+        p = build_dantzig(_long_dantzig())
+    else:
+        S_X, S_Y, delta0 = gen_diffnet(DiffNetGenConfig(d=10, n=100, sparsity=4, rng_seed=3))
+        inst = DiffNetInstance.from_covariances(S_X, S_Y)
+        p = build_diffnet(inst)
+        kwargs["stop_callback"] = diffnet_sparsity_stop(
+            inst, int(np.count_nonzero(np.abs(delta0) > SUPPORT_TOL)))
+    path, made = _dense_as_made(monkeypatch, p, check_certificates=certify, **kwargs)
+    assert path.num_pivots > 10
+    assert path.termination is {"dantzig-fullpath": Termination.LAMBDA_NONPOSITIVE,
+                                "diffnet-sparsity": Termination.REACHED_TARGET}[case]
+    for seg, _, _, y in made:
+        off = np.ones(p.m, dtype=bool)
+        off[seg.duals[0]] = False
+        assert off.any()  # some slack is basic
+        for v in y:
+            assert np.abs(v[off]).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(v).max())
 
-    def read_all():
-        for seg in path.segments:
-            for name in _ARRAYS:
-                getattr(seg, name)
-        return len(rebuilds)
 
-    assert read_all() == windows
-    path.segments.reverse()  # the last window read is still held
-    assert read_all() == 2 * windows - 1
+def _count_views(monkeypatch):
+    """Count the compact-segment view arrays computed from here on: each
+    reads the segment's basic columns, ``CompactSegment._basic``."""
+    real, calls = CompactSegment._basic, []
+    monkeypatch.setattr(CompactSegment, "_basic", lambda seg: calls.append(1) or real(seg))
+    return calls
 
 
 def test_recovery_rebuilds_no_window(monkeypatch, tmp_path):
+    # recovery reads the stored entries alone: it computes no view
     inst = _long_dantzig()
     dantzig = solve_path(build_dantzig(inst))
     S_X, S_Y, _ = gen_diffnet(DiffNetGenConfig(d=10, n=100, sparsity=4, rng_seed=3))
@@ -1336,14 +1372,15 @@ def test_recovery_rebuilds_no_window(monkeypatch, tmp_path):
     diffnet = solve_path(build_diffnet(dn))
     for path in (dantzig, diffnet):
         assert any(isinstance(seg, CompactSegment) for seg in path.segments)
-    rebuilds = _count_rebuilds(monkeypatch)
+    views = _count_views(monkeypatch)
     orig = recover_dantzig(dantzig)
     orig.support_at(0.0)
     pio.save_original_path_csv(tmp_path / "theta.csv", orig)
     recover_diffnet(diffnet, dn).support_at(diffnet.terminal_lambda)
     stop = diffnet_sparsity_stop(dn, 1000)
     assert not any(stop(seg) for seg in diffnet.segments)
-    assert rebuilds == []
+    assert views == []
+    assert dantzig.segments[1].dual_base.size and views == [1]  # a read is counted
 
 
 def test_a_path_holds_a_fraction_of_its_dense_segments():
@@ -1351,41 +1388,29 @@ def test_a_path_holds_a_fraction_of_its_dense_segments():
     assert path.num_pivots > 150
     dense = sum(getattr(seg, name).nbytes for seg in path.segments for name in _ARRAYS)
     assert path.nbytes <= 0.25 * dense
-    # an equality program's segments keep their primal entries, all structural
+    # an equality program's segments keep their primal entries, all
+    # structural, and y on every row: three arrays of m entries
     p, basis = _dense_equality_program()
     eq = solve_path(p, initial_basis=basis)
     assert eq.num_pivots > linalg.REFRESH_LIMIT
     primal = sum(getattr(seg, name).nbytes for seg in eq.segments for name in _ARRAYS[:3])
-    assert eq.nbytes == primal < sum(
-        getattr(seg, name).nbytes for seg in eq.segments for name in _ARRAYS)
-
-
-def test_a_replay_that_diverges_raises(monkeypatch):
-    path = solve_path(_regression_program()[2])
-    real = engine._pivot_at
-
-    def pivot_at(state, tight, lam):  # the replay's pivot takes another column in
-        return dataclasses.replace(real(state, tight, lam), entering=-1)
-
-    monkeypatch.setattr(engine, "_pivot_at", pivot_at)
-    with pytest.raises(RuntimeError, match="replay diverged"):
-        path.segments[1].dual_base
+    assert eq.nbytes == primal + 3 * 8 * p.m * len(eq.segments)
 
 
 @pytest.mark.parametrize("certify", [True, False], ids=["certified", "certificates-off"])
 def test_a_solved_path_is_freed_by_reference_counting(certify):
-    # a replay closure that held the path would make a cycle, and each
-    # path's rebuilt window would wait for the cyclic collector
+    # a segment that held its path would make a cycle, and each path would
+    # wait for the cyclic collector; the segments share one standard form
     p = build_dantzig(_long_dantzig())
     gc.disable()
     try:
         path = solve_path(p, check_certificates=certify)
-        compact = [seg for seg in path.segments if isinstance(seg, CompactSegment)]
-        assert len({id(seg.rebuilt) for seg in compact}) >= 2
-        assert compact[0].dual_base.size  # the path's rebuilt window is now held
-        alive = weakref.ref(path)
-        del path, compact
-        assert alive() is None
+        std = path.segments[0].program
+        assert all(seg.program is std for seg in path.segments)
+        assert path.segments[0].dual_base.size
+        alive, held = weakref.ref(path), weakref.ref(std)
+        del path, std
+        assert alive() is None and held() is None
     finally:
         gc.enable()
 
@@ -1453,7 +1478,8 @@ def test_batches_are_certified_as_they_fill(monkeypatch):
     assert len(refreshes) == len(whole)
     for (_, basis), (_, again) in zip(refreshes, whole):
         assert np.array_equal(basis, again)
-    assert np.array_equal(refreshes[1][1], clean.segments[8].primal_indices)
+    # the basis as a set: the view lists the stored entries, then slacks by row
+    assert np.array_equal(np.sort(refreshes[1][1]), np.sort(clean.segments[8].primal_indices))
 
 
 def test_a_refresh_that_lands_on_a_full_batch_is_one_check(monkeypatch):
@@ -1492,10 +1518,11 @@ def test_every_segment_goes_compact_in_the_iteration_that_emits_it(monkeypatch, 
         return seg
 
     monkeypatch.setattr(engine, "CompactSegment", compact)
+    refreshes = _refreshes(monkeypatch)
     path = solve_path(build_dantzig(_long_dantzig()), check_certificates=certify,
                       stop_callback=seen.append)
     assert len(made) == len(path.segments) == len(seen) + 1  # the last ends the path
-    assert len([seg for seg in path.segments if seg.pos == 0]) == 7
+    assert len(refreshes) == 7  # six windows closed by a refresh, and the last
     for k, (seg, calls) in enumerate(made):
         assert seg is path.segments[k] and calls == k
 
@@ -1518,16 +1545,21 @@ def test_a_dense_segment_is_made_only_for_the_stop_callback(monkeypatch, certify
     assert calls == [seg.lambda_lo for seg in seen]
 
 
-def test_the_stop_callback_is_handed_a_copy():
+def test_the_stop_callback_is_handed_a_copy(monkeypatch):
     # the state's arrays move with every pivot; a segment kept by the
-    # callback still reads as the path's replayed view of it, bit for bit
+    # callback still holds the dictionary as the segment was made, bit for
+    # bit, in the state's basis order: its stored x entries, then the rest
     kept = []
-    path = solve_path(build_dantzig(_long_dantzig()), stop_callback=kept.append)
+    path, made = _dense_as_made(monkeypatch, build_dantzig(_long_dantzig()),
+                                stop_callback=kept.append)
     assert len(kept) == len(path.segments) - 1 > 2 * linalg.REFRESH_LIMIT
-    for k, (was, seg) in enumerate(zip(kept, path.segments)):
+    for k, (was, seg, (_, _, copy, _)) in enumerate(zip(kept, path.segments, made)):
         assert isinstance(was, PathSegment)
         assert (was.lambda_lo, was.lambda_hi, was.n_cols) == (
             seg.lambda_lo, seg.lambda_hi, seg.n_cols)
         for name in _ARRAYS:
-            a, b = getattr(was, name), getattr(seg, name)
+            a, b = getattr(was, name), getattr(copy, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, name)
+        for a, b in zip(was.primal_below(seg.n_structural), seg.structural, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), k
+        assert np.array_equal(np.sort(was.primal_indices), np.sort(seg.primal_indices))

@@ -213,7 +213,10 @@ def test_a_loaded_path_counts_the_bytes_of_its_dense_segments(tmp_path):
               "dual_indices", "dual_base", "dual_slope")
     dense = sum(getattr(seg, name).nbytes for seg in back.segments for name in arrays)
     assert back.nbytes == dense == 725_760
-    assert path.nbytes == 63_744
+    # solved, each segment holds its structural x entries and its y on the
+    # rows whose slack is not basic
+    assert sum(a.nbytes for seg in path.segments for a in seg.structural) == 63_744
+    assert path.nbytes == 127_488
 
 
 def _whole_document(sol):
@@ -299,14 +302,39 @@ def test_path_json_with_per_segment_pivots_and_row_count_loads(tmp_path):
     # the pivots into segments 1 and 2 are read from the events alone
     assert [(e.kind.value, e.entering, e.leaving, e.lambda_star) for e in back.events] == [
         ("dual", 0, 6, 3.0), ("dual", 1, 7, 1.0)]
-    # it is the path solved now, and is written back without the dropped keys
-    new = tmp_path / "new.json"
-    pio.save_path_json(new, solve_path(_program()))
+    # it is the path solved now, entry for entry (a solved path lists its
+    # basic slacks after its stored entries), and is written back without
+    # the dropped keys
+    def entries(seg):
+        return [dict(zip(getattr(seg, f"{half}_indices").tolist(), zip(
+            getattr(seg, f"{half}_base").tolist(), getattr(seg, f"{half}_slope").tolist())))
+            for half in ("primal", "dual")]
+
+    now = solve_path(_program())
+    assert [entries(s) for s in back.segments] == [entries(s) for s in now.segments]
+    assert [(s.lambda_lo, s.lambda_hi) for s in back.segments] == [
+        (s.lambda_lo, s.lambda_hi) for s in now.segments]
     pio.save_path_json(f, back)
-    assert f.read_bytes() == new.read_bytes()
     doc = json.loads(f.read_text())
     assert doc["slack_info"] == {"original_n": 4}
     assert all(set(s) == {"lambda_lo", "lambda_hi", "primal", "dual"} for s in doc["segments"])
+
+
+@pytest.mark.parametrize("half, key, value, match", [
+    ("primal", "indices", [-1, 5, 6, 7], "index out of range"),
+    ("dual", "indices", [0, 1, 2, 8], "index out of range"),
+    ("primal", "base", [3.0, 1.0, -3.0], "4 indices, 3 base and 4 slope"),
+    ("dual", "slope", [0.0, 0.0, 0.0, 0.0, 0.0], "4 indices, 4 base and 5 slope"),
+], ids=["negative-index", "index-past-the-columns", "short-base", "long-slope"])
+def test_path_json_rejects_a_segment_it_cannot_read(tmp_path, half, key, value, match):
+    # an index of -1 would write coordinate num_cols - 1, and a short array
+    # would fail later with an IndexError; both fail at load, naming the segment
+    f = tmp_path / "bad.json"
+    doc = json.loads(_OLD_PATH_JSON)
+    doc["segments"][1][half][key] = value
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"segment 1 {half}: {match}"):
+        pio.load_path_json(f)
 
 
 def test_path_json_keeps_termination_detail(tmp_path):
@@ -394,7 +422,7 @@ def _signed_zero_paths():
                     np.array([1.0, -0.0]), none, none * 0.0, none * 0.0),
         PathSegment(0.0, 1.5, 3, np.array([2]), np.array([1e-300]),
                     np.array([-3.0]), none, none * 0.0, none * 0.0),
-    ])
+    ], num_cols=3)
     orig = PathInOriginalCoords(segments=[
         OriginalSegment(1.5, np.inf, np.array([-0.0, 0.0, 7.0]),
                         np.array([1.0, 0.0, -0.0])),
