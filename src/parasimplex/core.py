@@ -226,12 +226,12 @@ class CompactSegment:
 
     lambda_lo: float
     lambda_hi: float
-    n_structural: int
     structural: Tuple[np.ndarray, np.ndarray, np.ndarray]
     duals: Tuple[np.ndarray, np.ndarray, np.ndarray]
     program: ParametricProgram = field(repr=False)
 
     n_cols = property(lambda seg: seg.program.n)
+    n_structural = property(lambda seg: seg.program.A.n_structural)
     primal_indices = property(lambda seg: _mapped(seg._basic()))
     primal_base, primal_slope = (
         property(lambda seg, k=k: _mapped(seg._primal(k))) for k in (1, 2))

@@ -93,9 +93,10 @@ CERT_TOL = 1e-7
 # Relative slack when comparing candidate breakpoints and ratio-test ties.
 BREAKPOINT_RTOL = 1e-12
 # A window is certified in batches of max(1, CERT_BATCH_FLOATS // n) entries
-# (n columns), so a batch's stacked arrays hold about this many floats (a
-# refresh's check adds the dictionary it replaces). This bounds a check's
-# memory, not its speed: past its fixed cost, its time per entry is flat.
+# (n columns); an entry holds 2n + m floats and n bools, so a batch's stacked
+# x and z each hold about this many floats (a refresh's check adds the
+# dictionary it replaces). This bounds a check's memory, not its speed: past
+# its fixed cost, its time per entry is flat.
 CERT_BATCH_FLOATS = 1 << 18
 
 
@@ -143,6 +144,7 @@ class CertificateReport:
     dual_residual: float
     complementarity: float
     duality_gap: float
+    drift: float
     tolerance: float
     passed: bool
 
@@ -153,9 +155,9 @@ class DictionaryState:
     ``program`` is an equality program; ``initialize`` turns a <= program
     into its standard form first. The engine reads the constraint operator
     ``program.A`` only through ``column``, ``columns``, ``times_columns``,
-    ``rmatvec`` and ``unit_rows``, so structure such as implicit slack
-    columns is the operator's alone. ``initialize`` leaves the breakpoint it
-    priced in ``lambda_lo`` and ``tight``.
+    ``rmatvec``, ``unit_rows`` and ``n_structural``, so structure such as
+    implicit slack columns is the operator's alone. ``initialize`` leaves
+    the breakpoint it priced in ``lambda_lo`` and ``tight``.
     """
 
     def __init__(self, program: ParametricProgram, partition: BasisPartition):
@@ -193,11 +195,13 @@ class DictionaryState:
 
     def at(self, lam: float) -> tuple:
         """This dictionary as a certificate entry at ``lam``, all new arrays:
-        (lam, B, x_B(lam), N, z_N(lam), y(lam))."""
-        part = self.partition
-        return (lam, part.basic.copy(), self.xB_base + lam * self.xB_pert,
-                part.nonbasic.copy(), self.zN_base + lam * self.zN_pert,
-                self.y_base + lam * self.y_pert)
+        (lam, basic, x(lam), z(lam), y(lam)), ``basic`` the basis as a mask
+        and x and z by standard-form column, x zero off the basis and z zero
+        on it; 2n + m floats and n bools."""
+        part, x, z = self.partition, np.zeros(self.program.n), np.zeros(self.program.n)
+        x[part.basic] = self.xB_base + lam * self.xB_pert
+        z[part.nonbasic] = self.zN_base + lam * self.zN_pert
+        return lam, part.in_basis.copy(), x, z, self.y_base + lam * self.y_pert
 
     def segment(self, lambda_lo: float, lambda_hi: float) -> PathSegment:
         """This dictionary as a dense segment, a copy (for ``stop_callback``)."""
@@ -440,113 +444,103 @@ def verify_certificate(
 
     Dual multipliers y are recovered from the basis when ``basic`` is given
     (y = A_B^{-T} c_B(lam)), otherwise by least squares on A' y = z + c(lam);
-    reduced costs are then recomputed from scratch, so drift in the caller's
-    z does not mask dual infeasibility. Residuals:
+    the reduced costs zhat = A' y - c(lam) are then recomputed from scratch
+    and compared with z, so z must be the reduced costs of the y it implies.
+    Residuals:
 
         primal_residual:  ||A x - b(lam)||_inf, plus any negative x entry
         dual_residual:    max(0, -min_j zhat_j)
         complementarity:  max_j |x_j * z_j|
         duality_gap:      |c(lam)' x - b(lam)' y|
+        drift:            max_j |zhat_j - z_j|
 
-    Each must be <= CERT_TOL * (1 + scale of the quantities involved).
+    Each must be <= CERT_TOL * (1 + scale of the quantities involved). This
+    is the solver's check (``_residuals``) on a window of one, with the
+    basis, or the support of x when no basis is given, as the basic columns.
     """
     if p.kind is not ProgramKind.EQUALITY:
         raise ValueError("certificates are checked on equality-kind programs")
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    cost = p.cost(lam)
-    dense = ParametricProgram(p.A.to_dense(), p.b, p.b_bar, p.c, p.c_bar)
-    A = dense.A.M
-    if basic is not None:
-        B = np.asarray(basic, dtype=np.intp)
-        y = np.linalg.solve(A[:, B].T, cost[B])
-    else:
+    cost, A = p.cost(lam), p.A.to_dense()
+    if basic is None:
+        mask = x != 0
         y, *_ = np.linalg.lstsq(A.T, z + cost, rcond=None)
-    # a window of one, with x given on every column
-    res, scale, _ = _residuals(dense, np.array([lam]), np.arange(p.n)[None], x[None], y[None])
+    else:
+        B = np.asarray(basic, dtype=np.intp)
+        mask = np.zeros(p.n, dtype=bool)
+        mask[B] = True
+        y = np.linalg.solve(A[:, B].T, cost[B])
+    ok, res = _residuals(p, [(lam, mask, x, z, y)])
     res[0, 2] = np.abs(x * z).max(initial=0.0)
-    scale[0, 2] = np.abs(x).max(initial=0.0) * np.abs(z).max(initial=0.0)
-    passed = bool(np.all(res[0] <= CERT_TOL * (1.0 + scale[0])))
+    scale = np.abs(x).max(initial=0.0) * np.abs(z).max(initial=0.0)
+    passed = bool(ok[0] and res[0, 2] <= CERT_TOL * (1.0 + scale))
     return CertificateReport(lam, *res[0].tolist(), CERT_TOL, passed)
 
 
-def _residuals(p: ParametricProgram, lams: np.ndarray, S: np.ndarray, xS: np.ndarray,
-               Y: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """The residuals of ``verify_certificate`` for W certificates at once.
+def _residuals(p: ParametricProgram, window: Sequence[tuple]) -> Tuple[np.ndarray, np.ndarray]:
+    """The certificate check of a window of entries, each
+    ``DictionaryState.at(lam)``: (lam, basic, x, z, y), x and z by column.
 
-    Row w is the certificate at ``lams[w]``: x is ``xS[w]`` on the distinct
-    columns ``S[w]`` (zero elsewhere) and y is ``Y[w]``. One product of A'
-    with Y, and one of A with the structural columns of the S; a unit column
-    adds its x to its row. Returns, one row per certificate, the residuals
-    (primal, dual, complementarity, gap) and the scales they are measured
-    against, and ``zhat = A' y - c(lam)``. Complementarity is left at zero,
-    as for z zero on S (a basis); ``verify_certificate`` fills it in.
+    Returns a verdict per entry, True where it passes, and its residuals as
+    ``verify_certificate`` names them, one row per entry; complementarity,
+    zero for a dictionary (x is zero wherever z is not), is left at zero.
+    zhat = A' y - c(lam) is one product of A' with all y; A x is one product
+    with the structural columns where some x is nonzero, plus each unit
+    column's x on its row. |zhat - z| is the residual of A_B' y = c_B(lam)
+    on the basic columns and the drift of the reduced costs off them, which
+    catches accumulated update error in z. Nothing here trusts the entries.
+    A verdict is its entry's row of the batch, so it depends on that entry
+    alone (up to roundoff at a tolerance's edge); a NaN fails.
     """
-    (W, s), m = S.shape, p.m
+    lams, basic, x, z, Y = (np.array(f) for f in zip(*window))  # one row per entry
+    k = p.A.n_structural  # column k + i is the unit e_i
     cost = p.c + lams[:, None] * p.c_bar if p.c_bar.any() else p.c[None]
     rhs = np.multiply.outer(lams, p.b_bar)
     rhs += p.b
     zhat = np.subtract(p.A.rmatvec(Y.T).T, cost, order="C")
-    flat, x = S.ravel(), xS.ravel()
-    rows = p.A.unit_rows(flat)
-    f = (rows < 0).nonzero()[0]
-    U = np.bincount(flat[f], minlength=p.n).nonzero()[0]
-    xU = np.zeros((len(U), W))  # x of certificate w in column w
-    xU[U.searchsorted(flat[f]), f // s] = x[f]
-    rows[f] = m  # structural entries go to a spare row m, unit ones to their own row
-    rows.reshape(W, s)[...] += np.arange(0, W * (m + 1), m + 1)[:, None]  # m + 1 bins each
-    ax = np.bincount(rows, x, W * (m + 1)).reshape(W, m + 1)[:, :m]
-    ax += p.A.times_columns(U, xU).T
+    U = x[:, :k].any(axis=0).nonzero()[0]
+    ax = p.A.times_columns(U, x[:, U].T).T
+    ax[:, :p.n - k] += x[:, k:]
     ax -= rhs
-    res, scale = np.zeros((2, W, 4))
+    res, scale = np.zeros((len(lams), 5)), np.zeros((len(lams), 4))
     res[:, 0] = np.maximum(np.abs(ax, out=ax).max(axis=1, initial=0.0),
-                           -xS.min(axis=1, initial=0.0))
-    res[:, 1] = 0.0 - zhat.min(axis=1, initial=0.0)  # 0.0, not -0.0
-    primal_obj = np.einsum("ij,ij->i", p.c[S], xS)
+                           0.0 - x.min(axis=1, initial=0.0))  # 0.0, not -0.0
+    res[:, 1] = 0.0 - zhat.min(axis=1, initial=0.0)
+    primal_obj = x @ p.c
     if p.c_bar.any():
-        primal_obj += lams * np.einsum("ij,ij->i", p.c_bar[S], xS)
+        primal_obj += lams * (x @ p.c_bar)
     dual_obj = np.einsum("ij,ij->i", rhs, Y)
     res[:, 3] = np.abs(primal_obj - dual_obj)
+    diff = np.abs(np.subtract(zhat, z, out=z), out=z)  # |zhat - z|
+    res[:, 4] = diff.max(axis=1, initial=0.0)
     scale[:, 0] = np.abs(rhs, out=rhs).max(axis=1, initial=0.0)
     scale[:, 1] = np.abs(cost).max(axis=1, initial=0.0)
     scale[:, 3] = np.abs(primal_obj) + np.abs(dual_obj)
-    return res, scale, zhat
-
-
-def _window_verdicts(p: ParametricProgram, window: Sequence[tuple]) -> np.ndarray:
-    """A posteriori optimality check of a window of dictionaries: one bool
-    per entry, True where the entry passes.
-
-    Each entry is ``DictionaryState.at(lam)``: (lam, B, x_B, N, z_N, y).
-    Nothing here trusts them: ``A_B' y = c_B(lam)`` must hold to CERT_TOL,
-    (x, z, y) must pass the residuals of ``verify_certificate``, and the
-    reduced costs must agree with ``A_N' y - c_N(lam)`` (complementarity is
-    structural for dictionary solutions, so this is the check that catches
-    accumulated update error in z). An entry's verdict is its row of the
-    batch, so it depends on that entry alone (up to roundoff at a
-    tolerance's edge); a NaN fails. The entries are stacked once, for one
-    product with A' and one with the structural basic columns.
-    """
-    lams, B, x, N, z, Y = (np.array(f) for f in zip(*window))  # one row per entry
-    res, scale, zhat = _residuals(p, lams, B, x, Y)
-    rows = np.arange(len(lams))[:, None]
-    zB, zN = zhat[rows, B], zhat[rows, N]  # A_B' y - c_B(lam), A_N' y - c_N(lam)
-    basis = np.abs(zB).max(axis=1, initial=0.0)
-    drift = np.abs(np.subtract(zN, z, out=z), out=z).max(axis=1, initial=0.0)
+    bad_cert = ~(res[:, :4] <= CERT_TOL * (1.0 + scale)).all(axis=1)
+    if not bad_cert.any() and res[:, 4].max() <= CERT_TOL:
+        return ~bad_cert, res  # the scales of both parts of |zhat - z| are at least 1
+    nonbasic = ~basic
+    basis = diff.max(axis=1, initial=0.0, where=basic)
+    drift = diff.max(axis=1, initial=0.0, where=nonbasic)
     bad_basis = ~(basis <= CERT_TOL * (1.0 + scale[:, 1]))
-    bad_cert = ~(res <= CERT_TOL * (1.0 + scale)).all(axis=1)
-    if not (bad_basis.any() or bad_cert.any()) and drift.max() <= CERT_TOL:
-        return np.ones(len(lams), dtype=bool)  # the drift's scale, 1 + max |zhat_N|, is at least 1
-    bad_drift = ~(drift <= CERT_TOL * (1.0 + np.abs(zN).max(axis=1, initial=0.0)))
+    bad_drift = ~(drift <= CERT_TOL * (
+        1.0 + np.abs(zhat).max(axis=1, initial=0.0, where=nonbasic)))
     bad = bad_basis | bad_cert | bad_drift
     for w in np.flatnonzero(bad):
         if bad_basis[w]:
             logger.debug("A_B' y - c_B residual %.3e at lambda=%g", basis[w], lams[w])
         elif bad_cert[w]:
-            logger.debug("certificate failed at lambda=%g: residuals %s", lams[w], res[w])
+            logger.debug("certificate failed at lambda=%g: residuals %s", lams[w], res[w, :4])
         else:
             logger.debug("dictionary drift %.3e at lambda=%g", drift[w], lams[w])
-    return ~bad
+    return ~bad, res
+
+
+def _window_verdicts(p: ParametricProgram, window: Sequence[tuple]) -> np.ndarray:
+    """One bool per entry of a window of dictionaries, True where the entry
+    passes the certificate check (``_residuals``)."""
+    return _residuals(p, window)[0]
 
 
 def _post_pivot_ok(p: ParametricProgram, window: Sequence[tuple]) -> bool:
@@ -583,8 +577,9 @@ def solve_path(
     and the rest at the next rebuild and where the path ends, however it
     ends. Each check is one ``_post_pivot_ok`` call on one batch; a
     refresh's adds the one dictionary the refresh replaces. A batch entry
-    holds its dictionary's x, z and y at the entry's lambda, all the check
-    reads (a window's first segment is in no batch). Each segment goes into
+    holds its dictionary at the entry's lambda, all the check reads: x and
+    z by column, y and the basis as a mask, 2n + m floats and n bools (a
+    window's first segment is in no batch). Each segment goes into
     the path as a ``CompactSegment`` as it is emitted, its x and y (kept
     current with certificates on or off) taken from the state; the solve
     holds no dense segment, and makes one only for the stop callback.
@@ -668,7 +663,7 @@ def solve_path(
         # its y's rows: those whose slack is not basic, all of an equality program's
         rows = np.arange(std.m) if slack_info is None else (~part.in_basis[p.n:]).nonzero()[0]
         path.segments.append(CompactSegment(
-            lam_star, lam_hi, p.n,
+            lam_star, lam_hi,
             (part.basic.take(keep), state.xB_base.take(keep), state.xB_pert.take(keep)),
             (rows, state.y_base.take(rows), state.y_pert.take(rows)), std))
         nonpositive = lam_star <= zero_tol

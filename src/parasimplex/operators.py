@@ -11,13 +11,14 @@ operations, and every operator here implements them:
 
 where x and y may also be blocks with one column per vector, so a batch
 costs one product, and the two gathers take no unit column (the engine
-places those entries by their ``unit_rows``); plus ``shape``, ``nbytes``
-(the bytes the operator holds) and ``to_dense()``, which forms the matrix
-for code that needs it on small programs (the oracle, file output and
-``verify_certificate``). Negative column indices count from the end; any
-outside [-n, n), or a unit column given to a gather, raises IndexError.
-Each constructor checks its factors for non-finite entries and names the
-factor in its error.
+places those entries by row: column ``n_structural + i`` is e_i, as
+``unit_rows`` gives, and no column before it is); plus ``shape``,
+``nbytes`` (the bytes the operator holds) and ``to_dense()``, which forms
+the matrix for code that needs it on small programs (the oracle, file
+output and ``verify_certificate``). Negative column indices count from
+the end; any outside [-n, n), or a unit column given to a gather, raises
+IndexError. Each constructor checks its factors for non-finite entries
+and names the factor in its error.
 
 Kinds:
     DenseMatrix(M)   any matrix given as an array
@@ -68,9 +69,12 @@ class Operator:
     shape: Tuple[int, int]
     nbytes: int  # the bytes the operator holds
 
+    # the columns before the unit ones, all of them but under WithSlacks
+    n_structural = property(lambda self: self.shape[1])
+
     def unit_rows(self, S: np.ndarray) -> np.ndarray:
-        """-1 for every column in S: only WithSlacks has unit columns."""
-        return np.full(len(_in_range(S, self.shape[1])), -1, dtype=np.intp)
+        S, k = _in_range(S, self.shape[1]), self.n_structural
+        return np.where(S >= k, S - k, -1)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         return self._rmatvec_into(y, np.empty((self.shape[1],) + y.shape[1:]))
@@ -258,10 +262,7 @@ class WithSlacks(Operator):
         self.shape = (m, n + m)
         self.nbytes = self.A.nbytes
 
-    def unit_rows(self, S: np.ndarray) -> np.ndarray:
-        n = self.A.shape[1]
-        S = _in_range(S, self.shape[1])
-        return np.where(S >= n, S - n, -1)
+    n_structural = property(lambda self: self.A.shape[1])
 
     def column(self, j: int) -> np.ndarray:
         n = self.A.shape[1]

@@ -19,6 +19,7 @@ from parasimplex.core import (
     PathSegment,
     ProgramKind,
     Termination,
+    evaluate_dual,
     evaluate_primal,
     to_standard_form,
 )
@@ -464,7 +465,26 @@ def test_certificate_passes_on_path_and_fails_when_corrupted():
     z_bad = z.copy()
     z_bad[:] = z - 1e-3
     rep_bad = verify_certificate(std, x, z_bad, 0.5)
-    assert not rep_bad.passed or rep_bad.dual_residual > 0
+    assert not rep_bad.passed
+
+
+def test_certificate_compares_z_with_the_duals_it_implies():
+    # a z off A'y - c(lam) fails however it was made: every view of the
+    # 125-pivot path of `parasimplex gen dantzig --n 30 --d 60 --seed 1`
+    # passes, and none passes with its z scaled by 1.5
+    X, y, _ = gen_dantzig(DantzigGenConfig(n=30, d=60, s=5, rng_seed=1))
+    p = build_dantzig(DantzigInstance(X, y))
+    path = solve_path(p, lambda_target=0.0)
+    assert path.num_pivots == 125
+    std, _ = to_standard_form(p)
+    for seg in path.segments:  # the first, unbounded above, at twice its lower end
+        lam = (seg.lambda_lo + seg.lambda_hi) / 2 if seg.lambda_hi < np.inf else 2 * seg.lambda_lo
+        x, z = evaluate_primal(seg, lam), evaluate_dual(seg, lam)
+        rep = verify_certificate(std, x, z, lam, basic=seg.primal_indices)
+        assert rep.passed and type(rep.drift) is float and rep.drift <= engine.CERT_TOL
+        for basic in (seg.primal_indices, None):  # without a basis, x's support stands in
+            bad = verify_certificate(std, x, 1.5 * z, lam, basic=basic)
+            assert not bad.passed and bad.drift > 1e3 * engine.CERT_TOL
 
 
 def test_certificate_requires_equality_kind():
@@ -560,14 +580,14 @@ def test_post_pivot_check_reads_every_basic_value(caplog, slot):
 
 
 def test_window_verdicts_on_a_square_equality_program():
-    # n = m: every column is basic, so each entry's N and z_N are empty.
+    # n = m: every column is basic, so each entry's mask is all True and its z zero.
     # x_B(lam) = A^{-1} (b + lam b_bar) is (lam - 1, lam + 2), >= 0 from 1 up
     p = ParametricProgram(A=[[2.0, 1.0], [1.0, 3.0]], b=[0.0, 5.0], b_bar=[3.0, 4.0],
                           c=[1.0, -1.0], c_bar=[0.0, 1.0])
     state = initialize(p, [0, 1])
     assert state.partition.nonbasic.size == 0 and state.lambda_lo == pytest.approx(1.0)
     window = [state.at(lam) for lam in (4.0, 2.0, 0.5, 1.5)]  # x_0(0.5) < 0
-    assert window[0][3].shape == window[0][4].shape == (0,)
+    assert window[0][1].all() and not window[0][3].any()
     verdicts = engine._window_verdicts(p, window)
     assert verdicts.dtype == bool and verdicts.tolist() == [True, True, False, True]
     for entry, verdict in zip(window, verdicts):  # a window of one
@@ -788,9 +808,9 @@ def _certified_windows(monkeypatch, p):
 def _corrupted(window, w, field):
     """``window`` with entry w's first basic value x, first reduced cost z
     or first dual y moved by 1e-3; the other entries are shared."""
-    entry = list(window[w])  # (lam, B, x, N, z, y)
-    at = {"x": 2, "z": 4, "y": 5}[field]
-    entry[at] = entry[at] + np.eye(len(entry[at]))[0] * 1e-3
+    entry = list(window[w])  # (lam, basic, x, z, y)
+    at, j = {"x": (2, entry[1].argmax()), "z": (3, (~entry[1]).argmax()), "y": (4, 0)}[field]
+    entry[at] = entry[at] + np.eye(len(entry[at]))[j] * 1e-3
     return window[:w] + [tuple(entry)] + window[w + 1:]
 
 
@@ -816,6 +836,106 @@ def test_a_batched_verdict_is_that_of_the_entries_alone(monkeypatch, kind):
             assert alone.count(False) == 1
             assert engine._window_verdicts(std, bad).tolist() == alone
             assert engine._post_pivot_ok(std, bad) == all(alone)
+
+
+def _reference_residuals(p, lams, S, xS, Y):
+    """The check's residuals as entries in basis order had them: x on the
+    columns S[w] (zero elsewhere), scattered by unit row, and zhat."""
+    (W, s), m = S.shape, p.m
+    cost = p.c + lams[:, None] * p.c_bar if p.c_bar.any() else p.c[None]
+    rhs = np.multiply.outer(lams, p.b_bar)
+    rhs += p.b
+    zhat = np.subtract(p.A.rmatvec(Y.T).T, cost, order="C")
+    flat, x = S.ravel(), xS.ravel()
+    rows = p.A.unit_rows(flat)
+    f = (rows < 0).nonzero()[0]
+    U = np.bincount(flat[f], minlength=p.n).nonzero()[0]
+    xU = np.zeros((len(U), W))  # x of certificate w in column w
+    xU[U.searchsorted(flat[f]), f // s] = x[f]
+    rows[f] = m  # structural entries go to a spare row m, unit ones to their own row
+    rows.reshape(W, s)[...] += np.arange(0, W * (m + 1), m + 1)[:, None]  # m + 1 bins each
+    ax = np.bincount(rows, x, W * (m + 1)).reshape(W, m + 1)[:, :m]
+    ax += p.A.times_columns(U, xU).T
+    ax -= rhs
+    res, scale = np.zeros((2, W, 4))
+    res[:, 0] = np.maximum(np.abs(ax, out=ax).max(axis=1, initial=0.0),
+                           -xS.min(axis=1, initial=0.0))
+    res[:, 1] = 0.0 - zhat.min(axis=1, initial=0.0)
+    primal_obj = np.einsum("ij,ij->i", p.c[S], xS)
+    if p.c_bar.any():
+        primal_obj += lams * np.einsum("ij,ij->i", p.c_bar[S], xS)
+    dual_obj = np.einsum("ij,ij->i", rhs, Y)
+    res[:, 3] = np.abs(primal_obj - dual_obj)
+    scale[:, 0] = np.abs(rhs, out=rhs).max(axis=1, initial=0.0)
+    scale[:, 1] = np.abs(cost).max(axis=1, initial=0.0)
+    scale[:, 3] = np.abs(primal_obj) + np.abs(dual_obj)
+    return res, scale, zhat
+
+
+def _reference_verdicts(p, window):
+    """The window check as it read entries (lam, B, x_B, N, z_N, y) in
+    basis order, with gathers of zhat at B and N; each entry is converted
+    from (lam, basic, x, z, y)."""
+    window = [(lam, basic.nonzero()[0], x[basic], (~basic).nonzero()[0], z[~basic], y)
+              for lam, basic, x, z, y in window]
+    lams, B, x, N, z, Y = (np.array(f) for f in zip(*window))
+    res, scale, zhat = _reference_residuals(p, lams, B, x, Y)
+    rows = np.arange(len(lams))[:, None]
+    zB, zN = zhat[rows, B], zhat[rows, N]
+    basis = np.abs(zB).max(axis=1, initial=0.0)
+    drift = np.abs(np.subtract(zN, z, out=z), out=z).max(axis=1, initial=0.0)
+    bad_basis = ~(basis <= engine.CERT_TOL * (1.0 + scale[:, 1]))
+    bad_cert = ~(res <= engine.CERT_TOL * (1.0 + scale)).all(axis=1)
+    if not (bad_basis.any() or bad_cert.any()) and drift.max() <= engine.CERT_TOL:
+        return np.ones(len(lams), dtype=bool)
+    bad_drift = ~(drift <= engine.CERT_TOL * (1.0 + np.abs(zN).max(axis=1, initial=0.0)))
+    return ~(bad_basis | bad_cert | bad_drift)
+
+
+def _square_windows():
+    """Windows of the 2 x 2 equality program whose dictionaries have no
+    nonbasic column; x_0(lam) = lam - 1 is negative below 1."""
+    p = ParametricProgram(A=[[2.0, 1.0], [1.0, 3.0]], b=[0.0, 5.0], b_bar=[3.0, 4.0],
+                          c=[1.0, -1.0], c_bar=[0.0, 1.0])
+    state = initialize(p, [0, 1])
+    return [(p, [state.at(lam) for lam in lams]) for lams in ((4.0, 2.0, 0.5, 1.5), (3.0,))]
+
+
+def test_the_check_by_column_keeps_the_verdicts_of_the_check_in_basis_order(monkeypatch):
+    # verdicts, not residual values, must agree: the two sum A x over
+    # different column sets, so they may differ in the last bits
+    X, y, _ = gen_dantzig(DantzigGenConfig(n=20, d=40, s=3, rng_seed=5))
+    programs = [
+        build_dantzig(DantzigInstance(X, y)),  # d > n: G = X'X is held as X
+        _regression_program(n=60, d=30)[2],  # d <= n: G is formed
+        _diffnet_program(d=5),
+        *(q for q in map(random_less_equal, map(np.random.default_rng, range(60)))
+          if solve_path(q).num_pivots >= 2),
+    ]
+    windows = [w for q in programs for w in _certified_windows(monkeypatch, q)]
+    windows += _square_windows()
+    rng = np.random.default_rng(0)
+    entries = failing = 0
+    for std, window in windows:
+        variants = [window]
+        w = len(window) // 2
+        lam, basic, x, z, y = window[w]
+        for at, cols in ((2, basic.nonzero()[0]), (3, (~basic).nonzero()[0]),
+                         (4, np.arange(len(y)))):
+            if not cols.size:  # a square program's z has no nonbasic entry
+                continue
+            j = rng.choice(cols)
+            for rel in (1e-3, 1e-6, 1e-8):
+                entry = list(window[w])
+                entry[at] = entry[at].copy()
+                entry[at][j] += rel * (1.0 + abs(entry[at][j]))
+                variants.append(window[:w] + [tuple(entry)] + window[w + 1:])
+        for variant in variants:
+            verdicts = engine._window_verdicts(std, variant)
+            np.testing.assert_array_equal(verdicts, _reference_verdicts(std, variant))
+            entries += len(variant)
+            failing += np.count_nonzero(~verdicts)
+    assert entries > 3000 and failing > 200  # each moved entry fails or passes alone
 
 
 def test_corruption_after_a_random_pivot_recovers_the_clean_path(monkeypatch):
